@@ -13,8 +13,8 @@ use mdr_sim::engine::{run_serve_bench, serve_bench_lines, ServeConfig, ServeEngi
 use mdr_sim::perf::Stopwatch;
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
-    ArqConfig, DurableServe, FaultPlan, JournalConfig, PoissonWorkload, RunLimit, SimBuilder,
-    TopologyConfig,
+    ArqConfig, ConfigError, DurableServe, FaultPlan, JournalConfig, PoissonWorkload, RunLimit,
+    SimBuilder, TopologyConfig,
 };
 use std::fmt::Write as _;
 
@@ -744,18 +744,39 @@ fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<String, 
     serve_loop(&mut serve)
 }
 
-/// The shared stdin→stdout read loop over either serve backend.
+/// The shared stdin→stdout read loop over either serve backend. Lines
+/// are read as bytes, so a line that is not UTF-8 gets a `bad-request`
+/// answer like any other malformed line rather than ending the daemon.
 fn serve_loop(server: &mut impl LineServer) -> Result<String, CliError> {
     use std::io::{BufRead as _, Write as _};
-    let stdin = std::io::stdin();
+    let mut stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout().lock();
     let mut shut_down = false;
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        let read = stdin
+            .read_until(b'\n', &mut raw)
+            .map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
+        if read == 0 {
+            break;
         }
-        let response = server.handle_line(&line);
+        // Strip the terminator as `BufRead::lines` does: `\n` or `\r\n`.
+        if raw.ends_with(b"\n") {
+            raw.pop();
+            if raw.ends_with(b"\r") {
+                raw.pop();
+            }
+        }
+        let response = match std::str::from_utf8(&raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => server.handle_line(line),
+            Err(e) => {
+                let reason = e.to_string();
+                let refusal = ServeEngine::error(&ConfigError::BadDecisionRequest { reason });
+                serde_json::to_string(&refusal).map_err(|e| CliError(e.to_string()))?
+            }
+        };
         writeln!(stdout, "{response}")
             .and_then(|()| stdout.flush())
             .map_err(|e| CliError(format!("cannot write stdout: {e}")))?;

@@ -102,7 +102,7 @@ fn recommend_matches_the_paper_guidance_via_process() {
 }
 
 /// Spawns the binary with `input` piped to stdin.
-fn mdr_with_stdin(args: &[&str], input: &str) -> (String, String, bool) {
+fn mdr_with_stdin(args: &[&str], input: impl AsRef<[u8]>) -> (String, String, bool) {
     use std::io::Write as _;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_mdr"))
@@ -116,7 +116,7 @@ fn mdr_with_stdin(args: &[&str], input: &str) -> (String, String, bool) {
         .stdin
         .take()
         .expect("stdin is piped")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("stdin accepts the session");
     let out = child.wait_with_output().expect("binary runs");
     (
@@ -199,6 +199,21 @@ fn serve_stops_at_eof_without_shutdown() {
     );
     assert!(ok);
     assert!(stdout.contains("\"ok\":\"open\""), "{stdout}");
+}
+
+#[test]
+fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+    let session = b"{\"op\":\"open\",\"tenant\":\"a\"}\n\xff\n{\"op\":\"shutdown\"}\n";
+    let (stdout, stderr, ok) = mdr_with_stdin(&["serve"], session);
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(lines[0].starts_with(r#"{"ok":"open""#), "{stdout}");
+    assert!(
+        lines[1].starts_with(r#"{"err":"bad-request","detail":"#) && lines[1].contains("utf-8"),
+        "{stdout}"
+    );
+    assert!(lines[2].starts_with(r#"{"ok":"shutdown""#), "{stdout}");
 }
 
 #[test]

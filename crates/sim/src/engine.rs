@@ -31,7 +31,7 @@ use mdr_core::{
 };
 use serde::{de_field, de_object, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The snapshot format version this build writes and restores.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -658,6 +658,44 @@ impl Deserialize for ServeRequest {
             ))),
         }
     }
+
+    /// The direct decoder: every op but `restore` from a flat object,
+    /// with the tree path's field rules — the first of repeated keys
+    /// wins, unknown keys are ignored, and `null` reads as absent.
+    fn from_json(json: &str) -> Option<Self> {
+        let fields = serde_json::FlatObject::parse(json)?;
+        let field = |name| fields.get(name).map(str::to_owned);
+        Some(match fields.get("op")? {
+            "open" => ServeRequest::Open {
+                tenant: field("tenant")?,
+                policy: field("policy"),
+                model: field("model"),
+            },
+            "decide" => {
+                let mut letters = fields.get("request")?.chars();
+                let (Some(request), None) = (letters.next(), letters.next()) else {
+                    return None;
+                };
+                ServeRequest::Decide {
+                    tenant: field("tenant")?,
+                    request,
+                }
+            }
+            "stats" => ServeRequest::Stats {
+                tenant: field("tenant"),
+            },
+            "snapshot" => ServeRequest::Snapshot {
+                tenant: field("tenant")?,
+            },
+            "close" => ServeRequest::Close {
+                tenant: field("tenant")?,
+            },
+            "shutdown" => ServeRequest::Shutdown,
+            // A restore's snapshot is nested, and an unknown op needs the
+            // tree path's error text.
+            _ => return None,
+        })
+    }
 }
 
 /// Why a serve-layer request was refused by admission control rather than
@@ -878,6 +916,34 @@ impl Serialize for ServeResponse {
             ]),
         }
     }
+
+    /// The direct printer, for decisions only: the hot response.
+    fn to_json(&self) -> Option<String> {
+        let ServeResponse::Decided { tenant, decision } = self else {
+            return None;
+        };
+        let d = decision;
+        let mut out = String::with_capacity(200 + tenant.len());
+        out.push_str(r#"{"ok":"decision","tenant":"#);
+        serde_json::write_string(&mut out, tenant);
+        // The request letter, action and verdict labels are fixed ASCII
+        // words that need no escaping.
+        let _ = write!(
+            out,
+            r#","seq":{},"request":"{}","action":"{}","verdict":"{}","cost":"#,
+            d.seq,
+            d.request.letter(),
+            d.action,
+            d.verdict.label()
+        );
+        serde_json::write_float(&mut out, d.cost);
+        let _ = write!(
+            out,
+            r#","data":{},"control":{},"connections":{},"has_copy":{},"staleness":{}}}"#,
+            d.data_messages, d.control_messages, d.connections, d.has_copy, d.staleness
+        );
+        Some(out)
+    }
 }
 
 /// A long-running, deterministic decision server: many tenants, each with
@@ -1049,7 +1115,8 @@ impl ServeEngine {
         self.tenants.remove(tenant).is_some()
     }
 
-    pub(crate) fn error(err: &ConfigError) -> ServeResponse {
+    /// The typed error response that reports `err` on the wire.
+    pub fn error(err: &ConfigError) -> ServeResponse {
         let code = match err {
             ConfigError::UnknownTenant { .. } => "unknown-tenant",
             ConfigError::BadDecisionRequest { .. } => "bad-request",
@@ -1285,17 +1352,24 @@ impl ServeEngine {
     /// byte sequence produces exactly one JSON response line, never a
     /// panic.
     pub fn handle_line(&mut self, line: &str) -> String {
-        let response = match serde_json::from_str::<ServeRequest>(line) {
-            Ok(request) => self.apply(&request),
-            Err(e) => Self::error(&ConfigError::BadDecisionRequest {
-                reason: e.to_string(),
-            }),
-        };
-        let Ok(wire) = serde_json::to_string(&response) else {
-            unreachable!("every ServeResponse value serializes");
-        };
-        wire
+        serve_line(line, |request| self.apply(request))
     }
+}
+
+/// The wire codec of both serving layers: decodes `line`, answers it with
+/// `apply` (or with a `bad-request` error when it does not decode), and
+/// encodes the response as one line of JSON.
+pub(crate) fn serve_line(line: &str, apply: impl FnOnce(&ServeRequest) -> ServeResponse) -> String {
+    let response = match serde_json::from_str::<ServeRequest>(line) {
+        Ok(request) => apply(&request),
+        Err(e) => ServeEngine::error(&ConfigError::BadDecisionRequest {
+            reason: e.to_string(),
+        }),
+    };
+    let Ok(wire) = serde_json::to_string(&response) else {
+        unreachable!("every ServeResponse value serializes");
+    };
+    wire
 }
 
 // ---------------------------------------------------------------------------
@@ -1512,6 +1586,25 @@ mod tests {
             streak: 0,
         };
         assert!(DecisionCore::restore(&snap).is_err(), "state/spec mismatch");
+    }
+
+    #[test]
+    fn streaks_at_the_threshold_do_not_restore() {
+        // A T1m/T2m streak runs from 0 to m − 1; a snapshot claiming m
+        // was not taken from a running core.
+        for spec in [PolicySpec::T1 { m: 2 }, PolicySpec::T2 { m: 2 }] {
+            let mut snap = DecisionCore::new(spec, CostModel::Connection)
+                .unwrap()
+                .snapshot();
+            for (streak, restores) in [(1, true), (2, false)] {
+                snap.state = PolicyState::Streak {
+                    has_copy: true,
+                    streak,
+                };
+                let restored = DecisionCore::restore(&snap);
+                assert_eq!(restored.is_ok(), restores, "{spec} with streak {streak}");
+            }
+        }
     }
 
     #[test]
@@ -1790,6 +1883,33 @@ mod tests {
             policy.starts_with("SW"),
             "θ̂ stabilized, so the §6 re-selection must have fired; still {policy}"
         );
+    }
+
+    #[test]
+    fn adaptive_checkpoints_fall_every_64_decisions() {
+        // θ̂ is sampled every 64 decisions, and the window is re-selected
+        // at the first sample that agrees with the one before: on a
+        // read-only stream, decision 128. Journal replay re-derives the
+        // same samples, so the schedule is part of the durable format.
+        let mut e = ServeEngine::new(ServeConfig {
+            adaptive: true,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        open(&mut e, "a", "T1(2)");
+        let read = ServeRequest::Decide {
+            tenant: "a".to_owned(),
+            request: 'r',
+        };
+        for _ in 0..127 {
+            e.apply(&read);
+        }
+        assert_eq!(e.tenant_policy("a"), Some(PolicySpec::T1 { m: 2 }));
+        e.apply(&read);
+        assert!(matches!(
+            e.tenant_policy("a"),
+            Some(PolicySpec::SlidingWindow { .. })
+        ));
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! re-running the adaptive trigger.
 
 use crate::engine::{
-    CoreSnapshot, DecisionCore, ServeConfig, ServeEngine, ServeRequest, ServeResponse,
+    serve_line, CoreSnapshot, DecisionCore, ServeConfig, ServeEngine, ServeRequest, ServeResponse,
 };
 use crate::faults::ConfigError;
 use mdr_core::{CostModel, PolicySpec, Request};
@@ -778,16 +778,7 @@ impl DurableServe {
     /// [`ServeEngine::handle_line`], with state changes journaled before
     /// the response is produced. Total: one line in, one JSON line out.
     pub fn handle_line(&mut self, line: &str) -> String {
-        let response = match serde_json::from_str::<ServeRequest>(line) {
-            Ok(request) => self.apply(&request),
-            Err(e) => ServeEngine::error(&ConfigError::BadDecisionRequest {
-                reason: e.to_string(),
-            }),
-        };
-        let Ok(wire) = serde_json::to_string(&response) else {
-            unreachable!("every ServeResponse value serializes");
-        };
-        wire
+        serve_line(line, |request| self.apply(request))
     }
 
     /// Applies one typed request with write-ahead durability. The order
@@ -1663,6 +1654,41 @@ mod tests {
         assert_eq!(scan.outcome, TailOutcome::Clean);
         let seqs: Vec<u64> = scan.records.iter().map(|(seq, _)| *seq).collect();
         assert_eq!(seqs, vec![5, 6, 7]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interval_fsync_fires_on_the_nth_append() {
+        let dir = temp_dir("fsync-interval");
+        let mut cfg = JournalConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Interval(2);
+        let (mut serve, _) = DurableServe::open(ServeConfig::default(), cfg).expect("open");
+        serve.handle_line(r#"{"op":"open","tenant":"t"}"#);
+        assert_eq!(serve.stats().fsyncs, 0);
+        serve.handle_line(r#"{"op":"decide","tenant":"t","request":"r"}"#);
+        assert_eq!(serve.stats().fsyncs, 1, "the second append syncs");
+        serve.handle_line(r#"{"op":"decide","tenant":"t","request":"r"}"#);
+        assert_eq!(serve.stats().fsyncs, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_quarantines_only_that_tenant() {
+        let dir = temp_dir("append-fails");
+        let (mut serve, _) = open_at(&dir);
+        serve.handle_line(r#"{"op":"open","tenant":"t"}"#);
+        serve.handle_line(r#"{"op":"open","tenant":"u"}"#);
+        // A read-only handle fails the next append, as a failing disk would.
+        let journal = dir.join(TENANTS_DIR).join("t").join(JOURNAL_FILE);
+        serve.stores.get_mut("t").expect("t is open").file = File::open(&journal).expect("journal");
+        let resp = serve.handle_line(r#"{"op":"decide","tenant":"t","request":"r"}"#);
+        assert!(resp.starts_with(r#"{"err":"data-dir""#), "{resp}");
+        assert_eq!(serve.stats().quarantined_tenants, 1);
+        assert!(dir.join(QUARANTINE_DIR).join("t").exists());
+        let gone = serve.handle_line(r#"{"op":"stats","tenant":"t"}"#);
+        assert!(gone.contains("unknown-tenant"), "{gone}");
+        let other = serve.handle_line(r#"{"op":"decide","tenant":"u","request":"r"}"#);
+        assert!(other.starts_with(r#"{"ok":"decision""#), "{other}");
         let _ = fs::remove_dir_all(&dir);
     }
 
