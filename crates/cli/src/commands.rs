@@ -674,7 +674,11 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
                 }
             }
             let mut engine = ServeEngine::new(config).map_err(|e| CliError(e.to_string()))?;
-            serve_loop(&mut engine)
+            serve_loop(
+                &mut engine,
+                std::io::stdin().lock(),
+                std::io::stdout().lock(),
+            )
         }
     }
 }
@@ -741,55 +745,136 @@ fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<String, 
     for dir_name in &report.skipped_dirs {
         eprintln!("skipped stray directory {dir_name:?} under tenants/");
     }
-    serve_loop(&mut serve)
+    serve_loop(
+        &mut serve,
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+    )
 }
 
-/// The shared stdin→stdout read loop over either serve backend. Lines
-/// are read as bytes, so a line that is not UTF-8 gets a `bad-request`
-/// answer like any other malformed line rather than ending the daemon.
-fn serve_loop(server: &mut impl LineServer) -> Result<String, CliError> {
-    use std::io::{BufRead as _, Write as _};
-    let mut stdin = std::io::stdin().lock();
-    let mut stdout = std::io::stdout().lock();
+/// The shared read loop over either serve backend, from `input` to
+/// `output`. Lines are read as bytes, so a line that is not UTF-8 gets a
+/// `bad-request` answer like any other malformed line rather than ending
+/// the daemon.
+///
+/// Answers go out in at most two writes per read, not one per line. Each
+/// time the loop refills its input buffer it counts the complete lines
+/// buffered, B. It writes the answers to the first ⌈B/2⌉ together as
+/// soon as the last of them is ready, and the rest before the next
+/// refill, which could block. While it answers the second half, a
+/// pipelining client reads the first and sends more, so the next refill
+/// finds input waiting. A client that sends one line and waits sees
+/// B = 1 and gets each answer at once. A `shutdown` answer is written at
+/// once and ends the loop.
+fn serve_loop(
+    server: &mut impl LineServer,
+    input: impl std::io::Read,
+    mut output: impl std::io::Write,
+) -> Result<String, CliError> {
+    use std::io::BufRead as _;
+    let mut input = std::io::BufReader::new(input);
+    // The line being assembled and the answers not yet written.
+    let (mut raw, mut held) = (Vec::new(), Vec::new());
+    // Complete lines left in the first half of the current read.
+    let mut first_half = 0usize;
     let mut shut_down = false;
-    let mut raw = Vec::new();
     loop {
+        if input.buffer().is_empty() {
+            // The refill may block: hold no answer across it.
+            write_answers(&mut output, &mut held)?;
+            let fresh = refill(&mut input)?;
+            if fresh.is_empty() {
+                // End of input: an unterminated last line is still a line.
+                if !raw.is_empty() {
+                    answer_line(server, &raw, &mut held)?;
+                    shut_down = server.is_done();
+                }
+                break;
+            }
+            first_half = fresh.iter().filter(|&&b| b == b'\n').count().div_ceil(2);
+        }
+        let buffered = input.buffer();
+        let taken = buffered
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(buffered.len(), |at| at + 1);
+        raw.extend_from_slice(&buffered[..taken]);
+        input.consume(taken);
+        if raw.last() != Some(&b'\n') {
+            // A partial line: the rest comes with the next refill.
+            continue;
+        }
+        answer_line(server, &raw, &mut held)?;
         raw.clear();
-        let read = stdin
-            .read_until(b'\n', &mut raw)
-            .map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
-        if read == 0 {
-            break;
-        }
-        // Strip the terminator as `BufRead::lines` does: `\n` or `\r\n`.
-        if raw.ends_with(b"\n") {
-            raw.pop();
-            if raw.ends_with(b"\r") {
-                raw.pop();
-            }
-        }
-        let response = match std::str::from_utf8(&raw) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => server.handle_line(line),
-            Err(e) => {
-                let reason = e.to_string();
-                let refusal = ServeEngine::error(&ConfigError::BadDecisionRequest { reason });
-                serde_json::to_string(&refusal).map_err(|e| CliError(e.to_string()))?
-            }
-        };
-        writeln!(stdout, "{response}")
-            .and_then(|()| stdout.flush())
-            .map_err(|e| CliError(format!("cannot write stdout: {e}")))?;
         if server.is_done() {
             shut_down = true;
             break;
         }
+        if first_half > 0 {
+            first_half -= 1;
+            if first_half == 0 {
+                write_answers(&mut output, &mut held)?;
+            }
+        }
     }
+    write_answers(&mut output, &mut held)?;
     if !shut_down {
         server.at_eof();
     }
     // Responses were streamed in-loop; nothing is left to print.
     Ok(String::new())
+}
+
+/// Refills `input`'s empty buffer and returns it, empty at end of input.
+/// A read that a signal interrupts is retried, as `BufRead::read_until`
+/// does.
+fn refill<R: std::io::Read>(input: &mut std::io::BufReader<R>) -> Result<&[u8], CliError> {
+    use std::io::BufRead as _;
+    loop {
+        match input.fill_buf() {
+            Ok(_) => return Ok(input.buffer()),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(CliError(format!("cannot read stdin: {e}"))),
+        }
+    }
+}
+
+/// Appends the answer to one input line, newline-terminated, to `held`;
+/// a blank line gets none.
+fn answer_line(
+    server: &mut impl LineServer,
+    raw: &[u8],
+    held: &mut Vec<u8>,
+) -> Result<(), CliError> {
+    // Strip the terminator as `BufRead::lines` does: `\n` or `\r\n`.
+    let raw = raw
+        .strip_suffix(b"\n")
+        .map_or(raw, |line| line.strip_suffix(b"\r").unwrap_or(line));
+    let response = match std::str::from_utf8(raw) {
+        Ok(line) if line.trim().is_empty() => return Ok(()),
+        Ok(line) => server.handle_line(line),
+        Err(e) => {
+            let reason = e.to_string();
+            let refusal = ServeEngine::error(&ConfigError::BadDecisionRequest { reason });
+            serde_json::to_string(&refusal).map_err(|e| CliError(e.to_string()))?
+        }
+    };
+    held.extend_from_slice(response.as_bytes());
+    held.push(b'\n');
+    Ok(())
+}
+
+/// Writes and flushes the held answers, if any, in one `write_all`.
+fn write_answers(output: &mut impl std::io::Write, held: &mut Vec<u8>) -> Result<(), CliError> {
+    if held.is_empty() {
+        return Ok(());
+    }
+    output
+        .write_all(held)
+        .and_then(|()| output.flush())
+        .map_err(|e| CliError(format!("cannot write stdout: {e}")))?;
+    held.clear();
+    Ok(())
 }
 
 /// `mdr worst-case --policy SW5 --model message:0.5 [--max-len 13]
@@ -1372,5 +1457,184 @@ mod tests {
         assert!(parse_class("x{0}").is_err());
         assert!(parse_class("r0").is_err());
         assert!(parse_class("r{a}").is_err());
+    }
+
+    /// What the fake pipes of a `serve_loop` test saw, in order.
+    #[derive(Debug)]
+    enum Io {
+        /// A `read` of the input and the bytes it returned.
+        Read(Vec<u8>),
+        /// A `write` to the output and the bytes it carried.
+        Write(Vec<u8>),
+    }
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<Io>>>;
+
+    /// An input that returns one scripted chunk per `read`, then EOF.
+    struct ScriptedInput {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        log: Log,
+    }
+
+    impl std::io::Read for ScriptedInput {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.chunks.pop_front().unwrap_or_default();
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            let len = chunk.len();
+            self.log.borrow_mut().push(Io::Read(chunk));
+            Ok(len)
+        }
+    }
+
+    /// An output that records each `write` call.
+    struct RecordingOutput(Log);
+
+    impl std::io::Write for RecordingOutput {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().push(Io::Write(buf.to_vec()));
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs `serve_loop` over a fresh engine whose input returns `chunks`,
+    /// one per read, and returns what the pipes saw.
+    fn serve_chunks(config: ServeConfig, chunks: &[&[u8]]) -> Vec<Io> {
+        let log = Log::default();
+        let input = ScriptedInput {
+            chunks: chunks.iter().map(|chunk| chunk.to_vec()).collect(),
+            log: log.clone(),
+        };
+        let mut engine = ServeEngine::new(config).unwrap();
+        serve_loop(&mut engine, input, RecordingOutput(log.clone())).unwrap();
+        log.take()
+    }
+
+    fn newlines(bytes: &[u8]) -> usize {
+        bytes.iter().filter(|&&b| b == b'\n').count()
+    }
+
+    /// The log as `r<lines>` per read and `w<answers>` per write.
+    fn shape(log: &[Io]) -> Vec<String> {
+        log.iter()
+            .map(|io| match io {
+                Io::Read(bytes) => format!("r{}", newlines(bytes)),
+                Io::Write(bytes) => format!("w{}", newlines(bytes)),
+            })
+            .collect()
+    }
+
+    const OPEN: &str = "{\"op\":\"open\",\"tenant\":\"a\"}\n";
+    const DECIDE: &str = "{\"op\":\"decide\",\"tenant\":\"a\",\"request\":\"r\"}\n";
+    const SHUTDOWN: &str = "{\"op\":\"shutdown\"}\n";
+
+    #[test]
+    fn a_sixteen_line_read_is_answered_in_two_writes_of_eight() {
+        let input = OPEN.to_owned() + &DECIDE.repeat(15);
+        let log = serve_chunks(ServeConfig::default(), &[input.as_bytes()]);
+        assert_eq!(shape(&log), ["r16", "w8", "w8", "r0"]);
+    }
+
+    #[test]
+    fn one_line_reads_are_answered_before_the_next_read() {
+        let d = DECIDE.as_bytes();
+        let log = serve_chunks(ServeConfig::default(), &[OPEN.as_bytes(), d, d, d]);
+        assert_eq!(
+            shape(&log),
+            ["r1", "w1", "r1", "w1", "r1", "w1", "r1", "w1", "r0"]
+        );
+    }
+
+    #[test]
+    fn answers_before_a_partial_line_are_written_before_the_read_that_completes_it() {
+        let (head, tail) = DECIDE.split_at(DECIDE.len() / 2);
+        let first = format!("{OPEN}{DECIDE}{head}");
+        let log = serve_chunks(ServeConfig::default(), &[first.as_bytes(), tail.as_bytes()]);
+        assert_eq!(shape(&log), ["r2", "w1", "w1", "r1", "w1", "r0"]);
+    }
+
+    #[test]
+    fn a_shutdown_mid_batch_is_answered_and_ends_the_reads() {
+        let first = format!("{OPEN}{DECIDE}{SHUTDOWN}{DECIDE}");
+        let log = serve_chunks(
+            ServeConfig::default(),
+            &[first.as_bytes(), DECIDE.as_bytes()],
+        );
+        assert_eq!(shape(&log), ["r4", "w2", "w1"]);
+        let Some(Io::Write(last)) = log.last() else {
+            panic!("{log:?}");
+        };
+        assert!(last.starts_with(br#"{"ok":"shutdown""#), "{log:?}");
+    }
+
+    #[test]
+    fn blank_lines_get_no_answer_but_still_end_a_half() {
+        // Five lines, three in the first half; the third is blank, and so
+        // is the last, and each still sends the answers before it.
+        let input = format!("{OPEN}\n \r\n{DECIDE}\n");
+        let log = serve_chunks(ServeConfig::default(), &[input.as_bytes()]);
+        assert_eq!(shape(&log), ["r5", "w1", "w1", "r0"]);
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried() {
+        /// Fails its first read with `Interrupted`, then returns `OPEN`.
+        struct Interrupted(bool);
+        impl std::io::Read for Interrupted {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if !std::mem::replace(&mut self.0, true) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                buf[..OPEN.len()].copy_from_slice(OPEN.as_bytes());
+                Ok(OPEN.len())
+            }
+        }
+        let mut input = std::io::BufReader::new(Interrupted(false));
+        assert_eq!(refill(&mut input).unwrap(), OPEN.as_bytes());
+    }
+
+    #[test]
+    fn batched_output_is_the_concatenated_line_answers() {
+        let config = ServeConfig {
+            max_tenants: 4,
+            ..ServeConfig::default()
+        };
+        let session = include_str!("../tests/fixtures/serve_session.in");
+        let mut reference = ServeEngine::new(config).unwrap();
+        let expected: String = session
+            .lines()
+            .map(|line| reference.handle_line(line) + "\n")
+            .collect();
+        // Cut the session at uneven points, many mid-line.
+        let mut chunks = Vec::new();
+        let mut rest = session.as_bytes();
+        for size in [1, 5, 40, 120, 333, 2, 900].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            chunks.push(chunk);
+            rest = tail;
+        }
+        let log = serve_chunks(config, &chunks);
+        let (mut read, mut answered, mut writes, mut output) = (0, 0, 0, Vec::new());
+        for io in &log {
+            match io {
+                Io::Read(bytes) => {
+                    assert_eq!(answered, read, "an answer was held across a read");
+                    read += newlines(bytes);
+                    writes = 0;
+                }
+                Io::Write(bytes) => {
+                    answered += newlines(bytes);
+                    writes += 1;
+                    assert!(writes <= 2, "more than two writes for one read");
+                    output.extend_from_slice(bytes);
+                }
+            }
+        }
+        assert_eq!(String::from_utf8(output).unwrap(), expected);
     }
 }

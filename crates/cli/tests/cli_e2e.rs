@@ -216,6 +216,122 @@ fn serve_answers_a_non_utf8_line_and_keeps_serving() {
     assert!(lines[2].starts_with(r#"{"ok":"shutdown""#), "{stdout}");
 }
 
+/// A client that sends one line and waits for its answer, with a deadline
+/// on every answer. A daemon that held an answer while it waited for more
+/// input would fail here instead of hanging.
+struct LockStep {
+    child: std::process::Child,
+    stdin: std::process::ChildStdin,
+    answers: std::sync::mpsc::Receiver<String>,
+    reader: Option<std::thread::JoinHandle<()>>,
+}
+
+impl LockStep {
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(5);
+
+    fn spawn(args: &[&str]) -> Self {
+        use std::io::BufRead as _;
+        use std::process::Stdio;
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mdr"))
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("binary spawns");
+        let stdin = child.stdin.take().expect("stdin is piped");
+        let stdout = child.stdout.take().expect("stdout is piped");
+        let (sender, answers) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for line in std::io::BufReader::new(stdout)
+                .lines()
+                .map_while(Result::ok)
+            {
+                if sender.send(line).is_err() {
+                    break;
+                }
+            }
+        });
+        LockStep {
+            child,
+            stdin,
+            answers,
+            reader: Some(reader),
+        }
+    }
+
+    fn send(&mut self, bytes: &str) {
+        use std::io::Write as _;
+        self.stdin
+            .write_all(bytes.as_bytes())
+            .and_then(|()| self.stdin.flush())
+            .expect("daemon reads its stdin");
+    }
+
+    /// The next answer, which must start with `prefix`.
+    fn expect(&mut self, prefix: &str) {
+        let answer = self
+            .answers
+            .recv_timeout(Self::DEADLINE)
+            .unwrap_or_else(|e| panic!("no answer within {:?}: {e}", Self::DEADLINE));
+        assert!(answer.starts_with(prefix), "{answer}");
+    }
+}
+
+impl Drop for LockStep {
+    fn drop(&mut self) {
+        // The daemon's end closes its stdout, which ends the reader.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+fn serve_in_lock_step(args: &[&str]) {
+    const DECISION: &str = r#"{"ok":"decision""#;
+    let mut daemon = LockStep::spawn(args);
+    daemon.send("{\"op\":\"open\",\"tenant\":\"a\",\"policy\":\"SW3\"}\n");
+    daemon.expect(r#"{"ok":"open""#);
+    for i in 0..100 {
+        let request = if i % 3 == 0 { "w" } else { "r" };
+        daemon.send(&format!(
+            "{{\"op\":\"decide\",\"tenant\":\"a\",\"request\":\"{request}\"}}\n"
+        ));
+        daemon.expect(DECISION);
+    }
+    // One write carries two whole lines and the head of a third: both
+    // answers must come while the daemon waits for the rest.
+    let line = r#"{"op":"decide","tenant":"a","request":"r"}"#;
+    let (head, tail) = line.split_at(line.len() / 2);
+    daemon.send(&format!("{line}\n{line}\n{head}"));
+    daemon.expect(DECISION);
+    daemon.expect(DECISION);
+    daemon.send(&format!("{tail}\n"));
+    daemon.expect(DECISION);
+    daemon.send("{\"op\":\"shutdown\"}\n");
+    daemon.expect(r#"{"ok":"shutdown""#);
+    assert!(daemon.child.wait().expect("daemon exits").success());
+}
+
+#[test]
+fn serve_answers_a_lock_step_client_line_by_line() {
+    serve_in_lock_step(&["serve"]);
+}
+
+#[test]
+fn durable_serve_answers_a_lock_step_client_line_by_line() {
+    let dir = std::env::temp_dir().join(format!("mdr-e2e-lockstep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    serve_in_lock_step(&[
+        "serve",
+        "--data-dir",
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_budget_sheds_via_process() {
     let session = "{\"op\":\"open\",\"tenant\":\"a\"}\n\

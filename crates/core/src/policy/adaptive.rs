@@ -300,11 +300,5 @@ mod tests {
         let p = AdaptivePolicy::new(9, CostModel::Connection);
         assert_eq!(p.to_string(), "AD9[connection]");
         assert_eq!(p.spec(), None, "no faithful PolicySpec encoding exists");
-        #[allow(deprecated)]
-        {
-            // The deprecated trait path falls back to a placeholder for
-            // policies outside the spec roster.
-            assert_eq!(p.name(), "unnamed");
-        }
     }
 }

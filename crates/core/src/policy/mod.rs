@@ -40,14 +40,6 @@ pub trait AllocationPolicy {
     /// `Display`.
     fn spec(&self) -> Option<PolicySpec>;
 
-    /// A short human-readable name, e.g. `"SW5"` or `"T1(3)"`.
-    #[deprecated(note = "stringly identity that allocates per call; use `spec()` and \
-                `PolicySpec`'s `Display` instead")]
-    fn name(&self) -> String {
-        self.spec()
-            .map_or_else(|| "unnamed".to_owned(), |spec| spec.to_string())
-    }
-
     /// Whether the mobile computer currently holds a replica.
     fn has_copy(&self) -> bool;
 
@@ -112,14 +104,6 @@ impl PolicySpec {
             PolicySpec::T1 { m } => Box::new(T1::new(m)),
             PolicySpec::T2 { m } => Box::new(T2::new(m)),
         }
-    }
-
-    /// The policy's display name as written in the paper (§2, §7.1) —
-    /// `ST1`, `SW3`, `T1(m)`, …
-    #[deprecated(note = "allocated a boxed policy per call just to render a string; \
-                use the `Display` impl (`format!(\"{spec}\")`) instead")]
-    pub fn name(&self) -> String {
-        self.to_string()
     }
 
     /// All the policies the paper compares (§2, §7.1; the Figure 1 and
@@ -226,18 +210,6 @@ mod tests {
         assert_eq!(PolicySpec::SlidingWindow { k: 7 }.to_string(), "SW7");
         assert_eq!(PolicySpec::T1 { m: 3 }.to_string(), "T1(3)");
         assert_eq!(PolicySpec::T2 { m: 5 }.to_string(), "T2(5)");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_name_paths_match_display() {
-        // Back-compat pin: the deprecated stringly paths must keep
-        // producing the bytes the reports were built on until they are
-        // removed.
-        for spec in PolicySpec::roster(&[1, 9], &[2]) {
-            assert_eq!(spec.name(), spec.to_string());
-            assert_eq!(spec.build().name(), spec.to_string());
-        }
     }
 
     #[test]

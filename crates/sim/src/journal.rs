@@ -799,10 +799,10 @@ impl DurableServe {
                     // wire grammar, so re-derive it from the live core.
                     // The open just succeeded, so the core exists; the
                     // fallback only keeps this branch total.
-                    let model = self.engine.tenant_core(tenant).map_or_else(
-                        || "connection".to_owned(),
-                        |core| model_wire(core.model()),
-                    );
+                    let model = self
+                        .engine
+                        .tenant_core(tenant)
+                        .map_or_else(|| "connection".to_owned(), |core| model_wire(core.model()));
                     let op = JournalOp::Open {
                         policy: policy.clone(),
                         model,
