@@ -10,8 +10,6 @@
 //! cargo run -p mdr-bench --release --bin report -- --fast  # CI-sized runs
 //! cargo run -p mdr-bench --release --bin report -- --json  # machine readable
 //! ```
-//!
-//! Criterion performance benches live in `benches/` (`cargo bench`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,31 +1,28 @@
-//! An exact calendar (bucket) priority queue for the event loop.
+//! The simulator's future-event queue: a binary heap on one packed key.
 //!
-//! The simulator's future-event set is small (a handful of pending
-//! arrivals, deliveries and timers) but churns at every event, and the
-//! entries carry their full key ordering `(time, actor-rank, seq)`. A
-//! binary heap pays `O(log n)` sift-downs with a large element memcpy per
-//! operation; the calendar queue below pays an `O(1)` bucket append per
-//! push and a short bucket scan per pop, sized so the average bucket
-//! holds about one entry (Brown's calendar queue, CACM 1988).
+//! Every scheduled event is ordered by the full lexicographic key
+//! `(time, actor-rank, seq)`: earliest time first, ties broken by actor
+//! rank, then FIFO by sequence number. [`pack`] folds that triple into
+//! one `u128` whose integer order is exactly that order, so the heap
+//! compares entries with a single integer compare:
 //!
-//! Unlike textbook calendar queues used for *approximate* event ordering,
-//! this one is exact: `pop` always returns the minimum of the full
-//! lexicographic key `(time, rank, seq)`, reproducing bit for bit the
-//! order the previous `BinaryHeap<Scheduled>` implementation produced
-//! (ties broken by actor rank, then FIFO sequence). The sweep ledger
-//! digests pinned in `tests/perf_digests.rs` hold across the swap.
+//! - bits 127–64: the time's IEEE bits, mapped so that unsigned order
+//!   agrees with [`f64::total_cmp`];
+//! - bits 63–56: the actor rank;
+//! - bits 55–0: the sequence number, which must stay below 2^56.
 //!
-//! The queue is tuned to the simulator's timer distribution: bucket
-//! width tracks the mean spacing of resident events (arrivals about one
-//! mean inter-arrival apart, deliveries a latency ahead, ARQ/handoff
-//! timers a few widths out), and far-future outliers (degradation
-//! deadlines, reordered ghosts) are caught by the direct-search fallback
-//! after one empty lap instead of growing the bucket array.
+//! The §3 exchange serialization keeps the set small: the sweep presets
+//! peak at 6–10 resident events and average about one. A user-set ARQ
+//! timeout far above the arrival gap grows it (one grid peaks at 108),
+//! and the heap stays `O(log n)` there. The type is named
+//! `CalendarQueue` for API stability: it replaced a bucket calendar
+//! queue in the same pop order, and callers and benchmarks name it.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Strict "earlier than" on a bare `(time, rank, seq)` key triple — the
-/// same total order the queue applies to resident entries. Public
-/// so the simulator can rank staged (not-yet-queued) events against the
-/// queue's [`peek_key`](CalendarQueue::peek_key) under the identical order.
+/// order [`pack`] encodes, written out as a comparison chain.
 pub fn key_lt(a: (f64, u8, u64), b: (f64, u8, u64)) -> bool {
     a.0.total_cmp(&b.0)
         .then_with(|| a.1.cmp(&b.1))
@@ -33,320 +30,127 @@ pub fn key_lt(a: (f64, u8, u64), b: (f64, u8, u64)) -> bool {
         .is_lt()
 }
 
-/// One scheduled entry: the key triple plus the payload.
+/// Bits of the packed key below the time: rank and sequence number.
+const TIME_SHIFT: u32 = 64;
+/// Bits of the packed key below the rank: the sequence number.
+const RANK_SHIFT: u32 = 56;
+/// The sign bit of an `f64` and of the time field.
+const SIGN: u64 = 1 << 63;
+
+/// Packs a `(time, rank, seq)` key into one `u128` whose unsigned order
+/// is [`key_lt`]'s: `pack(a) < pack(b)` exactly when `key_lt(a, b)`.
+///
+/// A non-negative time gets its sign bit set; a negative one has all its
+/// bits flipped, so that more negative times map lower.
+///
+/// # Panics
+///
+/// If `seq` does not fit in 56 bits.
+pub fn pack((at, rank, seq): (f64, u8, u64)) -> u128 {
+    assert!(
+        seq < 1 << RANK_SHIFT,
+        "event sequence number {seq} overflows 56 bits"
+    );
+    let bits = at.to_bits();
+    // All ones for a negative time, the sign bit alone otherwise.
+    let flip = ((bits as i64 >> 63) as u64) | SIGN;
+    (u128::from(bits ^ flip) << TIME_SHIFT) | (u128::from(rank) << RANK_SHIFT) | u128::from(seq)
+}
+
+/// The inverse of [`pack`].
+pub fn unpack(key: u128) -> (f64, u8, u64) {
+    let time = (key >> TIME_SHIFT) as u64;
+    // A set top bit marks a non-negative time: clear it. Otherwise the
+    // whole word was flipped: flip it back.
+    let flip = (time >> 63).wrapping_sub(1) | SIGN;
+    let rank = (key >> RANK_SHIFT) as u8;
+    let seq = (key as u64) & ((1 << RANK_SHIFT) - 1);
+    (f64::from_bits(time ^ flip), rank, seq)
+}
+
+/// One scheduled entry: its packed key and the payload. Ordered by key,
+/// reversed, so that `BinaryHeap`'s maximum is the earliest entry.
 #[derive(Debug, Clone)]
 struct Entry<T> {
-    at: f64,
-    rank: u8,
-    seq: u64,
+    key: u128,
     item: T,
 }
 
-impl<T> Entry<T> {
-    /// Strict "earlier than" on the `(time, rank, seq)` key. Times are
-    /// finite by construction (the simulator asserts its configs), so
-    /// `total_cmp` agrees with the IEEE partial order the heap used.
-    fn before(&self, other: &Self) -> bool {
-        self.at
-            .total_cmp(&other.at)
-            .then_with(|| self.rank.cmp(&other.rank))
-            .then_with(|| self.seq.cmp(&other.seq))
-            .is_lt()
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
     }
 }
 
-/// An exact min-priority queue over `(time, actor-rank, seq)` keys,
-/// implemented as a calendar of time buckets.
-///
-/// `push` appends to the bucket covering the entry's time; `pop` scans
-/// forward from the cursor bucket, one bucket-width "day" at a time, and
-/// falls back to a direct minimum search after one full empty lap (the
-/// far-future-outlier case). The queue resizes itself to keep about one
-/// resident entry per bucket and re-derives the bucket width from the
-/// observed event-time span at each resize.
-#[derive(Debug, Clone)]
-pub struct CalendarQueue<T> {
-    /// Power-of-two bucket ring.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// `buckets.len() - 1`, for masking bucket indices.
-    mask: usize,
-    /// Bucket width in simulation-time units (always positive, finite).
-    width: f64,
-    /// `1.0 / width`, cached so the per-push bucket index pays a multiply
-    /// instead of a divide.
-    inv_width: f64,
-    /// The bucket the next pop starts scanning from.
-    cursor: usize,
-    /// Start time of the cursor bucket's current lap window.
-    cursor_start: f64,
-    /// Resident entries.
-    len: usize,
-    /// Cached key of the minimal resident entry, maintained by
-    /// [`peek_key`](Self::peek_key) and kept current across pushes so a
-    /// peek/pop pair pays for one scan, not two.
-    min_cache: Option<(f64, u8, u64)>,
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// Initial and minimum bucket count (power of two). Sized so the
-/// simulator's steady-state future-event set (a handful of arrivals,
-/// deliveries and timers) never triggers a resize at all: growth starts
-/// only past `2 × MIN_BUCKETS` residents, and the shrink threshold sits
-/// 8× below the growth threshold so an oscillating population cannot
-/// thrash rebuilds.
-const MIN_BUCKETS: usize = 16;
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
 
-/// Fallback bucket width when the resident events give no usable spacing
-/// estimate (empty queue, or all entries at one instant).
-const DEFAULT_WIDTH: f64 = 1.0;
+/// An exact min-priority queue over `(time, actor-rank, seq)` keys: a
+/// [`BinaryHeap`] of entries under their [`pack`]ed keys.
+#[derive(Debug, Clone)]
+pub struct CalendarQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
+}
 
 impl<T> CalendarQueue<T> {
-    /// An empty queue with the default geometry.
+    /// An empty queue.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            width: DEFAULT_WIDTH,
-            inv_width: 1.0 / DEFAULT_WIDTH,
-            cursor: 0,
-            cursor_start: 0.0,
-            len: 0,
-            min_cache: None,
+            heap: BinaryHeap::new(),
         }
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The ring bucket covering time `at` under the current geometry.
-    fn bucket_of(&self, at: f64) -> usize {
-        // Saturating float→int cast; `at` is non-negative and finite,
-        // `width` positive, so the day index is well defined.
-        let day = (at * self.inv_width) as u64;
-        (day as usize) & self.mask
+        self.heap.is_empty()
     }
 
     /// Schedules `item` at `at` with tie-break rank `rank` and FIFO
     /// sequence `seq`. Keys must be unique in `(at, rank, seq)` — the
     /// caller's monotone `seq` guarantees it.
+    ///
+    /// # Panics
+    ///
+    /// If `seq` does not fit in 56 bits (see [`pack`]).
     pub fn push(&mut self, at: f64, rank: u8, seq: u64, item: T) {
-        debug_assert!(at.is_finite(), "scheduled time must be finite");
-        if self.len == self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let bucket = self.bucket_of(at);
-        self.buckets[bucket].push(Entry {
-            at,
-            rank,
-            seq,
-            item,
-        });
-        self.len += 1;
-        if let Some(min) = self.min_cache {
-            let key = (at, rank, seq);
-            if key_lt(key, min) {
-                self.min_cache = Some(key);
-            }
-        }
-        if self.len == 1 {
-            // Re-anchor the cursor on the sole resident entry so the next
-            // pop needs no lap to find it.
-            self.anchor(at);
-        } else if at < self.cursor_start {
-            // An entry landed before the scan window (possible after a
-            // direct-search pop jumped the cursor past a same-instant
-            // sibling's bucket). Rewind the window so the lap scan sees it.
-            self.anchor(at);
-        }
+        let key = pack((at, rank, seq));
+        self.heap.push(Entry { key, item });
+    }
+
+    /// The packed key of the entry the next [`pop`](Self::pop) will
+    /// return, without removing it.
+    pub(crate) fn peek_packed(&self) -> Option<u128> {
+        self.heap.peek().map(|entry| entry.key)
     }
 
     /// The key of the entry the next [`pop`](Self::pop) will return,
-    /// without removing it. The scan it costs is cached: a subsequent
-    /// `pop` (and any number of repeat peeks, or pushes of later keys)
-    /// reuses it, so the peek/pop pair pays for one scan overall.
+    /// without removing it.
     pub fn peek_key(&mut self) -> Option<(f64, u8, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(min) = self.min_cache {
-            return Some(min);
-        }
-        // Lap scan, as in `pop`, but leaving the entry resident.
-        let mut cursor = self.cursor;
-        let mut start = self.cursor_start;
-        let mut found: Option<(usize, usize)> = None;
-        for _ in 0..=self.mask {
-            let deadline = start + self.width;
-            let bucket = &self.buckets[cursor];
-            let mut best: Option<usize> = None;
-            for (i, entry) in bucket.iter().enumerate() {
-                if entry.at < deadline {
-                    let better = match best {
-                        None => true,
-                        Some(b) => entry.before(&bucket[b]),
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            if let Some(i) = best {
-                self.cursor = cursor;
-                self.cursor_start = start;
-                found = Some((cursor, i));
-                break;
-            }
-            cursor = (cursor + 1) & self.mask;
-            start += self.width;
-        }
-        let (bucket, index) = match found {
-            Some(hit) => hit,
-            None => {
-                // One full empty lap: find the far-future minimum directly
-                // and re-anchor on it, as `pop` would.
-                let hit = self.find_min();
-                self.anchor(self.buckets[hit.0][hit.1].at);
-                hit
-            }
-        };
-        let entry = &self.buckets[bucket][index];
-        let key = (entry.at, entry.rank, entry.seq);
-        self.min_cache = Some(key);
-        Some(key)
+        self.peek_packed().map(unpack)
     }
 
     /// Removes and returns the entry with the minimal `(time, rank, seq)`
     /// key, with its time.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        if let Some((at, rank, seq)) = self.min_cache.take() {
-            // A peek already paid for the scan: jump straight to the
-            // cached minimum's bucket (recomputed under the current
-            // geometry, so an interleaved resize is harmless).
-            let bucket = self.bucket_of(at);
-            let index = self.buckets[bucket]
-                .iter()
-                .position(|e| e.seq == seq && e.rank == rank && e.at == at);
-            let Some(index) = index else {
-                unreachable!("cached minimum missing from its bucket")
-            };
-            // Rewind the scan window to the removed entry's day: the next
-            // minimum is no earlier, so the lap scan stays ahead of it.
-            self.anchor(at);
-            return Some(self.take(bucket, index));
-        }
-        // Lap scan: visit each bucket's current "day" window in time
-        // order; the first window holding an entry holds the minimum.
-        let mut cursor = self.cursor;
-        let mut start = self.cursor_start;
-        for _ in 0..=self.mask {
-            let deadline = start + self.width;
-            let bucket = &self.buckets[cursor];
-            let mut best: Option<usize> = None;
-            for (i, entry) in bucket.iter().enumerate() {
-                if entry.at < deadline {
-                    let better = match best {
-                        None => true,
-                        Some(b) => entry.before(&bucket[b]),
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            if let Some(i) = best {
-                self.cursor = cursor;
-                self.cursor_start = start;
-                return Some(self.take(cursor, i));
-            }
-            cursor = (cursor + 1) & self.mask;
-            start += self.width;
-        }
-        // One full empty lap: the next entry is more than a year ahead.
-        // Find it directly and re-anchor the calendar on it.
-        let (bucket, index) = self.find_min();
-        self.anchor(self.buckets[bucket][index].at);
-        Some(self.take(bucket, index))
-    }
-
-    /// Removes entry `index` from `bucket` (swap-remove; order within a
-    /// bucket is irrelevant, the scan always picks the key minimum).
-    fn take(&mut self, bucket: usize, index: usize) -> (f64, T) {
-        let entry = self.buckets[bucket].swap_remove(index);
-        self.len -= 1;
-        (entry.at, entry.item)
-    }
-
-    /// Locates the globally minimal entry by direct search. Only called
-    /// with at least one resident entry.
-    fn find_min(&self) -> (usize, usize) {
-        let mut found: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, entry) in bucket.iter().enumerate() {
-                let better = match found {
-                    None => true,
-                    Some((fb, fi)) => entry.before(&self.buckets[fb][fi]),
-                };
-                if better {
-                    found = Some((b, i));
-                }
-            }
-        }
-        let Some(min) = found else {
-            unreachable!("find_min on an empty calendar")
-        };
-        min
-    }
-
-    /// Points the scan cursor at the bucket window covering time `at`.
-    fn anchor(&mut self, at: f64) {
-        let day = (at * self.inv_width) as u64;
-        self.cursor = (day as usize) & self.mask;
-        self.cursor_start = day as f64 * self.width;
-    }
-
-    /// Rebuilds the ring with `buckets` buckets and a width derived from
-    /// the resident events' spacing (span divided by population, clamped
-    /// to a sane positive range).
-    fn resize(&mut self, buckets: usize) {
-        let entries: Vec<Entry<T>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in &entries {
-            lo = lo.min(e.at);
-            hi = hi.max(e.at);
-        }
-        let span = hi - lo;
-        let width = if entries.len() > 1 && span > 0.0 && span.is_finite() {
-            // Aim for ~one entry per width so the lap scan touches ~one
-            // occupied bucket per pop.
-            (span / entries.len() as f64).max(f64::MIN_POSITIVE)
-        } else {
-            DEFAULT_WIDTH
-        };
-        self.buckets = (0..buckets).map(|_| Vec::new()).collect();
-        self.mask = buckets - 1;
-        self.width = width;
-        self.inv_width = 1.0 / width;
-        self.len = 0;
-        let anchor_at = if lo.is_finite() { lo } else { 0.0 };
-        self.anchor(anchor_at);
-        for e in entries {
-            let bucket = self.bucket_of(e.at);
-            self.buckets[bucket].push(e);
-            self.len += 1;
-        }
+        self.heap
+            .pop()
+            .map(|entry| (unpack(entry.key).0, entry.item))
     }
 }
 
@@ -362,8 +166,9 @@ mod tests {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
-    /// The reference ordering: the exact `Ord` the simulator's previous
-    /// `BinaryHeap<Scheduled>` reversed for its min-heap.
+    /// The reference ordering: the `Ord` the simulator's first
+    /// `BinaryHeap<Scheduled>` reversed for its min-heap, on the bare
+    /// fields rather than a packed key.
     #[derive(Debug, PartialEq)]
     struct RefEntry {
         at: f64,
@@ -441,10 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn far_future_entries_survive_the_lap_fallback() {
+    fn far_future_entries_pop_after_near_ones() {
         let mut q = CalendarQueue::new();
-        // One entry hundreds of default widths out: the pop must take the
-        // direct-search path and still find it.
+        // A far-future timer pushed first (a degradation deadline) must
+        // not shadow a nearer entry pushed after it.
         q.push(4000.0, 1, 1, "deadline");
         q.push(0.5, 1, 2, "near");
         assert_eq!(q.pop().map(|(_, s)| s), Some("near"));
@@ -454,8 +259,8 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_matches_reference() {
-        // Simulator-shaped interleaving: pops re-anchor the cursor, then
-        // pushes land both near (deliveries) and far (timers).
+        // Simulator-shaped interleaving: pushes land both near
+        // (deliveries) and far (timers) of the last popped time.
         let mut cal = CalendarQueue::new();
         let mut heap = BinaryHeap::new();
         let mut seq = 0u64;
@@ -477,8 +282,8 @@ mod tests {
                 push(&mut cal, &mut heap, now, 0);
             }
             for round in 0..2 {
-                // Peek on alternating rounds so both the cached and the
-                // cold pop path stay exercised.
+                // Peek on alternating rounds so pops both with and
+                // without a preceding peek stay exercised.
                 let peek = if round == 0 { cal.peek_key() } else { None };
                 let got = cal.pop();
                 let expect = heap.pop();
@@ -536,6 +341,40 @@ mod tests {
                 .then(a.cmp(&b))
         });
         assert_eq!(drained, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows 56 bits")]
+    fn sequence_number_past_56_bits_panics() {
+        let mut q = CalendarQueue::new();
+        q.push(1.0, 1, 1 << 56, ());
+    }
+
+    #[test]
+    fn large_drain_matches_sorted_reference() {
+        // 10^5 keys over a few hundred distinct times and three ranks, so
+        // that every tie-break level decides many pops.
+        let mut state = 0x0dd_b1a5_e5ca_1ab1u64;
+        let mut keys: Vec<(f64, u8, u64)> = (0..100_000u64)
+            .map(|seq| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let time = (state >> 40) % 500;
+                (time as f64 * 0.125, ((state >> 20) % 3) as u8, seq)
+            })
+            .collect();
+        let mut q = CalendarQueue::new();
+        for &(at, rank, seq) in &keys {
+            q.push(at, rank, seq, seq);
+        }
+        assert_eq!(q.len(), keys.len());
+        keys.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        for &(at, rank, seq) in &keys {
+            assert_eq!(q.peek_key(), Some((at, rank, seq)));
+            assert_eq!(q.pop(), Some((at, seq)));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

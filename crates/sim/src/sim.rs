@@ -11,7 +11,7 @@
 //! to the pure-policy replay — an equivalence this crate asserts at runtime
 //! in oracle mode and the workspace re-checks in integration tests.
 
-use crate::calendar::{key_lt, CalendarQueue};
+use crate::calendar::{self, CalendarQueue};
 use crate::engine::DecisionCore;
 use crate::faults::{ArqConfig, FaultKind, FaultPlan};
 use crate::perf::{BatchedF64, PerfStats, Stopwatch};
@@ -677,19 +677,19 @@ pub struct Simulation {
     /// slot the queued [`Event::Deliver`]/[`Event::GhostDeliver`] carries.
     pool: EnvelopePool,
     seq: u64,
-    /// The next workload arrival, staged outside the calendar under the
-    /// `(time, seq)` key (rank 1) the queued [`Event::Arrival`] would have
-    /// carried. At most one future arrival is known at a time, so in the
-    /// steady state arrivals never touch the queue at all: the run loop
-    /// picks the earliest of the staged events and the queue head.
-    staged_arrival: Option<(f64, u64, Arrival)>,
-    /// A ghost-free delivery staged outside the calendar and the pool,
+    /// The next workload arrival, staged outside the queue under the
+    /// [`calendar::pack`]ed key (rank 1) the queued [`Event::Arrival`]
+    /// would have carried. At most one future arrival is known at a time,
+    /// so in the steady state arrivals never touch the queue at all: the
+    /// run loop picks the earliest of the staged events and the queue head.
+    staged_arrival: Option<(u128, Arrival)>,
+    /// A ghost-free delivery staged outside the queue and the pool,
     /// same scheme. The §3 exchange serialization leaves at most one
     /// envelope in the air, so the fault-free hot path pays neither a
     /// queue round trip nor a pool slot per delivery; ghost-bearing
     /// deliveries (and a rare second in-flight envelope under ARQ
     /// retransmission) still go through the queue.
-    staged_delivery: Option<(f64, u64, Envelope)>,
+    staged_delivery: Option<(u128, Envelope)>,
     /// Events the run loop has processed over the simulation's lifetime
     /// (a deterministic fact of config + workload + seeds, surfaced on
     /// [`SimReport::events_processed`] and the [`perf`](crate::perf)
@@ -995,7 +995,8 @@ impl Simulation {
             Some(a) if !matches!(limit, RunLimit::Time(t) if a.time > t) => {
                 if self.staged_arrival.is_none() {
                     self.seq += 1;
-                    self.staged_arrival = Some((a.time, self.seq, a));
+                    let key = calendar::pack((a.time, PROTOCOL_RANK, self.seq));
+                    self.staged_arrival = Some((key, a));
                 } else {
                     self.push_event(a.time, Event::Arrival(a));
                 }
@@ -1112,7 +1113,8 @@ impl Simulation {
             // three-way pick, under the very seq it would have queued
             // with — so billing, tie-breaks and digests are unchanged.
             self.seq += 1;
-            self.staged_delivery = Some((arrives, self.seq, envelope));
+            let key = calendar::pack((arrives, PROTOCOL_RANK, self.seq));
+            self.staged_delivery = Some((key, envelope));
             return;
         }
         let refs = 1 + u32::from(duplicate) + u32::from(reorder);
@@ -1361,37 +1363,36 @@ impl Simulation {
                 break;
             }
             // Pick the earliest of the two staged events and the queue
-            // head under the queue's own `(time, rank, seq)` total order
-            // (keys are unique — every event consumed a distinct seq).
-            let mut best = self.events.peek_key().map(|key| (key, NextEvent::Queue));
-            if let Some((t, s, _)) = &self.staged_delivery {
-                let key = (*t, PROTOCOL_RANK, *s);
-                if best.is_none_or(|(b, _)| key_lt(key, b)) {
+            // head by their packed `(time, rank, seq)` keys (unique —
+            // every event consumed a distinct seq).
+            let mut best = self.events.peek_packed().map(|key| (key, NextEvent::Queue));
+            if let Some((key, _)) = self.staged_delivery {
+                if best.is_none_or(|(b, _)| key < b) {
                     best = Some((key, NextEvent::StagedDelivery));
                 }
             }
-            if let Some((t, s, _)) = &self.staged_arrival {
-                let key = (*t, PROTOCOL_RANK, *s);
-                if best.is_none_or(|(b, _)| key_lt(key, b)) {
+            if let Some((key, _)) = self.staged_arrival {
+                if best.is_none_or(|(b, _)| key < b) {
                     best = Some((key, NextEvent::StagedArrival));
                 }
             }
-            let Some(((at, _, _), source)) = best else {
+            let Some((key, source)) = best else {
                 break;
             };
+            let (at, _, _) = calendar::unpack(key);
             debug_assert!(at >= self.now - 1e-9, "time went backwards");
             self.now = at.max(self.now);
             self.events_processed += 1;
             match source {
                 NextEvent::StagedArrival => {
-                    let Some((_, _, arrival)) = self.staged_arrival.take() else {
+                    let Some((_, arrival)) = self.staged_arrival.take() else {
                         unreachable!("picked a staged arrival that is not there")
                     };
                     self.handle_arrival(arrival, workload, limit);
                     continue;
                 }
                 NextEvent::StagedDelivery => {
-                    let Some((_, _, envelope)) = self.staged_delivery.take() else {
+                    let Some((_, envelope)) = self.staged_delivery.take() else {
                         unreachable!("picked a staged delivery that is not there")
                     };
                     self.handle_delivery(&envelope);

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mdr_core::{approx_eq, run_spec, CostModel, PolicySpec, Request, Schedule};
-use mdr_sim::calendar::{key_lt, CalendarQueue};
+use mdr_sim::calendar::{key_lt, pack, unpack, CalendarQueue};
 use mdr_sim::engine::{DecisionCore, ServeConfig, ServeEngine};
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
@@ -652,4 +652,54 @@ fn regression_st2_poisson_with_high_latency() {
     assert_eq!(report.schedule.len(), 400);
     assert_eq!(report.data_messages, report.counts.data_messages());
     assert_eq!(report.control_messages, report.counts.control_messages());
+}
+
+/// Any `f64` bit pattern, with the corners the simulator's non-negative
+/// times never reach drawn often: ±0.0, subnormals of either sign, ±∞
+/// and NaNs of either sign.
+fn arb_time() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (0u64..1 << 52).prop_map(f64::from_bits),
+        (0u64..1 << 52).prop_map(|mantissa| -f64::from_bits(mantissa)),
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MIN_POSITIVE),
+            Just(-f64::MIN_POSITIVE),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+        ],
+        0.0f64..100.0,
+    ]
+}
+
+/// A `(time, rank, seq)` key with any rank and any seq below 2^56.
+fn arb_key() -> impl Strategy<Value = (f64, u8, u64)> {
+    let seq = prop_oneof![0u64..1 << 56, Just(0), Just((1 << 56) - 1)];
+    (arb_time(), any::<u8>(), seq)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The packed key orders exactly as the comparison chain, and
+    /// unpacks to the same bits. `tie` makes the second key share the
+    /// first's time (1), or its time and rank (2), so every tie-break
+    /// level is reached.
+    #[test]
+    fn packed_key_order_is_key_lt(a in arb_key(), b in arb_key(), tie in 0u8..3) {
+        let b = match tie {
+            0 => b,
+            1 => (a.0, b.1, b.2),
+            _ => (a.0, a.1, b.2),
+        };
+        prop_assert_eq!(pack(a) < pack(b), key_lt(a, b));
+        prop_assert_eq!(pack(b) < pack(a), key_lt(b, a));
+        prop_assert_eq!(pack(a) == pack(b), !key_lt(a, b) && !key_lt(b, a));
+        let (at, rank, seq) = unpack(pack(a));
+        prop_assert_eq!((at.to_bits(), rank, seq), (a.0.to_bits(), a.1, a.2));
+    }
 }

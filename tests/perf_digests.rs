@@ -1,6 +1,6 @@
 //! Ledger-digest regression pins for the hot-path rewrite.
 //!
-//! The calendar event queue, envelope pooling and batched RNG draws in
+//! The packed-key event queue, envelope pooling and batched RNG draws in
 //! `mdr-sim` are pure mechanical speedups: they must not move a single
 //! event, draw, or billed message. These tests pin the FNV-1a ledger
 //! digest of every CI sweep preset (E6, E17, E18, E19) to the values the
@@ -11,7 +11,9 @@
 
 use mdr_bench::sweep::preset;
 use mdr_bench::RunCfg;
-use mdr_sim::sweep::{SweepOptions, SweepReport};
+use mdr_core::{CostModel, PolicySpec};
+use mdr_sim::sweep::{SweepGrid, SweepOptions, SweepReport};
+use mdr_sim::ArqConfig;
 
 fn fast_report(name: &str) -> SweepReport {
     preset(name, RunCfg { fast: true })
@@ -57,4 +59,26 @@ fn preset_ledgers_are_thread_count_invariant() {
         );
         assert_eq!(serial, parallel, "preset {name}: full reports must agree");
     }
+}
+
+/// A user-set ARQ timeout far above the arrival gap (25 against a mean
+/// gap of 1) keeps many stale timers resident: this grid peaks at 108
+/// queued events, where the presets peak at ten or fewer. Its digest,
+/// captured from the bucket-calendar simulator, pins the event queue's
+/// order at that size.
+#[test]
+fn long_timeout_arq_grid_digest_is_pinned() {
+    let Ok(grid) = SweepGrid::new(0xB16)
+        .policies(vec![PolicySpec::St1, PolicySpec::SlidingWindow { k: 3 }])
+        .and_then(|g| g.thetas(vec![0.3]))
+        .and_then(|g| g.models(vec![CostModel::message(0.5)]))
+        .and_then(|g| g.arq_configs(vec![Some(ArqConfig::new(0.05, 25.0, 0)?)]))
+        .and_then(|g| g.latency(0.05))
+        .and_then(|g| g.requests(3_000))
+    else {
+        panic!("the long-timeout grid is valid by construction")
+    };
+    let report = grid.run_serial();
+    assert_eq!(report.events_processed, 22_760);
+    assert_eq!(report.ledger_digest(), 0x6e77_5a39_8c1a_3b23);
 }
