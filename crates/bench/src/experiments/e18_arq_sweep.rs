@@ -1,10 +1,10 @@
 //! E18 — **Extension**: the deterministic ARQ transport under loss.
 //!
-//! §3 prices a lossy link by charging each exchange its expected number
-//! of transmission attempts — an *instant* model in which the retry is
-//! free of time. E13 reproduced that claim; this experiment replaces the
-//! instant model with the first-class transport: every attempt arms a
-//! retransmission timer, timeouts back off exponentially (with
+//! §3 bills every message, so a lossy link charges each exchange its
+//! expected number of transmission attempts. E13 checks that claim on this
+//! transport with a retry budget no run exhausts; this experiment
+//! exercises the transport itself: every attempt arms a retransmission
+//! timer, timeouts back off exponentially (with
 //! deterministic seed-derived jitter), a bounded retry budget escalates
 //! to a declared partition that feeds the reconnection path, and every
 //! completed exchange is confirmed by a billed control-class
@@ -48,7 +48,7 @@ pub fn run(cfg: RunCfg) -> Experiment {
     let mut exp = Experiment::new(
         "E18",
         "ARQ transport — loss × retry budget × backoff sweep + determinism (extension)",
-        "replaces §3's instant loss model with a timed, budgeted, backoff ARQ transport",
+        "extends §3's link model with a timed, budgeted, backoff ARQ transport",
     );
     let grid = e18_grid(cfg);
     let n = cfg.pick(2_000, 10_000);

@@ -23,7 +23,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
 }
 
 /// `mdr analyze --policy SW9 --model message:0.4 [--theta 0.3]`
-pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
+fn analyze(args: &Args) -> Result<String, CliError> {
     let spec = parse_policy(args.required("policy")?)?;
     let model = parse_model(args.get_or("model", "connection"))?;
     let mut out = String::new();
@@ -61,7 +61,7 @@ pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
 }
 
 /// `mdr recommend --omega 0.4 [--theta 0.3] [--slack 0.10]`
-pub(crate) fn recommend(args: &Args) -> Result<String, CliError> {
+fn recommend(args: &Args) -> Result<String, CliError> {
     let omega: f64 = args.number("omega", -1.0)?;
     let mut out = String::new();
     match args.flags.get("theta") {
@@ -123,13 +123,10 @@ pub(crate) fn recommend(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr simulate --policy SW9 --theta 0.3 [--requests 50000] [--seed 42]
-/// [--omega 0.3] [--latency 0.01] [--faults RATE] [--outage T]
-/// [--crash-prob P] [--volatile-prob P] [--arq-loss P] [--arq-timeout T]
-/// [--arq-budget N] [--arq-backoff F] [--arq-jitter J] [--arq-deadline D]
-/// [--cells N] [--mobility RATE] [--handoff-deadline D] [--handoff-loss P]
-/// [--broadcast-inv on]`
-pub(crate) fn simulate(args: &Args) -> Result<String, CliError> {
+/// `mdr simulate --policy SW9 --theta 0.3`: the protocol on a Poisson
+/// workload, with the fault, ARQ and topology layers its flags (see
+/// [`COMMANDS`]) turn on.
+fn simulate(args: &Args) -> Result<String, CliError> {
     let spec = parse_policy(args.required("policy")?)?;
     let theta: f64 = args.number("theta", 0.5)?;
     if !(0.0..=1.0).contains(&theta) {
@@ -279,16 +276,12 @@ fn parse_f64_list(raw: &str, what: &str) -> Result<Vec<f64>, CliError> {
         .collect()
 }
 
-/// `mdr sweep [--preset e6|e17|e18|e19] [--policies ST1,SW3,...] [--thetas ...]
-/// [--models connection,message:0.4] [--omegas ...] [--fault-rates ...]
-/// [--arq-losses ...] [--replications R] [--requests N] [--seed S]
-/// [--latency L] [--oracle on] [--threads T] [--chunk C]
-/// [--format table|ledger|json] [--full on]`
+/// `mdr sweep --preset e17` (flags in [`COMMANDS`])
 ///
 /// Stdout is deterministic: the same grid prints the same bytes at any
 /// `--threads`, which is exactly what the CI determinism job diffs.
 /// Timing goes to stderr so it never perturbs the diff.
-pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
+fn sweep(args: &Args) -> Result<String, CliError> {
     let cfg = RunCfg {
         fast: args.get_or("full", "off") == "off",
     };
@@ -450,9 +443,7 @@ pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr bench --preset e6|e17|e18|e19 [--baseline BENCH_e17.json]
-/// [--gate-pct 10] [--write-baseline on] [--full on] [--requests N]
-/// [--replications R] [--threads T] [--chunk C] [--format table|json]`
+/// `mdr bench --preset e17` (flags in [`COMMANDS`])
 ///
 /// Measures a preset sweep with the typed perf API
 /// ([`SweepGrid::run_timed`]) and renders a [`BenchSnapshot`]: events
@@ -462,7 +453,7 @@ pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
 /// file exists, the measurement is gated against it — a throughput drop
 /// beyond `--gate-pct` percent, or *any* ledger-digest drift, is an
 /// error (non-zero exit), which is what the CI perf-gate job runs.
-pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
+fn bench(args: &Args) -> Result<String, CliError> {
     let Some(preset_name) = args.flags.get("preset") else {
         return err("bench requires --preset e6|e17|e18|e19|serve");
     };
@@ -642,9 +633,7 @@ fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
     Ok(config)
 }
 
-/// `mdr serve [--max-tenants N] [--policy P] [--model M] [--budget N]
-/// [--adaptive on] [--data-dir DIR] [--fsync always|interval[:N]|never]
-/// [--checkpoint-every N]`
+/// `mdr serve` (flags in [`COMMANDS`])
 ///
 /// The long-running decision daemon: newline-JSON requests on stdin, one
 /// JSON response per line on stdout, no async runtime — just a read loop
@@ -663,7 +652,7 @@ fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
 /// unrecoverable tenants). Shutdown and end-of-input both flush a final
 /// checkpoint. The recovery summary goes to stderr; stdout carries only
 /// the wire protocol.
-pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
+fn serve(args: &Args) -> Result<String, CliError> {
     let config = serve_config(args)?;
     match args.flags.get("data-dir") {
         Some(dir) => serve_durable(args, config, &dir.clone()),
@@ -877,9 +866,9 @@ fn write_answers(output: &mut impl std::io::Write, held: &mut Vec<u8>) -> Result
     Ok(())
 }
 
-/// `mdr worst-case --policy SW5 --model message:0.5 [--max-len 13]
-/// [--cycles 300]`
-pub(crate) fn worst_case(args: &Args) -> Result<String, CliError> {
+/// `mdr worst-case --policy SW5 --model message:0.5` (flags in
+/// [`COMMANDS`])
+fn worst_case(args: &Args) -> Result<String, CliError> {
     let spec = parse_policy(args.required("policy")?)?;
     let model = parse_model(args.get_or("model", "connection"))?;
     let max_len: usize = args.number("max-len", 13)?;
@@ -933,7 +922,7 @@ pub(crate) fn worst_case(args: &Args) -> Result<String, CliError> {
 }
 
 /// `mdr trace --schedule rrwwr --policy SW3 [--model connection]`
-pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
+fn trace(args: &Args) -> Result<String, CliError> {
     let spec = parse_policy(args.required("policy")?)?;
     let model = parse_model(args.get_or("model", "connection"))?;
     let schedule: Schedule = args
@@ -968,7 +957,7 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
 
 /// `mdr multi --profile profile.json` — the JSON is a map from class names
 /// like `"r{0,1}"` / `"w{2}"` to rates.
-pub(crate) fn multi(args: &Args) -> Result<String, CliError> {
+fn multi(args: &Args) -> Result<String, CliError> {
     let path = args.required("profile")?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
@@ -1034,30 +1023,34 @@ fn name(w: Winner) -> &'static str {
     }
 }
 
-/// Dispatches a parsed command line.
-pub(crate) fn dispatch(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "analyze" => analyze(args),
-        "recommend" => recommend(args),
-        "simulate" => simulate(args),
-        "sweep" => sweep(args),
-        "bench" => bench(args),
-        "serve" => serve(args),
-        "worst-case" => worst_case(args),
-        "trace" => trace(args),
-        "multi" => multi(args),
-        other => err(format!("unknown subcommand {other:?}; see `mdr help`")),
-    }
+/// One `mdr` subcommand: its block of the help text, the flags it
+/// accepts, and the function that runs it.
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args) -> Result<String, CliError>,
 }
 
-/// The help text.
-pub(crate) fn help() -> String {
-    "mdr — data replication for mobile computers (SIGMOD 1994)
-
-subcommands:
-  analyze    --policy <P> [--model M] [--theta T]      closed-form costs & competitiveness
-  recommend  [--theta T] [--omega W] [--slack S]       which policy to run (Figure 1 / §9)
-  simulate   --policy <P> [--theta T] [--requests N] [--seed S] [--omega W] [--latency L]
+/// Every subcommand, in help order; [`dispatch`] and [`help`] both read it.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "analyze",
+        usage: "  analyze    --policy <P> [--model M] [--theta T]      closed-form costs & competitiveness
+",
+        flags: &["policy", "model", "theta"],
+        run: analyze,
+    },
+    Command {
+        name: "recommend",
+        usage: "  recommend  [--theta T] [--omega W] [--slack S]       which policy to run (Figure 1 / §9)
+",
+        flags: &["theta", "omega", "slack"],
+        run: recommend,
+    },
+    Command {
+        name: "simulate",
+        usage: "  simulate   --policy <P> [--theta T] [--requests N] [--seed S] [--omega W] [--latency L]
              [--faults RATE] [--outage T] [--crash-prob P] [--volatile-prob P]
              (RATE > 0 injects MC disconnections/crashes + reconnection recovery)
              [--arq-loss P] [--arq-timeout T] [--arq-budget N] [--arq-backoff F]
@@ -1068,32 +1061,173 @@ subcommands:
              [--broadcast-inv on]
              (--cells > 1 enables the multi-cell topology: seed-driven migration,
               epoch-fenced three-way handoff, stale-replica invalidation)
-  sweep      [--preset e6|e17|e18|e19] [--policies P1,P2] [--thetas ...] [--models ...]
+",
+        flags: &[
+            "policy",
+            "theta",
+            "requests",
+            "seed",
+            "omega",
+            "latency",
+            "faults",
+            "outage",
+            "crash-prob",
+            "volatile-prob",
+            "arq-loss",
+            "arq-timeout",
+            "arq-budget",
+            "arq-backoff",
+            "arq-jitter",
+            "arq-deadline",
+            "cells",
+            "mobility",
+            "handoff-deadline",
+            "handoff-loss",
+            "broadcast-inv",
+        ],
+        run: simulate,
+    },
+    Command {
+        name: "sweep",
+        usage: "  sweep      [--preset e6|e17|e18|e19] [--policies P1,P2] [--thetas ...] [--models ...]
              [--omegas ...] [--fault-rates ...] [--arq-losses ...] [--replications R]
              [--requests N] [--seed S] [--latency L] [--oracle on] [--threads T]
              [--chunk C] [--format table|ledger|json] [--full on]
              (deterministic parallel grid; stdout is byte-identical at any --threads)
-  bench      --preset e6|e17|e18|e19|serve [--baseline BENCH_e17.json] [--gate-pct 10]
+",
+        flags: &[
+            "preset",
+            "policies",
+            "thetas",
+            "models",
+            "omegas",
+            "fault-rates",
+            "arq-losses",
+            "replications",
+            "requests",
+            "seed",
+            "latency",
+            "oracle",
+            "threads",
+            "chunk",
+            "format",
+            "full",
+        ],
+        run: sweep,
+    },
+    Command {
+        name: "bench",
+        usage: "  bench      --preset e6|e17|e18|e19|serve [--baseline BENCH_e17.json] [--gate-pct 10]
              [--write-baseline on] [--full on] [--requests N] [--replications R]
              [--threads T] [--chunk C] [--format table|json]
              (typed perf measurement: events, wall time, events/sec, ledger digest;
               gates against a committed BENCH_*.json — digest drift always fails.
               --preset serve times the decision daemon: decisions/sec through the
               full JSON wire path, with [--tenants N] [--requests R] [--seed S])
-  serve      [--max-tenants N] [--policy P] [--model M] [--budget N] [--adaptive on]
+",
+        flags: &[
+            "preset",
+            "baseline",
+            "gate-pct",
+            "write-baseline",
+            "full",
+            "requests",
+            "replications",
+            "threads",
+            "chunk",
+            "format",
+            "tenants",
+            "seed",
+        ],
+        run: bench,
+    },
+    Command {
+        name: "serve",
+        usage: "  serve      [--max-tenants N] [--policy P] [--model M] [--budget N] [--adaptive on]
              [--data-dir DIR] [--fsync always|interval[:N]|never] [--checkpoint-every N]
              (long-running decision daemon: newline-JSON on stdin/stdout, one
               DecisionCore per tenant; open/decide/stats/snapshot/restore/close;
               --data-dir makes it crash-safe: write-ahead journal + checkpoints,
               recovery with quarantine on restart; see docs/serve.md)
-  worst-case --policy <P> [--model M] [--max-len L] [--cycles C]
-  trace      --policy <P> --schedule rrwwr [--model M] per-request execution trace
-  multi      --profile profile.json                    §7.2 optimal multi-object allocation
+",
+        flags: &[
+            "max-tenants",
+            "policy",
+            "model",
+            "budget",
+            "adaptive",
+            "data-dir",
+            "fsync",
+            "checkpoint-every",
+        ],
+        run: serve,
+    },
+    Command {
+        name: "worst-case",
+        usage: "  worst-case --policy <P> [--model M] [--max-len L] [--cycles C]
+",
+        flags: &["policy", "model", "max-len", "cycles"],
+        run: worst_case,
+    },
+    Command {
+        name: "trace",
+        usage: "  trace      --policy <P> --schedule rrwwr [--model M] per-request execution trace
+",
+        flags: &["policy", "schedule", "model"],
+        run: trace,
+    },
+    Command {
+        name: "multi",
+        usage: "  multi      --profile profile.json                    §7.2 optimal multi-object allocation
+",
+        flags: &["profile"],
+        run: multi,
+    },
+];
 
+/// The table entry for a parsed command line, once every flag it names
+/// is one the command accepts: a misspelled flag is an error, not a
+/// silent default.
+fn command_for(args: &Args) -> Result<&'static Command, CliError> {
+    let Some(command) = COMMANDS.iter().find(|c| c.name == args.command) else {
+        return err(format!(
+            "unknown subcommand {:?}; see `mdr help`",
+            args.command
+        ));
+    };
+    match args
+        .flags
+        .keys()
+        .find(|flag| !command.flags.contains(&flag.as_str()))
+    {
+        Some(flag) => err(format!("`mdr {}` has no flag --{flag}", command.name)),
+        None => Ok(command),
+    }
+}
+
+/// Dispatches a parsed command line.
+pub(crate) fn dispatch(args: &Args) -> Result<String, CliError> {
+    (command_for(args)?.run)(args)
+}
+
+/// The help text: every command's usage block between a fixed head and
+/// tail.
+pub(crate) fn help() -> String {
+    let mut out = "mdr — data replication for mobile computers (SIGMOD 1994)
+
+subcommands:
+"
+    .to_owned();
+    for command in COMMANDS {
+        out.push_str(command.usage);
+    }
+    out.push_str(
+        "
 policies: ST1, ST2, SW<k> (odd k), T1:<m>, T2:<m>
 models:   connection | message:<omega>   (ω ∈ [0,1])
-"
-    .to_owned()
+",
+    );
+    out
 }
 
 #[cfg(test)]
@@ -1448,6 +1582,73 @@ mod tests {
         assert!(run(&["analyze", "--policy", "SW4"]).is_err(), "even k");
         assert!(run(&["trace", "--policy", "SW3", "--schedule", "rxw"]).is_err());
         assert!(run(&["worst-case", "--policy", "SW3", "--max-len", "25"]).is_err());
+    }
+
+    #[test]
+    fn a_misspelled_flag_fails() {
+        let e = run(&["simulate", "--policy", "SW3", "--thetaa", "0.9"]).unwrap_err();
+        assert_eq!(e.0, "`mdr simulate` has no flag --thetaa");
+        let e = run(&["analyze", "--policy", "SW3", "--bogus", "1"]).unwrap_err();
+        assert_eq!(e.0, "`mdr analyze` has no flag --bogus");
+        // A flag of another command is just as unknown here.
+        assert!(run(&[
+            "trace",
+            "--policy",
+            "SW3",
+            "--schedule",
+            "rw",
+            "--seed",
+            "1"
+        ])
+        .is_err());
+    }
+
+    #[test]
+    fn each_flag_list_is_the_flags_of_its_usage_block() {
+        use std::collections::BTreeSet;
+        for command in COMMANDS {
+            assert!(
+                command.usage.starts_with(&format!("  {} ", command.name)),
+                "{}",
+                command.usage
+            );
+            let documented: BTreeSet<&str> = command
+                .usage
+                .split("--")
+                .skip(1)
+                .filter_map(|rest| {
+                    rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .next()
+                })
+                .collect();
+            let accepted: BTreeSet<&str> = command.flags.iter().copied().collect();
+            assert_eq!(accepted.len(), command.flags.len(), "{}", command.name);
+            assert_eq!(documented, accepted, "{}", command.name);
+        }
+    }
+
+    #[test]
+    fn ci_and_perfbench_command_lines_are_accepted() {
+        // The `mdr` lines of .github/workflows/ci.yml (shell variables and
+        // matrix values filled in), and perfbench's durable `serve`.
+        let lines = [
+            "sweep --preset e6 --threads 1 --format ledger",
+            "sweep --preset e19 --threads 4 --format ledger",
+            "bench --preset e17 --baseline BENCH_e17.json --gate-pct 75",
+            "bench --preset serve --baseline BENCH_serve.json --gate-pct 75",
+            "serve",
+            "serve --data-dir d",
+            "serve --max-tenants 4",
+            "simulate --policy T2:5 --theta 0.4 --requests 20000 --seed 94 --latency 0.05 \
+             --faults 0.1 --arq-loss 0.2 --arq-budget 6 --arq-backoff 1.5 \
+             --cells 4 --mobility 0.6 --handoff-loss 0.2",
+            "serve --data-dir d --fsync interval:64 --checkpoint-every 1024",
+        ];
+        for line in lines {
+            let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            let args = Args::parse(&argv).unwrap();
+            assert!(command_for(&args).is_ok(), "{line}");
+        }
     }
 
     #[test]

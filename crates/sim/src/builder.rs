@@ -12,11 +12,11 @@
 //!
 //! ```
 //! use mdr_core::PolicySpec;
-//! use mdr_sim::SimBuilder;
+//! use mdr_sim::{ArqConfig, SimBuilder};
 //!
 //! let config = SimBuilder::new(PolicySpec::SlidingWindow { k: 5 })
 //!     .and_then(|b| b.latency(0.02))
-//!     .and_then(|b| b.loss(0.1, 0.05, 7))
+//!     .and_then(|b| b.arq(ArqConfig::new(0.1, 0.05, 7)?))
 //!     .map(mdr_sim::SimBuilder::build);
 //! assert!(config.is_ok());
 //! // Even windows are rejected up front, not at `Simulation::new` time.
@@ -24,7 +24,7 @@
 //! ```
 
 use crate::faults::{ArqConfig, ConfigError, FaultPlan};
-use crate::sim::{LossConfig, MobilityConfig, SimConfig, Simulation};
+use crate::sim::{MobilityConfig, SimConfig, Simulation};
 use crate::topology::TopologyConfig;
 use mdr_core::PolicySpec;
 
@@ -66,21 +66,6 @@ pub(crate) fn validate_latency(latency: f64) -> Result<(), ConfigError> {
     } else {
         Err(ConfigError::Latency { value: latency })
     }
-}
-
-/// Checks the lossy-link parameters: `0 ≤ p < 1`, finite positive timeout.
-pub(crate) fn validate_loss(loss_probability: f64, retry_timeout: f64) -> Result<(), ConfigError> {
-    if !(0.0..1.0).contains(&loss_probability) {
-        return Err(ConfigError::LossProbability {
-            value: loss_probability,
-        });
-    }
-    if retry_timeout <= 0.0 || !retry_timeout.is_finite() {
-        return Err(ConfigError::RetryTimeout {
-            value: retry_timeout,
-        });
-    }
-    Ok(())
 }
 
 /// Checks the mobility parameters: at least one cell, finite non-negative
@@ -159,49 +144,18 @@ impl SimBuilder {
         Ok(self)
     }
 
-    /// Enables the instant lossy-link model (the whole retry sequence is
-    /// resolved at send time with per-attempt billing; for timed
-    /// retransmission with bounded retries see [`SimBuilder::arq`]).
+    /// Installs the deterministic ARQ transport, the one model of a lossy
+    /// link, from an already-validated [`ArqConfig`] (timed stop-and-wait
+    /// retransmission with exponential backoff, bounded retries, declared
+    /// disconnections and graceful degradation — see `docs/faults.md`).
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::LossProbability`] unless
-    /// `0 ≤ loss_probability < 1`, [`ConfigError::RetryTimeout`] unless
-    /// the timeout is finite and positive, and
-    /// [`ConfigError::ConflictingLinkModels`] if the ARQ transport is
-    /// already installed — a link plays either loss model, never both.
-    pub fn loss(
-        mut self,
-        loss_probability: f64,
-        retry_timeout: f64,
-        seed: u64,
-    ) -> Result<Self, ConfigError> {
-        if self.config.arq.is_some() {
-            return Err(ConfigError::ConflictingLinkModels);
-        }
-        validate_loss(loss_probability, retry_timeout)?;
-        self.config.loss = Some(LossConfig {
-            loss_probability,
-            retry_timeout,
-            seed,
-        });
-        Ok(self)
-    }
-
-    /// Installs the deterministic ARQ transport from an already-validated
-    /// [`ArqConfig`] (timed stop-and-wait retransmission with exponential
-    /// backoff, bounded retries, declared disconnections and graceful
-    /// degradation — see `docs/faults.md`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ConflictingLinkModels`] if the instant loss
-    /// model is already installed — a link plays either loss model, never
-    /// both.
+    /// Returns [`ConfigError::HandoffDeadline`] if a topology is already
+    /// installed whose handoff deadline is shorter than the transport's
+    /// first retransmission timeout (the same check as in
+    /// [`SimBuilder::topology`]).
     pub fn arq(mut self, arq: ArqConfig) -> Result<Self, ConfigError> {
-        if self.config.loss.is_some() {
-            return Err(ConfigError::ConflictingLinkModels);
-        }
         if let Some(topology) = &self.config.topology {
             validate_handoff_deadline(topology, &arq)?;
         }
@@ -296,13 +250,13 @@ mod tests {
         let config = SimBuilder::new(PolicySpec::SlidingWindow { k: 3 })
             .and_then(|b| b.latency(0.5))
             .and_then(|b| b.oracle(false))
-            .and_then(|b| b.loss(0.2, 0.1, 9))
+            .and_then(|b| b.arq(ArqConfig::new(0.2, 0.1, 9)?))
             .and_then(|b| b.mobility(vec![0.0, 0.1], 2.0, 4))
             .unwrap()
             .build();
         assert_eq!(config.latency, 0.5);
         assert!(!config.oracle_check);
-        assert!(config.loss.is_some());
+        assert!(config.arq.is_some());
         assert!(config.mobility.is_some());
     }
 
@@ -324,31 +278,6 @@ mod tests {
             SimBuilder::new(PolicySpec::T2 { m: 0 }).unwrap_err(),
             ConfigError::ZeroThreshold
         );
-    }
-
-    #[test]
-    fn the_two_link_models_are_mutually_exclusive() {
-        let arq = ArqConfig::new(0.2, 0.1, 7).unwrap();
-        assert_eq!(
-            SimBuilder::new(PolicySpec::St1)
-                .and_then(|b| b.loss(0.1, 0.05, 1))
-                .and_then(|b| b.arq(arq))
-                .unwrap_err(),
-            ConfigError::ConflictingLinkModels
-        );
-        assert_eq!(
-            SimBuilder::new(PolicySpec::St1)
-                .and_then(|b| b.arq(arq))
-                .and_then(|b| b.loss(0.1, 0.05, 1))
-                .unwrap_err(),
-            ConfigError::ConflictingLinkModels
-        );
-        // Alone, either installs fine.
-        let built = SimBuilder::new(PolicySpec::St1)
-            .and_then(|b| b.arq(arq))
-            .unwrap()
-            .build();
-        assert!(built.arq.is_some());
     }
 
     #[test]

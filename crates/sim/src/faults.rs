@@ -29,11 +29,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// A loss probability outside `[0, 1)`.
-    LossProbability {
-        /// The rejected value.
-        value: f64,
-    },
     /// A retry timeout that is not finite and positive.
     RetryTimeout {
         /// The rejected value.
@@ -135,9 +130,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// Both the legacy instant-retransmit loss model and the ARQ transport
-    /// installed on one builder — the link can only be modelled once.
-    ConflictingLinkModels,
     /// An MC homed to a cell index the topology does not contain.
     UnknownHomeCell {
         /// The rejected home-cell index.
@@ -214,9 +206,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "invalid configuration: ")?;
         match self {
-            ConfigError::LossProbability { value } => {
-                write!(f, "loss probability must lie in [0, 1), got {value}")
-            }
             ConfigError::RetryTimeout { value } => {
                 write!(f, "retry timeout must be finite and positive, got {value}")
             }
@@ -292,12 +281,6 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "degradation deadline must be finite and positive, got {value}"
-                )
-            }
-            ConfigError::ConflictingLinkModels => {
-                write!(
-                    f,
-                    "the instant loss model and the ARQ transport cannot both be installed"
                 )
             }
             ConfigError::UnknownHomeCell { home, cells } => {
@@ -494,13 +477,11 @@ impl FaultPlan {
 /// Configuration of the deterministic stop-and-wait ARQ transport
 /// (robustness extension; see the "Transport" section of `docs/faults.md`).
 ///
-/// Where [`LossConfig`](crate::LossConfig) models loss as an *instant*
-/// retransmission loop (attempts are pre-drawn and billed in one step, so
-/// the loss probability must stay below 1), `ArqConfig` runs the real
-/// protocol: every envelope is timed, retransmitted on timeout under an
-/// exponential-backoff law with seed-derived jitter, and given up on after
-/// `retry_budget` retransmissions — at which point the transport declares
-/// the link down and escalates into the reconnection path. A declared
+/// This is the simulator's one model of a lossy link. Every envelope is
+/// timed, retransmitted on timeout under an exponential-backoff law with
+/// seed-derived jitter, and given up on after `retry_budget`
+/// retransmissions — at which point the transport declares the link down
+/// and escalates into the reconnection path. A declared
 /// partition that outlives `degrade_deadline` puts the MC into degraded
 /// mode: reads are served from the cached replica (staleness-tracked) and
 /// requests that need the wire are shed with a typed outcome instead of
@@ -523,8 +504,8 @@ impl FaultPlan {
 #[derive(Debug, Clone, Copy)]
 pub struct ArqConfig {
     /// Per-attempt probability that the envelope (or its ack) is lost.
-    /// Unlike the instant loss model, the full closed interval `[0, 1]`
-    /// is legal: the retry budget bounds every retransmission loop.
+    /// The full closed interval `[0, 1]` is legal: the retry budget bounds
+    /// every retransmission loop.
     pub loss_probability: f64,
     /// Retransmission timeout of the first attempt (time units).
     pub base_timeout: f64,

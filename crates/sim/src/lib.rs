@@ -62,8 +62,8 @@ pub use journal::{
 pub use nodes::{MobileNode, StationaryNode};
 pub use protocol::{Envelope, ProtocolState, StepOutcome};
 pub use sim::{
-    InvariantMonitor, LossConfig, MobilityConfig, RunLimit, ShedReason, ShedRequest, SimConfig,
-    SimReport, Simulation,
+    InvariantMonitor, MobilityConfig, RunLimit, ShedReason, ShedRequest, SimConfig, SimReport,
+    Simulation,
 };
 pub use topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
 pub use wire::{Endpoint, MessageClass, WireMessage};

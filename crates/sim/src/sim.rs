@@ -31,23 +31,14 @@ pub struct SimConfig {
     /// Run the in-process reference policy alongside the protocol and panic
     /// on any divergence (cheap; recommended everywhere but hot benches).
     pub oracle_check: bool,
-    /// Optional *instant* lossy-link model: messages are lost independently
-    /// and repeated until one attempt gets through, with the whole retry
-    /// sequence resolved at send time (acknowledgements are free and
-    /// unlosable). Every transmission attempt is billed, so loss inflates
-    /// the message bill by ≈ 1/(1 − p) without changing the protocol's
-    /// actions — the analysis extends to unreliable links by a
-    /// multiplicative factor. For a transport that actually plays the
-    /// timeout/retransmit game in simulated time — bounded retries,
-    /// declared disconnections, degraded mode — use [`SimConfig::arq`];
-    /// the two link models are mutually exclusive.
-    pub loss: Option<LossConfig>,
-    /// Optional deterministic ARQ transport (robustness extension, see
-    /// `docs/faults.md`): per-envelope stop-and-wait acknowledgement,
-    /// timeout-driven retransmission with exponential backoff and
-    /// seed-derived jitter, a bounded retry budget escalating to a declared
-    /// disconnection, and graceful degradation under sustained partition.
-    /// Mutually exclusive with [`SimConfig::loss`].
+    /// Optional deterministic ARQ transport, the simulator's one model of
+    /// a lossy link (robustness extension, see `docs/faults.md`):
+    /// per-envelope stop-and-wait acknowledgement, timeout-driven
+    /// retransmission with exponential backoff and seed-derived jitter, a
+    /// bounded retry budget escalating to a declared disconnection, and
+    /// graceful degradation under sustained partition. Every transmission
+    /// attempt is billed, so loss inflates the message bill by ≈ 1/(1 − p)
+    /// without changing the protocol's actions.
     pub arq: Option<ArqConfig>,
     /// Optional cellular-mobility model (§1: "the geographical area is
     /// usually divided into cells"). The MC roams between cells with
@@ -81,17 +72,6 @@ pub struct MobilityConfig {
     pub seed: u64,
 }
 
-/// Parameters of the lossy-link model.
-#[derive(Debug, Clone, Copy)]
-pub struct LossConfig {
-    /// Per-transmission loss probability in `[0, 1)`.
-    pub loss_probability: f64,
-    /// Sender timeout before each retransmission (time units).
-    pub retry_timeout: f64,
-    /// RNG seed for the loss process.
-    pub seed: u64,
-}
-
 /// Configuration equality is deliberate about its floating-point fields:
 /// they are compared by IEEE-754 total order (`f64::total_cmp`), so the
 /// semantics of NaN and signed zero are explicit rather than inherited from
@@ -103,7 +83,6 @@ impl PartialEq for SimConfig {
         self.policy == other.policy
             && self.latency.total_cmp(&other.latency).is_eq()
             && self.oracle_check == other.oracle_check
-            && self.loss == other.loss
             && self.arq == other.arq
             && self.mobility == other.mobility
             && self.faults == other.faults
@@ -130,20 +109,6 @@ impl PartialEq for MobilityConfig {
 
 impl Eq for MobilityConfig {}
 
-/// See [`SimConfig`]'s `PartialEq`: total-order comparison on the float
-/// fields, exact equality on the seed.
-impl PartialEq for LossConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.loss_probability
-            .total_cmp(&other.loss_probability)
-            .is_eq()
-            && self.retry_timeout.total_cmp(&other.retry_timeout).is_eq()
-            && self.seed == other.seed
-    }
-}
-
-impl Eq for LossConfig {}
-
 impl SimConfig {
     /// Crate-internal default construction shared with the
     /// [`crate::SimBuilder`] front door.
@@ -152,7 +117,6 @@ impl SimConfig {
             policy,
             latency: 0.01,
             oracle_check: true,
-            loss: None,
             arq: None,
             mobility: None,
             faults: None,
@@ -194,9 +158,8 @@ pub struct SimReport {
     pub allocations: u64,
     /// Replica deallocations performed.
     pub deallocations: u64,
-    /// Transmission attempts beyond each envelope's first — repeats by the
-    /// instant loss model, or timed retransmissions by the ARQ transport
-    /// (0 on a lossless link).
+    /// Transmission attempts beyond each envelope's first: the ARQ
+    /// transport's timed retransmissions (0 on a lossless link).
     pub retransmissions: u64,
     /// Retransmissions whose exchange eventually settled (completed or
     /// reconciled) rather than being aborted; together with
@@ -347,7 +310,8 @@ impl SimReport {
 /// Typed outcome for a request the transport refused instead of queueing
 /// forever: the request needed the wire while the simulator was degraded —
 /// partitioned beyond the ARQ degradation deadline, or mid-migration with
-/// a handoff stuck past its deadline (`docs/faults.md`, `docs/topology.md`).
+/// a stuck handoff, one aborted at least once (`docs/faults.md`,
+/// `docs/topology.md`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShedRequest {
     /// Simulation time at which the request was shed.
@@ -363,9 +327,10 @@ pub struct ShedRequest {
 pub enum ShedReason {
     /// The MC was partitioned beyond the ARQ degradation deadline.
     DegradedPartition,
-    /// A cell handoff was stuck past its deadline: window ownership was
-    /// mid-migration, so wire-needing requests could not be served
-    /// correctly by either cell.
+    /// A cell handoff was stuck: it aborted at least once — past its
+    /// deadline, or fenced by a new migration while still in flight — and
+    /// had not re-committed. Window ownership was mid-migration, so
+    /// wire-needing requests could not be served correctly by either cell.
     HandoffStuck,
 }
 
@@ -705,7 +670,6 @@ pub struct Simulation {
     control_messages: u64,
     queued_requests: u64,
     retransmissions: u64,
-    link_rng: Option<BatchedF64>,
     mobility_rng: Option<BatchedF64>,
     current_cell: usize,
     /// Cached `cell_extra_latency[current_cell]` (0 without the mobility
@@ -875,7 +839,6 @@ impl Simulation {
         // seeds the same SplitMix64-expanded `StdRng` the unbatched
         // simulator used — stream identity is pinned by the ledger-digest
         // regression tests.
-        let link_rng = config.loss.map(|l| BatchedF64::new(l.seed));
         let mobility_rng = config.mobility.as_ref().map(|m| BatchedF64::new(m.seed));
         let fault_rng = config.faults.as_ref().map(|f| BatchedF64::new(f.seed));
         let arq_rng = config.arq.as_ref().map(|a| BatchedF64::new(a.seed));
@@ -914,7 +877,6 @@ impl Simulation {
             control_messages: 0,
             queued_requests: 0,
             retransmissions: 0,
-            link_rng,
             mobility_rng,
             current_cell: 0,
             cell_extra,
@@ -1032,11 +994,12 @@ impl Simulation {
             && self.suspended.is_none()
             && self.needs_wire(arrival.request)
         {
-            // A handoff stuck past its deadline degrades the same way:
-            // ownership is mid-migration, so a wire-needing request is
-            // shed instead of queueing behind a handoff of unknown
-            // length. Reads the MC can serve from its copy still go
-            // through (stale, from the origin cell).
+            // A stuck handoff (aborted at least once, by its deadline or
+            // by a migration's fence) degrades the same way: ownership is
+            // mid-migration, so a wire-needing request is shed instead of
+            // queueing behind a handoff of unknown length. Reads the MC
+            // can serve from its copy still go through (stale, from the
+            // origin cell).
             self.shed_request(arrival, ShedReason::HandoffStuck);
         } else {
             self.queued_requests += 1;
@@ -1045,8 +1008,8 @@ impl Simulation {
     }
 
     /// Bills and schedules the delivery of an envelope the protocol just put
-    /// on the wire. Under the lossy-link model the sender retransmits after
-    /// each timeout until one attempt gets through; every attempt is billed.
+    /// on the wire. Under the ARQ transport the envelope instead plays the
+    /// timeout/retransmit game ([`Simulation::transmit_arq`]).
     /// `reconciliation` routes the attempt tally to the handshake counters
     /// instead of the at-risk exchange tally.
     ///
@@ -1060,35 +1023,28 @@ impl Simulation {
             self.transmit_arq(envelope, reconciliation, 1);
             return;
         }
-        let attempts = match (self.config.loss, &mut self.link_rng) {
-            (Some(loss), Some(rng)) => {
-                let mut attempts = 1u64;
-                while rng.draw() < loss.loss_probability {
-                    attempts += 1;
-                }
-                attempts
-            }
-            _ => 1,
-        };
-        self.retransmissions += attempts - 1;
+        self.bill_attempt(&envelope, reconciliation);
+        let arrives = self.now + self.config.latency + self.cell_extra;
+        self.schedule_delivery(envelope, arrives);
+    }
+
+    /// Bills one transmission attempt on the wireless link to its message
+    /// class, and to the handshake counters or the at-risk exchange tally.
+    fn bill_attempt(&mut self, envelope: &Envelope, reconciliation: bool) {
         match envelope.message.class() {
-            crate::wire::MessageClass::Data => self.data_messages += attempts,
-            crate::wire::MessageClass::Control => self.control_messages += attempts,
+            crate::wire::MessageClass::Data => self.data_messages += 1,
+            crate::wire::MessageClass::Control => self.control_messages += 1,
             crate::wire::MessageClass::Invalidation => {
                 // Invalidation traffic rides the wired backbone, never the
-                // MC/SC wireless link this transport models.
+                // MC/SC wireless link.
                 unreachable!("invalidation-class traffic on the wireless link")
             }
         }
         if reconciliation {
-            self.reconciliation_messages += attempts;
+            self.reconciliation_messages += 1;
         } else {
-            self.exchange_messages += attempts;
-            self.exchange_retrans += attempts - 1;
+            self.exchange_messages += 1;
         }
-        let retry_delay = (attempts - 1) as f64 * self.config.loss.map_or(0.0, |l| l.retry_timeout);
-        let arrives = self.now + retry_delay + self.config.latency + self.cell_extra;
-        self.schedule_delivery(envelope, arrives);
     }
 
     /// Parks the envelope in the pool and schedules its delivery plus any
@@ -1146,20 +1102,7 @@ impl Simulation {
         // position is a function of the attempt count alone.
         let lost = rng.draw() < arq.loss_probability;
         let jitter_u = rng.draw();
-        match envelope.message.class() {
-            crate::wire::MessageClass::Data => self.data_messages += 1,
-            crate::wire::MessageClass::Control => self.control_messages += 1,
-            crate::wire::MessageClass::Invalidation => {
-                // See `transmit`: the backbone class never enters the
-                // wireless transport.
-                unreachable!("invalidation-class traffic on the wireless link")
-            }
-        }
-        if reconciliation {
-            self.reconciliation_messages += 1;
-        } else {
-            self.exchange_messages += 1;
-        }
+        self.bill_attempt(&envelope, reconciliation);
         if attempts > 1 {
             self.retransmissions += 1;
             if !reconciliation {
@@ -1805,10 +1748,11 @@ impl Simulation {
         if self.reconciling || self.protocol.recovering() {
             return false;
         }
-        // A handoff stuck past its deadline blocks wire-needing requests:
-        // ownership is mid-migration between cells, so neither SC may run
-        // the exchange. Local reads still go through (served stale from
-        // the origin cell) and silent writes complete on the MC alone.
+        // A stuck handoff (aborted at least once, by its deadline or by
+        // a migration's fence) blocks wire-needing requests: ownership is
+        // mid-migration between cells, so neither SC may run the
+        // exchange. Local reads still go through (served stale from the
+        // origin cell) and silent writes complete on the MC alone.
         if self.handoff_stuck && self.needs_wire(request) {
             return false;
         }
@@ -2437,7 +2381,6 @@ mod tests {
             policy: PolicySpec::St1,
             latency: 0.1,
             oracle_check: true,
-            loss: None,
             arq: None,
             mobility: None,
             faults: None,
@@ -2452,13 +2395,6 @@ mod tests {
         assert_ne!(base(), c);
         let mut c = base();
         c.oracle_check = false;
-        assert_ne!(base(), c);
-        let mut c = base();
-        c.loss = Some(LossConfig {
-            loss_probability: 0.1,
-            retry_timeout: 0.5,
-            seed: 1,
-        });
         assert_ne!(base(), c);
         let mut c = base();
         c.arq = Some(ArqConfig::new(0.1, 0.05, 1).unwrap());
@@ -2516,6 +2452,11 @@ mod tests {
 
 #[cfg(test)]
 mod loss_tests {
+    //! The lossy link is the ARQ transport with a retry budget no run
+    //! exhausts: every loss is repaired by a timed retransmission, so the
+    //! protocol's actions never change and only the bill and the timing
+    //! do.
+
     use super::*;
     use crate::faults::ConfigError;
     use crate::SimBuilder;
@@ -2523,12 +2464,17 @@ mod loss_tests {
 
     fn lossy_run(loss: f64, seed: u64) -> SimReport {
         let spec = PolicySpec::SlidingWindow { k: 5 };
+        let arq = ArqConfig::new(loss, 0.05, seed)
+            .and_then(|a| a.with_retry_budget(u32::MAX))
+            .unwrap();
         let mut sim = SimBuilder::new(spec)
-            .and_then(|b| b.loss(loss, 0.05, seed))
+            .and_then(|b| b.arq(arq))
             .unwrap()
             .simulation();
         let mut workload = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 99);
-        sim.run(&mut workload, RunLimit::Requests(8_000))
+        let report = sim.run(&mut workload, RunLimit::Requests(8_000));
+        assert_eq!(report.retry_escalations, 0, "the budget is never spent");
+        report
     }
 
     #[test]
@@ -2541,9 +2487,15 @@ mod loss_tests {
             sim.run(&mut w, RunLimit::Requests(8_000))
         };
         let zero = lossy_run(0.0, 1);
+        assert_eq!(zero.schedule, lossless.schedule);
         assert_eq!(zero.counts, lossless.counts);
         assert_eq!(zero.data_messages, lossless.data_messages);
         assert_eq!(zero.retransmissions, 0);
+        // The protocol's own traffic is identical; ARQ adds its acks.
+        assert_eq!(
+            zero.control_messages - zero.arq_acks,
+            lossless.control_messages
+        );
     }
 
     #[test]
@@ -2556,9 +2508,11 @@ mod loss_tests {
         assert_eq!(lossy.counts, reference.counts, "actions unchanged by loss");
         assert!(lossy.retransmissions > 0);
         // Bill inflation ≈ 1/(1 − p): each transmission succeeds with
-        // probability 0.7, so attempts per message average 1/0.7.
+        // probability 0.7, so attempts per message average 1/0.7. The
+        // acks, one per exchange at any loss rate, are not the
+        // protocol's traffic and stay out of the ratio.
         let base = (lossy.counts.data_messages() + lossy.counts.control_messages()) as f64;
-        let billed = (lossy.data_messages + lossy.control_messages) as f64;
+        let billed = (lossy.data_messages + lossy.control_messages - lossy.arq_acks) as f64;
         let inflation = billed / base;
         assert!(
             (inflation - 1.0 / 0.7).abs() < 0.05,
@@ -2585,26 +2539,33 @@ mod loss_tests {
 
     #[test]
     fn invalid_loss_parameters_are_rejected() {
-        let spec = PolicySpec::St1;
-        let fresh = || SimBuilder::new(spec).unwrap();
+        // A loss probability of exactly 1 is legal: the retry budget
+        // bounds every retransmission loop.
+        assert!(ArqConfig::new(1.0, 0.1, 0).is_ok());
         assert_eq!(
-            fresh().loss(1.0, 0.1, 0).unwrap_err(),
-            ConfigError::LossProbability { value: 1.0 }
+            ArqConfig::new(1.5, 0.1, 0).unwrap_err(),
+            ConfigError::Probability {
+                what: "ARQ loss probability",
+                value: 1.5
+            }
         );
         assert_eq!(
-            fresh().loss(-0.1, 0.1, 0).unwrap_err(),
-            ConfigError::LossProbability { value: -0.1 }
+            ArqConfig::new(-0.1, 0.1, 0).unwrap_err(),
+            ConfigError::Probability {
+                what: "ARQ loss probability",
+                value: -0.1
+            }
         );
         assert_eq!(
-            fresh().loss(0.3, 0.0, 0).unwrap_err(),
+            ArqConfig::new(0.3, 0.0, 0).unwrap_err(),
             ConfigError::RetryTimeout { value: 0.0 }
         );
         assert!(matches!(
-            fresh().loss(f64::NAN, 0.1, 0).unwrap_err(),
-            ConfigError::LossProbability { .. }
+            ArqConfig::new(f64::NAN, 0.1, 0).unwrap_err(),
+            ConfigError::Probability { .. }
         ));
         // The error is a value, not a panic: it displays its cause.
-        let err = fresh().loss(1.0, 0.1, 0).unwrap_err();
+        let err = ArqConfig::new(1.5, 0.1, 0).unwrap_err();
         assert!(err.to_string().contains("loss probability"), "{err}");
     }
 }
@@ -3210,6 +3171,24 @@ mod mutation_regressions {
         assert_eq!(r.retransmissions, 1_400);
         assert_eq!(r.mean_read_latency.to_bits(), 0x3fba_2603_ddf5_8473);
     }
+
+    #[test]
+    fn same_instant_staged_events_run_in_scheduling_order() {
+        // Arrivals every 0.5 over a 0.25 link: each ST1 read's response
+        // lands at the same instant as the next arrival. The arrival was
+        // staged first, so it must be taken first and queue behind the
+        // exchange the response then completes. A staged delivery that
+        // reused the arrival's seq would win the tie and let every
+        // arrival skip the queue.
+        let mut sim = SimBuilder::new(PolicySpec::St1)
+            .and_then(|b| b.latency(0.25))
+            .unwrap()
+            .simulation();
+        let sched = Schedule::from_requests(vec![Request::Read; 100]);
+        let mut w = crate::workload::TraceWorkload::new(sched, 0.5);
+        let r = sim.run(&mut w, RunLimit::Requests(100));
+        assert_eq!(r.queued_requests, 99);
+    }
 }
 
 #[cfg(test)]
@@ -3472,5 +3451,63 @@ mod topology_tests {
         assert_eq!(r.migrations, 3_207, "regression pin");
         assert_eq!(r.handoffs_committed, 2_997, "regression pin");
         assert_eq!(r.replicas_invalidated, 3_034, "regression pin");
+    }
+
+    /// Regression (mutation): with two cells the one other cell is the
+    /// only migration target, so every migration really moves the MC and
+    /// ownership follows it. Skipping the target draw below three cells
+    /// would leave the MC in place and commit nothing.
+    #[test]
+    fn two_cell_migrations_move_the_mc() {
+        let t = TopologyConfig::new(2, 0.5, 2.0, 7).unwrap();
+        let r = topo_run(Some(t), 4242);
+        assert!(r.migrations > 100);
+        assert_eq!(
+            (r.migrations, r.handoffs_committed),
+            (2_080, 1_969),
+            "regression pin"
+        );
+    }
+
+    /// Regression (mutation): MC-side timers rank after protocol events at
+    /// the same instant ([`Event::actor_rank`]). At latency 0.25 and a
+    /// 0.75 deadline the third leg of every lossless flight lands exactly
+    /// on its deadline, so the commit must be handled first. Ranking the
+    /// deadline with the protocol events would let the earlier-armed
+    /// timer abort every flight.
+    #[test]
+    fn a_commit_that_lands_at_its_deadline_instant_commits() {
+        let t = TopologyConfig::new(3, 0.5, 0.75, 7).unwrap();
+        let mut sim = SimBuilder::new(PolicySpec::SlidingWindow { k: 3 })
+            .and_then(|b| b.latency(0.25))
+            .and_then(|b| b.topology(t))
+            .unwrap()
+            .simulation();
+        let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 11);
+        let r = sim.run(&mut w, RunLimit::Requests(3_000));
+        assert_eq!(r.handoffs_committed, 872, "regression pin");
+    }
+
+    /// A `HandoffStuck` shed needs a handoff aborted at least once, not
+    /// one stuck past its deadline: a migration that fences a flight still
+    /// in the air aborts it too. A lossless three-leg flight takes 0.06
+    /// here, far under the 1.0 deadline, so every abort is a fence.
+    #[test]
+    fn a_fenced_handoff_sheds_like_a_stuck_one() {
+        let t = TopologyConfig::new(3, 0.5, 1.0, 0xE15).unwrap();
+        let mut sim = SimBuilder::new(PolicySpec::SlidingWindow { k: 1 })
+            .and_then(|b| b.latency(0.02))
+            .and_then(|b| b.topology(t))
+            .unwrap()
+            .simulation();
+        let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 0xE15);
+        let r = sim.run(&mut w, RunLimit::Requests(8_000));
+        assert_eq!(r.handoffs_aborted, 123, "regression pin");
+        let stuck = r
+            .shed
+            .iter()
+            .filter(|s| s.reason == ShedReason::HandoffStuck)
+            .count();
+        assert_eq!((r.shed.len(), stuck), (1, 1), "regression pin");
     }
 }

@@ -188,8 +188,10 @@ proptest! {
     ) {
         let run = |with_loss: bool| {
             let builder = SimBuilder::new(spec).unwrap();
-            let builder = if with_loss && loss > 0.0 {
-                let Ok(lossy) = builder.loss(loss, 0.05, seed) else {
+            let builder = if with_loss {
+                let Ok(lossy) = ArqConfig::new(loss, 0.05, seed)
+                    .and_then(|a| a.with_retry_budget(u32::MAX))
+                    .and_then(|a| builder.arq(a)) else {
                     unreachable!("the generated loss grid is valid by construction")
                 };
                 lossy
@@ -203,8 +205,10 @@ proptest! {
         let clean = run(false);
         let lossy = run(true);
         prop_assert_eq!(clean.counts, lossy.counts);
+        prop_assert_eq!(lossy.retry_escalations, 0);
         prop_assert!(lossy.data_messages >= clean.data_messages);
-        prop_assert!(lossy.control_messages >= clean.control_messages);
+        // The acks are ARQ's own traffic, not the protocol's.
+        prop_assert!(lossy.control_messages - lossy.arq_acks >= clean.control_messages);
         prop_assert!(lossy.makespan >= clean.makespan - 1e-9);
     }
 

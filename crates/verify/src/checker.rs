@@ -1,7 +1,7 @@
 //! The bounded model checker: exhaustive DFS over every interleaving of
-//! request arrivals, message deliveries, link-loss events and — in faulty
-//! mode — disconnections, MC crashes and reconnection handshakes, with
-//! state-hash deduplication.
+//! request arrivals, message deliveries, ARQ retransmission timeouts and —
+//! in faulty mode — disconnections, MC crashes and reconnection handshakes,
+//! with state-hash deduplication.
 //!
 //! The state space is the product of the [`ProtocolState`] transition
 //! relation (both nodes, the wire, the ledger) with the arrival queue and
@@ -11,18 +11,16 @@
 //!   the protocol is idle, otherwise queues FIFO (§3 serialization);
 //! * **arrival at the SC** — a write arrives, likewise;
 //! * **message delivery** — the in-flight envelope reaches its endpoint;
-//! * **message loss + ARQ retransmit** (lossy mode) — a transmission
-//!   attempt is lost and billed again; the protocol state is unchanged,
-//!   which is exactly the §3 claim that loss inflates the bill without
-//!   changing the actions;
-//! * **retransmission timeout** (ARQ mode) — the sender's retry timer
-//!   fires: while the per-exchange retry budget lasts, the attempt is
-//!   retransmitted and billed again (as a loss above, but bounded); once
-//!   the budget is exhausted the timeout *escalates* to a declared
-//!   partition — the exchange rolls back exactly as under a doze and is
-//!   retried under the new epoch. ARQ mode also bills one control-class
-//!   acknowledgement per completed exchange and per reconciliation,
-//!   mirroring the simulator's transport;
+//! * **retransmission timeout** (ARQ mode) — the attempt in flight was
+//!   lost and the sender's retry timer fires: while the per-exchange retry
+//!   budget lasts, the attempt is retransmitted and billed again with the
+//!   protocol state unchanged, which is exactly the §3 claim that loss
+//!   inflates the bill without changing the actions; once the budget is
+//!   exhausted the timeout *escalates* to a declared partition — the
+//!   exchange rolls back exactly as under a doze and is retried under the
+//!   new epoch. ARQ mode also bills one control-class acknowledgement per
+//!   completed exchange and per reconciliation, mirroring the simulator's
+//!   transport;
 //! * **doze** (faulty mode) — the link drops and comes back: any exchange
 //!   in flight is rolled back to its checkpoint and retried under the new
 //!   epoch, its billed attempts written off as aborted;
@@ -91,8 +89,6 @@ pub struct CheckConfig {
     pub policy: PolicySpec,
     /// Exploration depth: number of transitions along any path.
     pub depth: usize,
-    /// Whether loss + ARQ retransmit transitions are explored.
-    pub lossy: bool,
     /// Whether timeout-driven ARQ transitions are explored: bounded
     /// retransmissions, budget-exhaustion escalation to a declared
     /// partition, and billed completion acknowledgements.
@@ -106,7 +102,8 @@ pub struct CheckConfig {
     /// explored; §3 serialization makes longer queues redundant — service
     /// order, not arrival time, determines cost).
     pub max_pending: usize,
-    /// Maximum loss events explored along one path (lossy mode).
+    /// Maximum retransmission timeouts explored along one path (ARQ
+    /// mode).
     pub max_losses: u8,
     /// Maximum disconnection/crash events explored along one path (zero
     /// disables the fault transitions).
@@ -122,7 +119,6 @@ impl CheckConfig {
         CheckConfig {
             policy,
             depth,
-            lossy: false,
             arq: false,
             retry_budget: 2,
             models: vec![CostModel::Connection, CostModel::message(0.5)],
@@ -131,13 +127,6 @@ impl CheckConfig {
             max_faults: 0,
             fault: None,
         }
-    }
-
-    /// Enables loss + ARQ retransmit transitions.
-    #[must_use]
-    pub fn lossy(mut self) -> Self {
-        self.lossy = true;
-        self
     }
 
     /// Enables timeout-driven ARQ transitions (bounded retransmission,
@@ -173,8 +162,6 @@ pub struct CheckReport {
     pub policy: PolicySpec,
     /// The depth bound used.
     pub depth: usize,
-    /// Whether loss transitions were explored.
-    pub lossy: bool,
     /// Whether timeout-driven ARQ transitions were explored.
     pub arq: bool,
     /// Whether disconnect/crash transitions were explored.
@@ -339,7 +326,6 @@ impl State {
 enum Transition {
     Arrive(Request),
     Deliver,
-    Lose,
     /// The sender's retry timer fires (ARQ mode): retransmit while the
     /// budget lasts, escalate to a declared partition once it is spent.
     ArqTimeout,
@@ -355,9 +341,6 @@ fn enabled(config: &CheckConfig, state: &State) -> Vec<Transition> {
     let mut transitions = Vec::with_capacity(7);
     if !state.protocol.wire().is_empty() {
         transitions.push(Transition::Deliver);
-        if config.lossy && state.losses_left > 0 {
-            transitions.push(Transition::Lose);
-        }
         if config.arq && state.losses_left > 0 {
             transitions.push(Transition::ArqTimeout);
         }
@@ -466,38 +449,13 @@ fn apply(
                 drain_queue(state, schedule, actions, &mut applied);
             }
         },
-        Transition::Lose => {
-            debug_assert!(state.losses_left > 0);
-            state.losses_left -= 1;
-            let class = state.protocol.wire()[0].message.class();
-            if state.protocol.recovering() {
-                // A lost handshake attempt is retransmitted and billed as
-                // more handshake traffic.
-                state.bill_recon(class);
-            } else {
-                state.bill_exchange(class);
-                match class {
-                    MessageClass::Data => {
-                        state.retrans_data += 1;
-                        state.exch_retrans_data += 1;
-                    }
-                    MessageClass::Control => {
-                        state.retrans_control += 1;
-                        state.exch_retrans_control += 1;
-                    }
-                    MessageClass::Invalidation => {
-                        unreachable!("invalidation-class traffic in the wireless checker")
-                    }
-                }
-            }
-        }
         Transition::ArqTimeout => {
             debug_assert!(state.losses_left > 0);
             state.losses_left -= 1;
             if state.attempts <= config.retry_budget {
-                // The timer fired with budget to spare: the retransmission
-                // bills exactly like an instant loss, but the attempt count
-                // on this envelope grows toward the budget.
+                // The timer fired with budget to spare: the lost attempt
+                // is billed again and the protocol state is unchanged; the
+                // attempt count on this envelope grows toward the budget.
                 state.attempts += 1;
                 let class = state.protocol.wire()[0].message.class();
                 if state.protocol.recovering() {
@@ -670,7 +628,6 @@ pub fn check(config: &CheckConfig) -> CheckReport {
     let mut report = CheckReport {
         policy: config.policy,
         depth: config.depth,
-        lossy: config.lossy,
         arq: config.arq,
         faulty: config.max_faults > 0,
         states: 1,
@@ -782,13 +739,15 @@ pub fn default_roster() -> Vec<PolicySpec> {
     ]
 }
 
-/// Explores every roster policy, lossless and lossy, to `depth`; returns
-/// one report per run.
+/// Explores every roster policy, lossless and with timeout-driven ARQ
+/// transitions — bounded retransmissions, budget-exhaustion escalations
+/// and billed acknowledgements woven into every interleaving — to `depth`;
+/// returns one report per run.
 pub fn sweep(depth: usize) -> Vec<CheckReport> {
     let mut reports = Vec::new();
     for policy in default_roster() {
         reports.push(check(&CheckConfig::new(policy, depth)));
-        reports.push(check(&CheckConfig::new(policy, depth).lossy()));
+        reports.push(check(&CheckConfig::new(policy, depth).arq()));
     }
     reports
 }
@@ -802,16 +761,5 @@ pub fn faulty_sweep(depth: usize) -> Vec<CheckReport> {
     default_roster()
         .into_iter()
         .map(|policy| check(&CheckConfig::new(policy, depth).faulty()))
-        .collect()
-}
-
-/// Explores every roster policy with timeout-driven ARQ transitions
-/// enabled — bounded retransmissions, budget-exhaustion escalations and
-/// billed acknowledgements woven into every interleaving — to `depth`;
-/// returns one report per policy.
-pub fn arq_sweep(depth: usize) -> Vec<CheckReport> {
-    default_roster()
-        .into_iter()
-        .map(|policy| check(&CheckConfig::new(policy, depth).arq()))
         .collect()
 }

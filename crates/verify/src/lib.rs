@@ -10,9 +10,9 @@
 //! transition relation the discrete-event simulator uses — not a model of
 //! the protocol but the protocol itself — and exhaustively explores every
 //! interleaving of request arrivals at both nodes, message deliveries,
-//! (in lossy mode) link-loss events with instant retransmission, (in ARQ
-//! mode) retransmission-timeout firings — budget-bounded retransmits,
-//! escalations to declared partitions and billed acknowledgements — and
+//! (in ARQ mode) retransmission-timeout firings — budget-bounded
+//! retransmits, escalations to declared partitions and billed
+//! acknowledgements — and
 //! (in faulty mode) disconnections, MC crashes — volatile and stable — and
 //! the reconnection handshake that re-validates the replica, deduplicating
 //! by full state hash. Every reached state is judged by the transient-aware
@@ -35,9 +35,7 @@ mod checker;
 mod handoff;
 mod invariants;
 
-pub use checker::{
-    arq_sweep, check, default_roster, faulty_sweep, sweep, CheckConfig, CheckReport, Fault,
-};
+pub use checker::{check, default_roster, faulty_sweep, sweep, CheckConfig, CheckReport, Fault};
 pub use handoff::{
     check_handoff, handoff_sweep, HandoffConfig, HandoffFault, HandoffInvariant, HandoffReport,
     HandoffViolation,
@@ -50,8 +48,9 @@ mod tests {
     use mdr_core::PolicySpec;
 
     /// The acceptance bar: every policy family in the roster, lossless and
-    /// lossy, explored to depth 18 (comfortably past the required ≥ 12)
-    /// with zero violations and at least 10⁵ deduplicated states in total.
+    /// under ARQ, explored to depth 18 (comfortably past the required
+    /// ≥ 12) with zero violations and at least 10⁵ deduplicated states in
+    /// total.
     #[test]
     fn full_sweep_verifies_at_depth_18() {
         let reports = sweep(18);
@@ -59,15 +58,20 @@ mod tests {
         for report in &reports {
             assert!(
                 report.verified(),
-                "{:?} (lossy: {}) found violations: {:?}",
+                "{:?} (arq: {}) found violations: {:?}",
                 report.policy,
-                report.lossy,
+                report.arq,
                 report.violations
             );
             assert!(report.states > 1, "{:?} explored nothing", report.policy);
             total_states += report.states;
         }
-        assert_eq!(reports.len(), 14, "7 policies × {{lossless, lossy}}");
+        let arq = reports.iter().filter(|r| r.arq).count();
+        assert_eq!(
+            (reports.len() - arq, arq),
+            (7, 7),
+            "7 policies × {{lossless, arq}}"
+        );
         assert!(
             total_states >= 100_000,
             "acceptance floor not met: {total_states} deduplicated states"
@@ -137,22 +141,6 @@ mod tests {
         // The trace renders as a runnable schedule string.
         let rendered = violation.to_string();
         assert!(rendered.contains("replica-agreement"), "{rendered}");
-    }
-
-    /// Lossy exploration strictly enlarges the state space: the retransmit
-    /// bill distinguishes otherwise-identical protocol states.
-    #[test]
-    fn loss_transitions_enlarge_the_state_space() {
-        let policy = PolicySpec::SlidingWindow { k: 3 };
-        let lossless = check(&CheckConfig::new(policy, 10));
-        let lossy = check(&CheckConfig::new(policy, 10).lossy());
-        assert!(lossless.verified() && lossy.verified());
-        assert!(
-            lossy.states > lossless.states,
-            "lossy {} vs lossless {}",
-            lossy.states,
-            lossless.states
-        );
     }
 
     /// The statics never allocate, so their reachable space is much smaller
@@ -240,30 +228,6 @@ mod tests {
             report.states
         );
         assert_eq!(report.violations[0].invariant, Invariant::ReplicaAgreement);
-    }
-
-    /// ARQ acceptance: every roster policy verifies all invariants when
-    /// timeout firings, budget-bounded retransmissions, escalations to
-    /// declared partitions and billed acknowledgements are woven into
-    /// every interleaving.
-    #[test]
-    fn arq_sweep_verifies_at_depth_12() {
-        let reports = arq_sweep(12);
-        assert_eq!(reports.len(), 7);
-        for report in &reports {
-            assert!(report.arq);
-            assert!(
-                report.verified(),
-                "{:?} under ARQ found violations: {:?}",
-                report.policy,
-                report.violations
-            );
-            assert!(
-                report.states > 1_000,
-                "{:?} explored too little",
-                report.policy
-            );
-        }
     }
 
     /// ARQ and fault transitions compose: timeout escalations interleave

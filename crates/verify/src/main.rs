@@ -1,21 +1,20 @@
 //! `mdr-verify` — run the bounded model checker across the policy roster.
 //!
 //! ```text
-//! mdr-verify [--depth N] [--policy SPEC] [--lossless-only]
-//!            [--faults [DEPTH]] [--arq [DEPTH]] [--handoff [DEPTH]]
-//!            [--kill-suite]
+//! mdr-verify [--depth N] [--policy SPEC] [--faults [DEPTH]]
+//!            [--handoff [DEPTH]] [--kill-suite]
 //! ```
 //!
-//! Explores every interleaving of arrivals, deliveries and losses to the
-//! requested depth for each roster policy, printing one row per run.
+//! Explores every interleaving of arrivals and deliveries to the requested
+//! depth for each roster policy twice — lossless, and with the ARQ
+//! transport's timeout firings, budget-bounded retransmissions,
+//! escalations and billed acks woven in — printing one row per run.
 //! With `--faults`, two more passes per policy additionally interleave
 //! disconnections, volatile/stable MC crashes and the reconnection
-//! handshake — once bare, and once with the ARQ transport's timeout
-//! firings, budget-bounded retransmissions and escalations woven in; the
+//! handshake — once bare, and once with the ARQ transitions; the
 //! optional `DEPTH` bounds those passes separately (faulty exploration is
 //! denser — epoch bumps defeat cross-fault dedup — so it defaults to
-//! `min(depth, 12)`). With `--arq`, one pass per policy explores the ARQ
-//! transitions alone. With `--handoff`, the multi-cell mobility layer is
+//! `min(depth, 12)`). With `--handoff`, the multi-cell mobility layer is
 //! model-checked separately: migration interleaved with backbone loss,
 //! duplicated/reordered commits, deadline aborts and crash/reconnect
 //! cycles, judged against single-owner-across-cells, no-lost-window and
@@ -39,7 +38,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mdr-verify [--depth N] [--policy sw1|sw3|sw5|st1|st2|t1|t2] [--lossless-only] [--faults [DEPTH]] [--arq [DEPTH]] [--handoff [DEPTH]] [--kill-suite]"
+        "usage: mdr-verify [--depth N] [--policy sw1|sw3|sw5|st1|st2|t1|t2] [--faults [DEPTH]] [--handoff [DEPTH]] [--kill-suite]"
     );
     std::process::exit(2);
 }
@@ -47,7 +46,7 @@ fn usage() -> ! {
 /// The checker modes a kill-suite entry can run in.
 #[derive(Clone, Copy)]
 enum SuiteMode {
-    /// Arrivals/deliveries (+losses) only.
+    /// Arrivals and deliveries only.
     Plain,
     /// ARQ transport transitions woven in.
     Arq,
@@ -97,10 +96,6 @@ fn kill_suite() -> ExitCode {
         let report = check(&CheckConfig::new(spec, 8));
         entry(name, report.verified() && report.states > 1);
     }
-    entry(
-        "verify sw3 lossy",
-        check(&CheckConfig::new(sw3, 8).lossy()).verified(),
-    );
     entry(
         "verify sw3 arq",
         check(&CheckConfig::new(sw3, 8).arq()).verified(),
@@ -333,9 +328,7 @@ fn run_handoff(depth: usize) -> ExitCode {
 fn main() -> ExitCode {
     let mut depth = 18usize;
     let mut only_policy = None;
-    let mut lossless_only = false;
     let mut faults: Option<usize> = None;
-    let mut arq: Option<usize> = None;
 
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -364,7 +357,6 @@ fn main() -> ExitCode {
                 let Some(value) = args.next() else { usage() };
                 only_policy = Some(value);
             }
-            "--lossless-only" => lossless_only = true,
             "--faults" => {
                 // Optional depth operand: `--faults 10` or bare `--faults`.
                 match args.peek().and_then(|v| v.parse().ok()) {
@@ -373,16 +365,6 @@ fn main() -> ExitCode {
                         faults = Some(value);
                     }
                     None => faults = Some(depth.min(12)),
-                }
-            }
-            "--arq" => {
-                // Optional depth operand: `--arq 10` or bare `--arq`.
-                match args.peek().and_then(|v| v.parse().ok()) {
-                    Some(value) => {
-                        args.next();
-                        arq = Some(value);
-                    }
-                    None => arq = Some(depth.min(12)),
                 }
             }
             "--help" | "-h" => usage(),
@@ -412,33 +394,17 @@ fn main() -> ExitCode {
     let mut total_states = 0usize;
     let mut failed = false;
     for policy in roster {
-        let modes: &[bool] = if lossless_only {
-            &[false]
-        } else {
-            &[false, true]
-        };
-        for &lossy in modes {
-            let mut config = CheckConfig::new(policy, depth);
-            if lossy {
-                config = config.lossy();
-            }
-            let (states, ok) = run_one(&config, if lossy { "lossy" } else { "lossless" });
-            total_states += states;
-            failed |= !ok;
-        }
-        if let Some(arq_depth) = arq {
-            let config = CheckConfig::new(policy, arq_depth).arq();
-            let (states, ok) = run_one(&config, "arq");
-            total_states += states;
-            failed |= !ok;
-        }
+        let mut runs = vec![
+            (CheckConfig::new(policy, depth), "lossless"),
+            (CheckConfig::new(policy, depth).arq(), "arq"),
+        ];
         if let Some(fault_depth) = faults {
-            let config = CheckConfig::new(policy, fault_depth).faulty();
-            let (states, ok) = run_one(&config, "faulty");
-            total_states += states;
-            failed |= !ok;
-            let config = CheckConfig::new(policy, fault_depth).faulty().arq();
-            let (states, ok) = run_one(&config, "arq+faulty");
+            let faulty = CheckConfig::new(policy, fault_depth).faulty();
+            runs.push((faulty.clone(), "faulty"));
+            runs.push((faulty.arq(), "arq+faulty"));
+        }
+        for (config, mode) in runs {
+            let (states, ok) = run_one(&config, mode);
             total_states += states;
             failed |= !ok;
         }

@@ -136,7 +136,7 @@ const AMBIENT_RNG_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
 const RNG_CONSTRUCTORS: &[&str] = &["seed_from_u64", "from_seed", "from_rng"];
 
 /// The verify-crate entry points treated as audit roots.
-const VERIFY_ROOTS: &[&str] = &["check", "check_state", "sweep", "faulty_sweep", "arq_sweep"];
+const VERIFY_ROOTS: &[&str] = &["check", "check_state", "sweep", "faulty_sweep"];
 
 /// Runs the audit over in-memory `(path, source)` pairs.
 pub(crate) fn audit_sources(files: &[(String, String)], allow: &[AllowEntry]) -> AuditReport {

@@ -72,6 +72,6 @@
 //! ## Beyond the paper
 //!
 //! Adaptation latency (E12), lossy links with ARQ
-//! ([`SimBuilder::loss`](mdr_sim::SimBuilder::loss), E13), and the
+//! ([`SimBuilder::arq`](mdr_sim::SimBuilder::arq), E13), and the
 //! per-object baseline ([`PerObjectWindows`](mdr_multi::PerObjectWindows),
 //! E14) — all documented as extensions in DESIGN.md.
