@@ -60,7 +60,7 @@ pub use journal::{
     DurabilityStats, DurableServe, FsyncPolicy, JournalConfig, RecoveryReport, TenantRecovery,
 };
 pub use nodes::{MobileNode, StationaryNode};
-pub use protocol::{Envelope, ProtocolState, StepOutcome};
+pub use protocol::{Envelope, ProtocolState, StepOutcome, Ticket};
 pub use sim::{
     InvariantMonitor, MobilityConfig, RunLimit, ShedReason, ShedRequest, SimConfig, SimReport,
     Simulation,

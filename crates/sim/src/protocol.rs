@@ -25,7 +25,7 @@
 //! [`drop_in_flight`](ProtocolState::drop_in_flight)).
 
 use crate::nodes::{MobileNode, StationaryNode};
-use crate::wire::{Endpoint, WireMessage};
+use crate::wire::{Endpoint, MessageClass, WireMessage};
 use mdr_core::{Action, ActionCounts, PolicySpec, Request};
 
 /// A message in flight together with its destination endpoint.
@@ -49,15 +49,37 @@ pub struct Envelope {
     pub seq: u64,
 }
 
+/// A `Copy` handle on an envelope the protocol keeps on its wire: the
+/// destination, the message class a caller bills, and the epoch and
+/// sequence number [`ProtocolState::receive`] redeems it by.
+///
+/// Callers carry tickets through their queues instead of envelopes, so a
+/// send or a delivery never copies the payload (its piggybacked window
+/// included). A ticket names exactly one envelope: sequence numbers are
+/// unique per state, and a disconnection clears the wire before the
+/// reconnection bumps the epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Ticket {
+    /// The endpoint the envelope is addressed to.
+    pub to: Endpoint,
+    /// The billing class of the envelope's message.
+    pub class: MessageClass,
+    /// The link epoch the envelope was sent under.
+    pub epoch: u64,
+    /// The envelope's sequence number.
+    pub seq: u64,
+}
+
 /// The observable effect of one protocol transition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// The request being served completed; the action is the ledger entry
     /// just recorded in [`ProtocolState::counts`].
     Completed(Action),
-    /// A message was placed on the wire (a copy of this envelope is now
-    /// queued in [`ProtocolState::wire`]); the exchange continues.
-    Sent(Envelope),
+    /// A message was placed on the wire: the envelope stays queued in
+    /// [`ProtocolState::wire`] and the caller gets its [`Ticket`] to hand
+    /// back to [`ProtocolState::receive`]. The exchange continues.
+    Sent(Ticket),
     /// The reconnection handshake completed: replica and window ownership
     /// were re-validated on both sides. No ledger entry is recorded — the
     /// handshake serves no request.
@@ -186,15 +208,20 @@ impl ProtocolState {
     }
 
     fn send(&mut self, to: Endpoint, message: WireMessage) -> StepOutcome {
-        let envelope = Envelope {
+        let ticket = Ticket {
             to,
-            message,
+            class: message.class(),
             epoch: self.epoch,
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.wire.push(envelope.clone());
-        StepOutcome::Sent(envelope)
+        self.wire.push(Envelope {
+            to,
+            message,
+            epoch: ticket.epoch,
+            seq: ticket.seq,
+        });
+        StepOutcome::Sent(ticket)
     }
 
     /// Begins serving one relevant request. Local operations (a read hitting
@@ -333,25 +360,31 @@ impl ProtocolState {
         }
     }
 
-    /// Delivers `envelope` if it is still current, applying the epoch and
-    /// sequence guards of the reconnection protocol: a delivery from a
-    /// previous link epoch, a duplicate, or a reordered stale copy returns
-    /// `None` and leaves the state untouched (fault-model extension,
-    /// `docs/faults.md`). This is the entry point the discrete-event
-    /// simulator uses, since faults can leave ghost deliveries in its event
-    /// queue.
-    pub fn receive(&mut self, envelope: &Envelope) -> Option<StepOutcome> {
-        if envelope.epoch != self.epoch {
+    /// Delivers the envelope `ticket` names if it is still current,
+    /// applying the epoch and sequence guards of the reconnection protocol:
+    /// a delivery from a previous link epoch, a duplicate, a reordered
+    /// stale copy, or a ticket whose envelope is no longer on the wire
+    /// returns `None` and leaves the state untouched (fault-model
+    /// extension, `docs/faults.md`). This is the entry point the
+    /// discrete-event simulator uses, since faults can leave ghost
+    /// deliveries in its event queue.
+    ///
+    /// Past the guards the envelope is found by sequence number alone:
+    /// sequence numbers are unique per state and an envelope's epoch is
+    /// stamped at the same send as its ticket's, so the on-wire envelope
+    /// with the ticket's sequence number is the one the ticket names.
+    pub fn receive(&mut self, ticket: Ticket) -> Option<StepOutcome> {
+        if ticket.epoch != self.epoch {
             return None;
         }
-        let watermark = match envelope.to {
+        let watermark = match ticket.to {
             Endpoint::Mobile => self.delivered_mc,
             Endpoint::Stationary => self.delivered_sc,
         };
-        if envelope.seq <= watermark {
+        if ticket.seq <= watermark {
             return None; // duplicate, or reordered behind a newer delivery
         }
-        let index = self.wire.iter().position(|e| e == envelope)?;
+        let index = self.wire.iter().position(|e| e.seq == ticket.seq)?;
         Some(self.deliver(index))
     }
 
@@ -394,7 +427,7 @@ impl ProtocolState {
     /// Starts the reconnection handshake after an MC crash: the MC (having
     /// lost its volatile state if `volatile`) announces the replica state
     /// that survived, and the SC will re-validate it against its own
-    /// commitment. The returned envelope carries the current epoch.
+    /// commitment. The returned ticket carries the current epoch.
     ///
     /// # Panics
     ///
@@ -486,10 +519,10 @@ mod tests {
     fn remote_read_is_a_two_delivery_exchange() {
         let mut state = ProtocolState::new(PolicySpec::St1);
         let outcome = state.submit(Request::Read);
-        assert!(matches!(outcome, StepOutcome::Sent(ref e) if e.to == Endpoint::Stationary));
+        assert!(matches!(outcome, StepOutcome::Sent(t) if t.to == Endpoint::Stationary));
         assert_eq!(state.serving(), Some(Request::Read));
         let outcome = state.deliver(0);
-        assert!(matches!(outcome, StepOutcome::Sent(ref e) if e.to == Endpoint::Mobile));
+        assert!(matches!(outcome, StepOutcome::Sent(t) if t.to == Endpoint::Mobile));
         let outcome = state.deliver(0);
         assert!(matches!(
             outcome,
@@ -560,18 +593,18 @@ mod tests {
         let StepOutcome::Sent(request) = state.submit(Request::Read) else {
             panic!("remote read must go on the wire")
         };
-        let Some(StepOutcome::Sent(response)) = state.receive(&request) else {
+        let Some(StepOutcome::Sent(response)) = state.receive(request) else {
             panic!("the SC must answer")
         };
         // A duplicate of the consumed request is discarded by the watermark.
-        assert_eq!(state.receive(&request), None);
+        assert_eq!(state.receive(request), None);
         assert!(matches!(
-            state.receive(&response),
+            state.receive(response),
             Some(StepOutcome::Completed(_))
         ));
         // Late duplicates after completion are discarded too.
-        assert_eq!(state.receive(&response), None);
-        assert_eq!(state.receive(&request), None);
+        assert_eq!(state.receive(response), None);
+        assert_eq!(state.receive(request), None);
         assert_eq!(state.counts().total(), 1);
     }
 
@@ -584,7 +617,7 @@ mod tests {
         assert_eq!(state.disconnect(), Some(Request::Read));
         state.reconnect();
         // The pre-disconnection envelope arrives after the epoch bump.
-        assert_eq!(state.receive(&request), None);
+        assert_eq!(state.receive(request), None);
         assert!(state.idle() && state.wire().is_empty());
     }
 
@@ -602,12 +635,12 @@ mod tests {
         };
         assert!(state.recovering());
         assert!(!state.mc().has_copy(), "volatile state lost");
-        let Some(StepOutcome::Sent(ack)) = state.receive(&reconnect) else {
+        let Some(StepOutcome::Sent(ack)) = state.receive(reconnect) else {
             panic!("the SC must acknowledge")
         };
         assert!(!state.sc().mc_has_copy(), "commitment retracted");
         assert!(state.sc().in_charge(), "window handed back to the SC");
-        assert_eq!(state.receive(&ack), Some(StepOutcome::Reconciled));
+        assert_eq!(state.receive(ack), Some(StepOutcome::Reconciled));
         assert!(!state.recovering());
         // The protocol now behaves exactly like a cold-started SW3 whose
         // abstract policy was told about the loss.
@@ -632,20 +665,21 @@ mod tests {
         let StepOutcome::Sent(reconnect) = state.begin_reconciliation(true) else {
             panic!("the handshake starts with a message")
         };
-        let Some(StepOutcome::Sent(ack)) = state.receive(&reconnect) else {
+        let Some(StepOutcome::Sent(ack)) = state.receive(reconnect) else {
             panic!("the SC must acknowledge")
         };
         assert!(
             matches!(
-                ack.message,
+                state.wire()[0].message,
                 WireMessage::ReconnectAck {
                     refresh: Some(1),
                     ..
                 }
             ),
-            "ST2 recovery re-ships the item: {ack:?}"
+            "ST2 recovery re-ships the item: {:?}",
+            state.wire()
         );
-        assert_eq!(state.receive(&ack), Some(StepOutcome::Reconciled));
+        assert_eq!(state.receive(ack), Some(StepOutcome::Reconciled));
         assert_eq!(state.mc().cached_version(), Some(1));
         assert!(state.sc().mc_has_copy());
     }
@@ -661,10 +695,10 @@ mod tests {
         let StepOutcome::Sent(reconnect) = state.begin_reconciliation(false) else {
             panic!("the handshake starts with a message")
         };
-        let Some(StepOutcome::Sent(ack)) = state.receive(&reconnect) else {
+        let Some(StepOutcome::Sent(ack)) = state.receive(reconnect) else {
             panic!("the SC must acknowledge")
         };
-        assert_eq!(state.receive(&ack), Some(StepOutcome::Reconciled));
+        assert_eq!(state.receive(ack), Some(StepOutcome::Reconciled));
         assert_eq!(*state.mc(), before_mc, "stable replica survives intact");
         assert!(state.mc().in_charge());
     }

@@ -15,7 +15,7 @@ use crate::calendar::{self, CalendarQueue};
 use crate::engine::DecisionCore;
 use crate::faults::{ArqConfig, FaultKind, FaultPlan};
 use crate::perf::{BatchedF64, PerfStats, Stopwatch};
-use crate::protocol::{Envelope, ProtocolState, StepOutcome};
+use crate::protocol::{ProtocolState, StepOutcome, Ticket};
 use crate::topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
 use crate::workload::{Arrival, ArrivalProcess};
 use mdr_core::{Action, ActionCounts, CostModel, PolicySpec, Request, Schedule};
@@ -469,15 +469,14 @@ enum Event {
     /// delivery time ([`ProtocolState::receive`]): faults leave ghost
     /// deliveries in the queue — duplicates, reordered stale copies, and
     /// envelopes a disconnection destroyed — which self-discard against
-    /// the protocol's epoch/sequence guards. The payload is a slot index
-    /// into the simulation's [`EnvelopePool`], so a queued delivery is a
-    /// handful of bytes instead of a cloned envelope.
-    Deliver(u32),
+    /// the protocol's epoch/sequence guards. The payload is the envelope's
+    /// [`Ticket`]; the envelope itself stays on the protocol's wire.
+    Deliver(Ticket),
     /// A ghost copy the network injected (duplication or stale reordering).
     /// Ghosts are never billed and are only counted as duplicated when they
     /// actually land (a run may end with ghosts still in the air). Ghost
-    /// copies share the original delivery's pool slot.
-    GhostDeliver(u32),
+    /// copies carry a copy of the original delivery's ticket.
+    GhostDeliver(Ticket),
     /// The MC crosses into another cell.
     Handoff,
     /// A fault from the [`FaultPlan`] severs the link.
@@ -564,69 +563,6 @@ enum NextEvent {
     Queue,
 }
 
-/// Slab of envelopes awaiting delivery. A transmission parks its envelope
-/// here once and the scheduled [`Event::Deliver`]/[`Event::GhostDeliver`]
-/// copies carry the slot index; the reference count (original + ghosts)
-/// lets the last delivery move the envelope out without cloning — the hot
-/// ghost-free path never copies an envelope at all. Slots are recycled
-/// through a free list, so a long run touches a handful of slots forever.
-struct EnvelopePool {
-    slots: Vec<Option<Envelope>>,
-    refs: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl EnvelopePool {
-    fn new() -> Self {
-        EnvelopePool {
-            slots: Vec::new(),
-            refs: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Parks `envelope` under `refs` pending deliveries and returns its
-    /// slot.
-    fn insert(&mut self, envelope: Envelope, refs: u32) -> u32 {
-        debug_assert!(refs >= 1, "a pooled envelope needs at least one taker");
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(envelope);
-                self.refs[slot as usize] = refs;
-                slot
-            }
-            None => {
-                self.slots.push(Some(envelope));
-                self.refs.push(refs);
-                let Ok(slot) = u32::try_from(self.slots.len() - 1) else {
-                    unreachable!("pool slots outnumbered u32::MAX in-flight envelopes")
-                };
-                slot
-            }
-        }
-    }
-
-    /// Redeems one scheduled delivery of the envelope in `slot`: the last
-    /// taker moves the envelope out and recycles the slot, earlier takers
-    /// (ghost copies sharing it) receive a clone.
-    fn take(&mut self, slot: u32) -> Envelope {
-        let index = slot as usize;
-        self.refs[index] -= 1;
-        if self.refs[index] == 0 {
-            let Some(envelope) = self.slots[index].take() else {
-                unreachable!("pool slot redeemed past its reference count")
-            };
-            self.free.push(slot);
-            envelope
-        } else {
-            let Some(envelope) = self.slots[index].as_ref() else {
-                unreachable!("pool slot redeemed past its reference count")
-            };
-            envelope.clone()
-        }
-    }
-}
-
 /// The simulator. Owns the two protocol nodes and the event queue.
 pub struct Simulation {
     config: SimConfig,
@@ -638,9 +574,6 @@ pub struct Simulation {
     /// run doubles as an equivalence test of the decision engine.
     oracle: Option<DecisionCore>,
     events: CalendarQueue<Event>,
-    /// Envelopes parked between transmission and delivery, indexed by the
-    /// slot the queued [`Event::Deliver`]/[`Event::GhostDeliver`] carries.
-    pool: EnvelopePool,
     seq: u64,
     /// The next workload arrival, staged outside the queue under the
     /// [`calendar::pack`]ed key (rank 1) the queued [`Event::Arrival`]
@@ -648,13 +581,13 @@ pub struct Simulation {
     /// so in the steady state arrivals never touch the queue at all: the
     /// run loop picks the earliest of the staged events and the queue head.
     staged_arrival: Option<(u128, Arrival)>,
-    /// A ghost-free delivery staged outside the queue and the pool,
-    /// same scheme. The §3 exchange serialization leaves at most one
-    /// envelope in the air, so the fault-free hot path pays neither a
-    /// queue round trip nor a pool slot per delivery; ghost-bearing
-    /// deliveries (and a rare second in-flight envelope under ARQ
-    /// retransmission) still go through the queue.
-    staged_delivery: Option<(u128, Envelope)>,
+    /// A ghost-free delivery's ticket staged outside the queue, same
+    /// scheme. The §3 exchange serialization leaves at most one envelope
+    /// in the air, so the fault-free hot path pays no queue round trip
+    /// per delivery; ghost-bearing deliveries (and a rare second
+    /// in-flight delivery under ARQ retransmission) still go through the
+    /// queue.
+    staged_delivery: Option<(u128, Ticket)>,
     /// Events the run loop has processed over the simulation's lifetime
     /// (a deterministic fact of config + workload + seeds, surfaced on
     /// [`SimReport::events_processed`] and the [`perf`](crate::perf)
@@ -786,9 +719,11 @@ pub struct Simulation {
 
 /// Book-keeping for the envelope the ARQ transport currently has in the
 /// air (stop-and-wait: the one unacknowledged transmission).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ArqOutstanding {
-    envelope: Envelope,
+    /// The envelope's ticket, re-sent on retransmission and matched on
+    /// delivery.
+    ticket: Ticket,
     /// Transmissions so far (1 = the original send).
     attempts: u32,
     /// Whether this envelope belongs to the reconnection handshake.
@@ -864,7 +799,6 @@ impl Simulation {
             }),
             config,
             events: CalendarQueue::new(),
-            pool: EnvelopePool::new(),
             seq: 0,
             staged_arrival: None,
             staged_delivery: None,
@@ -1018,20 +952,20 @@ impl Simulation {
     /// billed: they are a delivery artifact, not a send, and the protocol's
     /// epoch/sequence guards discard them — which is exactly the property
     /// the `properties.rs` proptests pin down.
-    fn transmit(&mut self, envelope: Envelope, reconciliation: bool) {
+    fn transmit(&mut self, ticket: Ticket, reconciliation: bool) {
         if self.config.arq.is_some() {
-            self.transmit_arq(envelope, reconciliation, 1);
+            self.transmit_arq(ticket, reconciliation, 1);
             return;
         }
-        self.bill_attempt(&envelope, reconciliation);
+        self.bill_attempt(ticket, reconciliation);
         let arrives = self.now + self.config.latency + self.cell_extra;
-        self.schedule_delivery(envelope, arrives);
+        self.schedule_delivery(ticket, arrives);
     }
 
     /// Bills one transmission attempt on the wireless link to its message
     /// class, and to the handshake counters or the at-risk exchange tally.
-    fn bill_attempt(&mut self, envelope: &Envelope, reconciliation: bool) {
-        match envelope.message.class() {
+    fn bill_attempt(&mut self, ticket: Ticket, reconciliation: bool) {
+        match ticket.class {
             crate::wire::MessageClass::Data => self.data_messages += 1,
             crate::wire::MessageClass::Control => self.control_messages += 1,
             crate::wire::MessageClass::Invalidation => {
@@ -1047,14 +981,13 @@ impl Simulation {
         }
     }
 
-    /// Parks the envelope in the pool and schedules its delivery plus any
-    /// ghost copies (duplication, stale reordering) a fault plan asks for.
-    /// Ghost fates are drawn up front so the pool slot's reference count
-    /// covers every scheduled taker; the fault stream sees the draws in
-    /// the same order as ever. Ghosts are scheduled but never billed: they
-    /// are a delivery artifact, not a send, and the protocol's
-    /// epoch/sequence guards discard them.
-    fn schedule_delivery(&mut self, envelope: Envelope, arrives: f64) {
+    /// Schedules the delivery of `ticket` plus any ghost copies
+    /// (duplication, stale reordering) a fault plan asks for. Ghost fates
+    /// are drawn up front, so a ghost-free delivery can be staged outside
+    /// the queue. Ghosts are scheduled but never billed: they are a
+    /// delivery artifact, not a send, and the protocol's epoch/sequence
+    /// guards discard them.
+    fn schedule_delivery(&mut self, ticket: Ticket, arrives: f64) {
         let (duplicate, reorder) = match (self.config.faults.as_ref(), self.fault_rng.as_mut()) {
             (Some(plan), Some(rng)) => (
                 plan.duplication > 0.0 && rng.draw() < plan.duplication,
@@ -1064,28 +997,26 @@ impl Simulation {
         };
         if !duplicate && !reorder && self.staged_delivery.is_none() {
             // The common ghost-free case: stage the sole in-flight
-            // delivery outside the queue and the pool. It is consumed in
+            // delivery outside the queue. It is consumed in
             // exact `(time, rank, seq)` order by the run loop's
             // three-way pick, under the very seq it would have queued
             // with — so billing, tie-breaks and digests are unchanged.
             self.seq += 1;
             let key = calendar::pack((arrives, PROTOCOL_RANK, self.seq));
-            self.staged_delivery = Some((key, envelope));
+            self.staged_delivery = Some((key, ticket));
             return;
         }
-        let refs = 1 + u32::from(duplicate) + u32::from(reorder);
-        let slot = self.pool.insert(envelope, refs);
-        self.push_event(arrives, Event::Deliver(slot));
+        self.push_event(arrives, Event::Deliver(ticket));
         let latency = self.config.latency;
         if duplicate {
             // The copy takes a marginally longer path and arrives right
             // behind the original: a straight duplicate.
-            self.push_event(arrives + 0.25 * latency + 1e-6, Event::GhostDeliver(slot));
+            self.push_event(arrives + 0.25 * latency + 1e-6, Event::GhostDeliver(ticket));
         }
         if reorder {
             // The copy is held up long enough to land behind *subsequent*
             // traffic: a genuinely out-of-order stale delivery.
-            self.push_event(arrives + 2.5 * latency + 1e-3, Event::GhostDeliver(slot));
+            self.push_event(arrives + 2.5 * latency + 1e-3, Event::GhostDeliver(ticket));
         }
     }
 
@@ -1094,7 +1025,7 @@ impl Simulation {
     /// arm the backoff timer. `attempts` counts this transmission (1 = the
     /// original send); retransmissions re-enter here from
     /// [`Simulation::handle_arq_timeout`].
-    fn transmit_arq(&mut self, envelope: Envelope, reconciliation: bool, attempts: u32) {
+    fn transmit_arq(&mut self, ticket: Ticket, reconciliation: bool, attempts: u32) {
         let (Some(arq), Some(rng)) = (self.config.arq, self.arq_rng.as_mut()) else {
             unreachable!("ARQ transmission requires an ArqConfig")
         };
@@ -1102,7 +1033,7 @@ impl Simulation {
         // position is a function of the attempt count alone.
         let lost = rng.draw() < arq.loss_probability;
         let jitter_u = rng.draw();
-        self.bill_attempt(&envelope, reconciliation);
+        self.bill_attempt(ticket, reconciliation);
         if attempts > 1 {
             self.retransmissions += 1;
             if !reconciliation {
@@ -1113,16 +1044,13 @@ impl Simulation {
         }
         if !lost {
             let arrives = self.now + self.config.latency + self.cell_extra;
-            // The outstanding slot keeps the owned envelope for
-            // retransmission and ack-matching; only a delivered attempt
-            // pays for a clone.
-            self.schedule_delivery(envelope.clone(), arrives);
+            self.schedule_delivery(ticket, arrives);
         }
         let rto = arq.timeout_for_attempt(attempts) * (1.0 + arq.jitter * jitter_u);
         self.arq_timer_seq += 1;
         let timer = self.arq_timer_seq;
         self.arq_outstanding = Some(ArqOutstanding {
-            envelope,
+            ticket,
             attempts,
             reconciliation,
             timer,
@@ -1148,7 +1076,7 @@ impl Simulation {
             unreachable!("ARQ timeout without an ArqConfig")
         };
         if out.attempts <= arq.retry_budget {
-            self.transmit_arq(out.envelope, out.reconciliation, out.attempts + 1);
+            self.transmit_arq(out.ticket, out.reconciliation, out.attempts + 1);
         } else {
             self.escalate_partition(out, arq);
         }
@@ -1335,10 +1263,10 @@ impl Simulation {
                     continue;
                 }
                 NextEvent::StagedDelivery => {
-                    let Some((_, envelope)) = self.staged_delivery.take() else {
+                    let Some((_, ticket)) = self.staged_delivery.take() else {
                         unreachable!("picked a staged delivery that is not there")
                     };
-                    self.handle_delivery(&envelope);
+                    self.handle_delivery(ticket);
                     continue;
                 }
                 NextEvent::Queue => {}
@@ -1348,14 +1276,10 @@ impl Simulation {
             };
             match event {
                 Event::Arrival(arrival) => self.handle_arrival(arrival, workload, limit),
-                Event::Deliver(slot) => {
-                    let envelope = self.pool.take(slot);
-                    self.handle_delivery(&envelope);
-                }
-                Event::GhostDeliver(slot) => {
+                Event::Deliver(ticket) => self.handle_delivery(ticket),
+                Event::GhostDeliver(ticket) => {
                     self.duplicated_deliveries += 1;
-                    let envelope = self.pool.take(slot);
-                    self.handle_delivery(&envelope);
+                    self.handle_delivery(ticket);
                 }
                 Event::Handoff => {
                     self.perform_handoff();
@@ -1798,7 +1722,7 @@ impl Simulation {
                 }
                 self.complete(arrival, action);
             }
-            StepOutcome::Sent(envelope) => {
+            StepOutcome::Sent(ticket) => {
                 debug_assert!(
                     self.link_up,
                     "wire traffic submitted while the link is down"
@@ -1807,7 +1731,7 @@ impl Simulation {
                     request: arrival.request,
                     arrived_at: arrival.time,
                 });
-                self.transmit(envelope, false);
+                self.transmit(ticket, false);
             }
             StepOutcome::Reconciled => unreachable!("submit never reconciles"),
         }
@@ -1835,20 +1759,21 @@ impl Simulation {
                     action,
                 );
             }
-            StepOutcome::Sent(envelope) => {
+            StepOutcome::Sent(ticket) => {
                 self.in_flight = Some(exchange);
-                self.transmit(envelope, false);
+                self.transmit(ticket, false);
             }
             StepOutcome::Reconciled => unreachable!("submit never reconciles"),
         }
     }
 
     /// Handles a scheduled delivery by stepping the protocol's transition
-    /// relation — if the envelope is still current. Ghost deliveries
-    /// (duplicates, stale reorders, envelopes destroyed by a disconnection)
-    /// are discarded by the protocol's epoch/sequence guards.
-    fn handle_delivery(&mut self, envelope: &Envelope) {
-        let Some(outcome) = self.protocol.receive(envelope) else {
+    /// relation — if the ticket's envelope is still current. Ghost
+    /// deliveries (duplicates, stale reorders, envelopes destroyed by a
+    /// disconnection) are discarded by the protocol's epoch/sequence
+    /// guards.
+    fn handle_delivery(&mut self, ticket: Ticket) {
+        let Some(outcome) = self.protocol.receive(ticket) else {
             self.discarded_deliveries += 1;
             return;
         };
@@ -1859,7 +1784,7 @@ impl Simulation {
             if self
                 .arq_outstanding
                 .as_ref()
-                .is_some_and(|out| out.envelope == *envelope)
+                .is_some_and(|out| out.ticket == ticket)
             {
                 self.arq_outstanding = None;
             }
@@ -2071,9 +1996,9 @@ impl Simulation {
         if let Some(volatile) = self.pending_crash {
             self.reconciling = true;
             match self.protocol.begin_reconciliation(volatile) {
-                StepOutcome::Sent(envelope) => {
+                StepOutcome::Sent(ticket) => {
                     self.extra_connections += 1; // the handshake's connection
-                    self.transmit(envelope, true);
+                    self.transmit(ticket, true);
                 }
                 outcome => unreachable!("reconciliation must start with a send: {outcome:?}"),
             }
@@ -3127,6 +3052,28 @@ mod mutation_regressions {
         let r = sim.run(&mut w, RunLimit::Requests(1_500));
         assert_eq!(r.retransmissions, 490);
         assert_eq!(r.makespan.to_bits(), 0x4097_c13d_5150_a875);
+    }
+
+    #[test]
+    fn degradation_starts_exactly_at_the_deadline() {
+        // Dyadic timings make the partition's age hit the deadline to the
+        // bit. The read arrives at 0.25; with every attempt lost, budget 1
+        // and timeouts 0.25 then 0.5, ARQ escalates at 1.0, probes at 2.0,
+        // and escalates again at 2.75 — exactly 1.75 into the partition —
+        // where the read must be shed, not retried a third time.
+        let arq = ArqConfig::new(1.0, 0.25, 3)
+            .and_then(|a| a.with_retry_budget(1))
+            .and_then(|a| a.with_degrade_deadline(1.75))
+            .unwrap();
+        let mut sim = SimBuilder::new(PolicySpec::St1)
+            .and_then(|b| b.arq(arq))
+            .unwrap()
+            .simulation();
+        let mut w = crate::workload::TraceWorkload::new("r".parse().unwrap(), 0.25);
+        let r = sim.run(&mut w, RunLimit::Requests(1));
+        assert_eq!(r.retry_escalations, 2);
+        assert_eq!(r.shed_requests(), 1);
+        assert_eq!(r.shed[0].at.to_bits(), 2.75f64.to_bits());
     }
 
     #[test]

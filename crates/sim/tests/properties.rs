@@ -8,8 +8,8 @@ use mdr_sim::calendar::{key_lt, pack, unpack, CalendarQueue};
 use mdr_sim::engine::{DecisionCore, ServeConfig, ServeEngine};
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
-    ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, RunLimit, SimBuilder, Simulation,
-    TopologyConfig, TraceWorkload,
+    ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, ProtocolState, RunLimit, SimBuilder,
+    Simulation, StepOutcome, Ticket, TopologyConfig, TraceWorkload,
 };
 use proptest::prelude::*;
 
@@ -636,6 +636,141 @@ proptest! {
         let a = stats(&mut engine, "a");
         prop_assert_eq!(&a, &stats(&mut engine, "b"));
         prop_assert_eq!(&a, &stats(&mut engine, "whole"));
+    }
+}
+
+/// One step of a caller that holds [`Ticket`]s, as the simulator does.
+/// Steps that do not fit the current state are skipped.
+#[derive(Debug, Clone, Copy)]
+enum TicketStep {
+    /// Submit a request (only while idle, not recovering, link up).
+    Submit(Request),
+    /// Receive the most recently issued ticket.
+    ReceiveLive,
+    /// Re-receive an earlier ticket, picked modulo the history's length.
+    ReceiveOld(usize),
+    /// Sever the link (only while it is up).
+    Disconnect,
+    /// Re-establish the link (only while it is down); a handshake the
+    /// outage interrupted restarts.
+    Reconnect,
+    /// The MC crashes, losing its volatile state if set: the link drops,
+    /// comes back, and the reconciliation handshake starts.
+    Crash(bool),
+}
+
+/// Receives are drawn most often, so exchanges and handshakes complete.
+fn arb_ticket_step() -> impl Strategy<Value = TicketStep> {
+    (0u8..14, prop::bool::ANY, 0usize..64).prop_map(|(kind, bit, pick)| match kind {
+        0..=2 => TicketStep::Submit(Request::from_bit(bit)),
+        3..=8 => TicketStep::ReceiveLive,
+        9 | 10 => TicketStep::ReceiveOld(pick),
+        11 => TicketStep::Disconnect,
+        12 => TicketStep::Reconnect,
+        _ => TicketStep::Crash(bit),
+    })
+}
+
+/// Receives `ticket` and checks it against a copy of the state taken
+/// before: an on-wire ticket steps the protocol exactly as `deliver` at
+/// its wire index does (c); any other ticket is discarded and leaves the
+/// state unchanged (b).
+fn receive_checked(
+    state: &mut ProtocolState,
+    ticket: Ticket,
+) -> Result<Option<StepOutcome>, TestCaseError> {
+    let before = state.clone();
+    let got = state.receive(ticket);
+    let on_wire = before.wire().iter().position(|e| {
+        (e.to, e.message.class(), e.epoch, e.seq)
+            == (ticket.to, ticket.class, ticket.epoch, ticket.seq)
+    });
+    match on_wire {
+        Some(index) => {
+            let mut expected = before;
+            let want = expected.deliver(index);
+            prop_assert_eq!(got, Some(want));
+            prop_assert_eq!(&*state, &expected);
+        }
+        None => {
+            prop_assert_eq!(got, None);
+            prop_assert_eq!(&*state, &before);
+        }
+    }
+    Ok(got)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ticket contract of [`ProtocolState`], for every roster policy
+    /// over random steps: (a) every `Sent` ticket carries the
+    /// destination, class, epoch and seq of the envelope just queued last
+    /// on the wire; (b) a ticket whose envelope is not on the wire — an
+    /// old ticket re-received, or one an outage destroyed — returns `None`
+    /// and leaves the state unchanged; (c) the live ticket steps the
+    /// protocol exactly as `deliver` at its wire index does.
+    #[test]
+    fn tickets_redeem_exactly_their_envelope(
+        steps in prop::collection::vec(arb_ticket_step(), 1..=64),
+    ) {
+        for spec in PolicySpec::roster(&[1, 3, 5], &[1, 2]) {
+            let mut state = ProtocolState::new(spec);
+            let mut issued: Vec<Ticket> = Vec::new();
+            let mut link_up = true;
+            for &step in &steps {
+                let outcome = match step {
+                    TicketStep::Submit(request) => {
+                        if !(link_up && state.idle() && !state.recovering()) {
+                            continue;
+                        }
+                        Some(state.submit(request))
+                    }
+                    TicketStep::ReceiveLive => match issued.last() {
+                        Some(&ticket) => receive_checked(&mut state, ticket)?,
+                        None => continue,
+                    },
+                    TicketStep::ReceiveOld(pick) => {
+                        if issued.is_empty() {
+                            continue;
+                        }
+                        receive_checked(&mut state, issued[pick % issued.len()])?
+                    }
+                    TicketStep::Disconnect => {
+                        if !link_up {
+                            continue;
+                        }
+                        state.disconnect();
+                        link_up = false;
+                        None
+                    }
+                    TicketStep::Reconnect => {
+                        if link_up {
+                            continue;
+                        }
+                        state.reconnect();
+                        link_up = true;
+                        state.recovering().then(|| state.begin_reconciliation(false))
+                    }
+                    TicketStep::Crash(volatile) => {
+                        state.disconnect();
+                        state.reconnect();
+                        link_up = true;
+                        Some(state.begin_reconciliation(volatile))
+                    }
+                };
+                if let Some(StepOutcome::Sent(ticket)) = outcome {
+                    let Some(e) = state.wire().last() else {
+                        return Err(TestCaseError::fail("a send left the wire empty"));
+                    };
+                    prop_assert_eq!(
+                        (ticket.to, ticket.class, ticket.epoch, ticket.seq),
+                        (e.to, e.message.class(), e.epoch, e.seq)
+                    );
+                    issued.push(ticket);
+                }
+            }
+        }
     }
 }
 

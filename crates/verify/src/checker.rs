@@ -375,9 +375,9 @@ fn submit(state: &mut State, request: Request, actions: &mut Vec<Action>, applie
             applied.completed += 1;
             state.attempts = 0;
         }
-        StepOutcome::Sent(envelope) => {
+        StepOutcome::Sent(ticket) => {
             state.attempts = 1;
-            state.bill_exchange(envelope.message.class());
+            state.bill_exchange(ticket.class);
         }
         StepOutcome::Reconciled => unreachable!("submit never reconciles"),
     }
@@ -425,9 +425,9 @@ fn apply(
             }
         }
         Transition::Deliver => match state.protocol.deliver(0) {
-            StepOutcome::Sent(envelope) => {
+            StepOutcome::Sent(ticket) => {
                 state.attempts = 1;
-                state.bill_sent(envelope.message.class());
+                state.bill_sent(ticket.class);
             }
             StepOutcome::Completed(action) => {
                 actions.push(action);
@@ -546,9 +546,9 @@ fn apply(
 /// Starts (or restarts) the reconnection handshake and bills the announce.
 fn restart_handshake(state: &mut State, volatile: bool) {
     match state.protocol.begin_reconciliation(volatile) {
-        StepOutcome::Sent(envelope) => {
+        StepOutcome::Sent(ticket) => {
             state.attempts = 1;
-            state.bill_recon(envelope.message.class());
+            state.bill_recon(ticket.class);
         }
         _ => unreachable!("the reconnection announce always goes on the wire"),
     }

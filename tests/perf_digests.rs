@@ -1,6 +1,6 @@
 //! Ledger-digest regression pins for the hot-path rewrite.
 //!
-//! The packed-key event queue, envelope pooling and batched RNG draws in
+//! The packed-key event queue, delivery tickets and batched RNG draws in
 //! `mdr-sim` are pure mechanical speedups: they must not move a single
 //! event, draw, or billed message. These tests pin the FNV-1a ledger
 //! digest of every CI sweep preset (E6, E17, E18, E19) to the values the
@@ -22,7 +22,7 @@ fn fast_report(name: &str) -> SweepReport {
 }
 
 /// The pre-rewrite digests, captured from the heap-based simulator at
-/// the commit that introduced this test. The queue/pool/RNG rewrite must
+/// the commit that introduced this test. The queue/ticket/RNG rewrite must
 /// reproduce them bit for bit.
 const PINNED: &[(&str, u64)] = &[
     ("e6", 0x7c56_bffb_ee11_e10f),
