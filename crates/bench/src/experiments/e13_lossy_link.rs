@@ -17,7 +17,7 @@
 use crate::table::{fmt, Experiment, Table};
 use crate::RunCfg;
 use mdr_core::{CostModel, PolicySpec};
-use mdr_sim::{ArqConfig, PoissonWorkload, RunLimit, SimBuilder, SimReport};
+use mdr_sim::{ArqConfig, PoissonWorkload, SimBuilder, SimReport};
 
 fn lossy_run(spec: PolicySpec, theta: f64, loss: f64, n: usize) -> SimReport {
     let Ok(builder) = ArqConfig::new(loss, 0.05, 0xE13)
@@ -28,7 +28,7 @@ fn lossy_run(spec: PolicySpec, theta: f64, loss: f64, n: usize) -> SimReport {
     };
     let mut sim = builder.simulation();
     let mut workload = PoissonWorkload::from_theta(1.0, theta, 0xE13);
-    sim.run(&mut workload, RunLimit::Requests(n))
+    sim.run(&mut workload, n)
 }
 
 /// Message-model cost per request of the protocol's own traffic:

@@ -12,7 +12,7 @@
 use crate::table::{fmt, Experiment, Table};
 use crate::RunCfg;
 use mdr_core::{approx_eq, CostModel, PolicySpec};
-use mdr_sim::{PoissonWorkload, RunLimit, SimBuilder, SimReport, Simulation};
+use mdr_sim::{PoissonWorkload, SimBuilder, SimReport, Simulation};
 
 fn roam(spec: PolicySpec, cells: Option<Vec<f64>>, n: usize) -> SimReport {
     let Ok(builder) = SimBuilder::new(spec).and_then(|b| b.latency(0.02)) else {
@@ -28,7 +28,7 @@ fn roam(spec: PolicySpec, cells: Option<Vec<f64>>, n: usize) -> SimReport {
     };
     let mut sim = Simulation::new(builder.build());
     let mut workload = PoissonWorkload::from_theta(1.0, 0.4, 0xE15);
-    sim.run(&mut workload, RunLimit::Requests(n))
+    sim.run(&mut workload, n)
 }
 
 /// Runs the experiment.

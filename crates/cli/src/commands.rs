@@ -13,8 +13,8 @@ use mdr_sim::engine::{run_serve_bench, serve_bench_lines, ServeConfig, ServeEngi
 use mdr_sim::perf::Stopwatch;
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
-    ArqConfig, ConfigError, DurableServe, FaultPlan, JournalConfig, PoissonWorkload, RunLimit,
-    SimBuilder, TopologyConfig,
+    ArqConfig, ConfigError, DurableServe, FaultPlan, JournalConfig, PoissonWorkload, SimBuilder,
+    TopologyConfig,
 };
 use std::fmt::Write as _;
 
@@ -185,7 +185,7 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     }
     let mut sim = builder.simulation();
     let mut workload = PoissonWorkload::from_theta(1.0, theta, seed);
-    let report = sim.run(&mut workload, RunLimit::Requests(requests));
+    let report = sim.run(&mut workload, requests);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -205,7 +205,10 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "  replica: {} allocations, {} deallocations; mean read latency {:.4}; {} queued",
-        report.allocations, report.deallocations, report.mean_read_latency, report.queued_requests
+        report.counts.allocations(),
+        report.counts.deallocations(),
+        report.mean_read_latency,
+        report.queued_requests
     );
     if fault_rate > 0.0 {
         let _ = writeln!(

@@ -328,11 +328,10 @@ mod tests {
 
     #[test]
     fn simulation_convenience_runs() {
-        use crate::sim::RunLimit;
         use crate::workload::PoissonWorkload;
         let mut sim = SimBuilder::new(PolicySpec::St1).unwrap().simulation();
         let mut w = PoissonWorkload::from_theta(1.0, 0.2, 3);
-        let report = sim.run(&mut w, RunLimit::Requests(100));
+        let report = sim.run(&mut w, 100);
         assert_eq!(report.counts.total(), 100);
     }
 }

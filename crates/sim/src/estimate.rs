@@ -8,7 +8,7 @@
 //! * [`Summary`] — mean / variance / 95% confidence interval over
 //!   replications.
 
-use crate::sim::{RunLimit, SimConfig, Simulation};
+use crate::sim::{SimConfig, Simulation};
 use crate::workload::{DriftingPoisson, PoissonWorkload};
 use mdr_core::{CostModel, PolicySpec};
 
@@ -95,7 +95,7 @@ pub fn estimate_expected_cost(
     let samples = crate::sweep::parallel_map(config.replications, 0, 1, |i| {
         let mut sim = Simulation::new(SimConfig::defaults(spec));
         let mut workload = PoissonWorkload::from_theta(1.0, theta, config.seed + i as u64);
-        let report = sim.run(&mut workload, RunLimit::Requests(config.requests_per_run));
+        let report = sim.run(&mut workload, config.requests_per_run);
         report.cost_per_request(model)
     });
     Summary::from_samples(&samples)
@@ -119,10 +119,7 @@ pub fn estimate_average_cost(
             Some(periods),
             config.seed + i as u64,
         );
-        let report = sim.run(
-            &mut workload,
-            RunLimit::Requests(requests_per_period * periods),
-        );
+        let report = sim.run(&mut workload, requests_per_period * periods);
         report.cost_per_request(model)
     });
     Summary::from_samples(&samples)

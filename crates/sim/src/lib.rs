@@ -62,8 +62,7 @@ pub use journal::{
 pub use nodes::{MobileNode, StationaryNode};
 pub use protocol::{Envelope, ProtocolState, StepOutcome, Ticket};
 pub use sim::{
-    InvariantMonitor, MobilityConfig, RunLimit, ShedReason, ShedRequest, SimConfig, SimReport,
-    Simulation,
+    InvariantMonitor, MobilityConfig, ShedReason, ShedRequest, SimConfig, SimReport, Simulation,
 };
 pub use topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
 pub use wire::{Endpoint, MessageClass, WireMessage};

@@ -125,17 +125,11 @@ impl SimConfig {
     }
 }
 
-/// Stopping rule for a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RunLimit {
-    /// Stop after this many relevant requests have been *served*.
-    Requests(usize),
-    /// Stop at the first arrival after this simulation time.
-    Time(f64),
-}
-
-/// What happened during a run.
-#[derive(Debug, Clone, PartialEq)]
+/// What happened during a run — the one list of the simulator's counters.
+/// A running [`Simulation`] counts straight into one of these, so a new
+/// counter is declared here and nowhere else; the [`sweep`](crate::sweep)
+/// ledger prints and digests it by name.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// The serialized request order the run actually served.
     pub schedule: Schedule,
@@ -154,10 +148,6 @@ pub struct SimReport {
     pub mean_read_latency: f64,
     /// Requests that had to queue behind an in-flight exchange.
     pub queued_requests: u64,
-    /// Replica allocations performed.
-    pub allocations: u64,
-    /// Replica deallocations performed.
-    pub deallocations: u64,
     /// Transmission attempts beyond each envelope's first: the ARQ
     /// transport's timed retransmissions (0 on a lossless link).
     pub retransmissions: u64,
@@ -588,34 +578,26 @@ pub struct Simulation {
     /// in-flight delivery under ARQ retransmission) still go through the
     /// queue.
     staged_delivery: Option<(u128, Ticket)>,
-    /// Events the run loop has processed over the simulation's lifetime
-    /// (a deterministic fact of config + workload + seeds, surfaced on
-    /// [`SimReport::events_processed`] and the [`perf`](crate::perf)
-    /// measurements).
-    events_processed: u64,
     /// Arrivals waiting for the in-flight exchange to finish.
     pending: VecDeque<Arrival>,
     in_flight: Option<Exchange>,
     now: f64,
-    // accounting
-    schedule: Schedule,
-    data_messages: u64,
-    control_messages: u64,
-    queued_requests: u64,
-    retransmissions: u64,
-    mobility_rng: Option<BatchedF64>,
-    current_cell: usize,
-    /// Cached `cell_extra_latency[current_cell]` (0 without the mobility
-    /// model), so the per-transmit hot path reads one `f64` instead of
-    /// indexing through the config.
-    cell_extra: f64,
-    handoffs: u64,
+    /// The run's counters, kept in the report they end up in: the
+    /// handlers count straight into it, and [`Simulation::report`] clones
+    /// it and fills in the fields derived from other state.
+    tally: SimReport,
     read_latency_sum: f64,
     reads_completed: u64,
     served: usize,
     /// Absolute request-count target for the current `run` call (serving
     /// stops exactly there, even mid-drain).
     target: usize,
+    mobility_rng: Option<BatchedF64>,
+    current_cell: usize,
+    /// Cached `cell_extra_latency[current_cell]` (0 without the mobility
+    /// model), so the per-transmit hot path reads one `f64` instead of
+    /// indexing through the config.
+    cell_extra: f64,
     // --- fault injection (None / quiescent without a FaultPlan) ---
     fault_rng: Option<BatchedF64>,
     /// Whether the initial link-down has been scheduled (once per
@@ -636,14 +618,6 @@ pub struct Simulation {
     /// event loop stop instead of chasing self-perpetuating maintenance
     /// events forever).
     arrivals_done: bool,
-    disconnects: u64,
-    mc_crashes: u64,
-    sc_outages: u64,
-    duplicated_deliveries: u64,
-    discarded_deliveries: u64,
-    aborted_messages: u64,
-    reconciliation_messages: u64,
-    reconciliations: u64,
     /// Billed attempts of the exchange currently in flight — moved into
     /// `aborted_messages` if a disconnection kills the exchange.
     exchange_messages: u64,
@@ -671,14 +645,6 @@ pub struct Simulation {
     /// enabled, at an injected link-down; cleared at the first successful
     /// delivery after it).
     partitioned_since: Option<f64>,
-    settled_retransmissions: u64,
-    arq_acks: u64,
-    retry_escalations: u64,
-    shed: Vec<ShedRequest>,
-    degraded_reads: u64,
-    staleness_sum: f64,
-    recovery_time_sum: f64,
-    recoveries: u64,
     // --- multi-cell topology (None / quiescent without a TopologyConfig) ---
     /// Dwell times, destination cells, and handoff-leg loss/jitter draws.
     topology_rng: Option<BatchedF64>,
@@ -703,17 +669,6 @@ pub struct Simulation {
     /// from the owner cell: reads are served stale from the origin and
     /// wire-needing requests are shed with a typed outcome.
     handoff_stuck: bool,
-    migrations: u64,
-    handoffs_committed: u64,
-    handoffs_aborted: u64,
-    handoff_messages: u64,
-    settled_handoff_messages: u64,
-    aborted_handoff_messages: u64,
-    invalidation_messages: u64,
-    invalidation_rounds: u64,
-    replicas_invalidated: u64,
-    stale_reads: u64,
-    handoff_discards: u64,
     monitor: InvariantMonitor,
 }
 
@@ -802,19 +757,13 @@ impl Simulation {
             seq: 0,
             staged_arrival: None,
             staged_delivery: None,
-            events_processed: 0,
             pending: VecDeque::new(),
             in_flight: None,
             now: 0.0,
-            schedule: Schedule::new(),
-            data_messages: 0,
-            control_messages: 0,
-            queued_requests: 0,
-            retransmissions: 0,
+            tally: SimReport::default(),
             mobility_rng,
             current_cell: 0,
             cell_extra,
-            handoffs: 0,
             read_latency_sum: 0.0,
             reads_completed: 0,
             served: 0,
@@ -827,14 +776,6 @@ impl Simulation {
             pending_crash: None,
             reconciling: false,
             arrivals_done: false,
-            disconnects: 0,
-            mc_crashes: 0,
-            sc_outages: 0,
-            duplicated_deliveries: 0,
-            discarded_deliveries: 0,
-            aborted_messages: 0,
-            reconciliation_messages: 0,
-            reconciliations: 0,
             exchange_messages: 0,
             exchange_retrans: 0,
             extra_connections: 0,
@@ -844,14 +785,6 @@ impl Simulation {
             link_token: 0,
             declared_down: false,
             partitioned_since: None,
-            settled_retransmissions: 0,
-            arq_acks: 0,
-            retry_escalations: 0,
-            shed: Vec::new(),
-            degraded_reads: 0,
-            staleness_sum: 0.0,
-            recovery_time_sum: 0.0,
-            recoveries: 0,
             topology_rng,
             topology_ghost_rng,
             mc_cell: home_cell,
@@ -860,17 +793,6 @@ impl Simulation {
             handoff: None,
             handoff_epoch: 0,
             handoff_stuck: false,
-            migrations: 0,
-            handoffs_committed: 0,
-            handoffs_aborted: 0,
-            handoff_messages: 0,
-            settled_handoff_messages: 0,
-            aborted_handoff_messages: 0,
-            invalidation_messages: 0,
-            invalidation_rounds: 0,
-            replicas_invalidated: 0,
-            stale_reads: 0,
-            handoff_discards: 0,
             monitor: InvariantMonitor::new(),
         }
     }
@@ -886,9 +808,9 @@ impl Simulation {
     /// queues it behind that one). Consumes a `seq` either way, at the
     /// exact point the old queue-everything loop consumed it, so event
     /// keys — and therefore tie-breaks and digests — are unchanged.
-    fn stage_next_arrival(&mut self, workload: &mut dyn ArrivalProcess, limit: RunLimit) {
+    fn stage_next_arrival(&mut self, workload: &mut dyn ArrivalProcess) {
         match workload.next_arrival() {
-            Some(a) if !matches!(limit, RunLimit::Time(t) if a.time > t) => {
+            Some(a) => {
                 if self.staged_arrival.is_none() {
                     self.seq += 1;
                     let key = calendar::pack((a.time, PROTOCOL_RANK, self.seq));
@@ -897,19 +819,14 @@ impl Simulation {
                     self.push_event(a.time, Event::Arrival(a));
                 }
             }
-            _ => self.arrivals_done = true,
+            None => self.arrivals_done = true,
         }
     }
 
     /// Processes one arrival: stage its successor first (so service never
     /// starves), then begin service, shed, or queue it.
-    fn handle_arrival(
-        &mut self,
-        arrival: Arrival,
-        workload: &mut dyn ArrivalProcess,
-        limit: RunLimit,
-    ) {
-        self.stage_next_arrival(workload, limit);
+    fn handle_arrival(&mut self, arrival: Arrival, workload: &mut dyn ArrivalProcess) {
+        self.stage_next_arrival(workload);
         if self.can_begin_service(arrival.request) {
             self.begin_service(arrival);
         } else if self.degraded()
@@ -936,7 +853,7 @@ impl Simulation {
             // origin cell).
             self.shed_request(arrival, ShedReason::HandoffStuck);
         } else {
-            self.queued_requests += 1;
+            self.tally.queued_requests += 1;
             self.pending.push_back(arrival);
         }
     }
@@ -966,8 +883,8 @@ impl Simulation {
     /// class, and to the handshake counters or the at-risk exchange tally.
     fn bill_attempt(&mut self, ticket: Ticket, reconciliation: bool) {
         match ticket.class {
-            crate::wire::MessageClass::Data => self.data_messages += 1,
-            crate::wire::MessageClass::Control => self.control_messages += 1,
+            crate::wire::MessageClass::Data => self.tally.data_messages += 1,
+            crate::wire::MessageClass::Control => self.tally.control_messages += 1,
             crate::wire::MessageClass::Invalidation => {
                 // Invalidation traffic rides the wired backbone, never the
                 // MC/SC wireless link.
@@ -975,7 +892,7 @@ impl Simulation {
             }
         }
         if reconciliation {
-            self.reconciliation_messages += 1;
+            self.tally.reconciliation_messages += 1;
         } else {
             self.exchange_messages += 1;
         }
@@ -1035,7 +952,7 @@ impl Simulation {
         let jitter_u = rng.draw();
         self.bill_attempt(ticket, reconciliation);
         if attempts > 1 {
-            self.retransmissions += 1;
+            self.tally.retransmissions += 1;
             if !reconciliation {
                 self.exchange_retrans += 1;
             }
@@ -1086,7 +1003,7 @@ impl Simulation {
     /// the exchange to the existing reconnect/suspend machinery, and probe
     /// for the link later (the backoff law continues past the budget).
     fn escalate_partition(&mut self, out: ArqOutstanding, arq: ArqConfig) {
-        self.retry_escalations += 1;
+        self.tally.retry_escalations += 1;
         self.link_up = false;
         self.declared_down = true;
         // A declared partition behaves like a doze: both sides keep their
@@ -1107,7 +1024,7 @@ impl Simulation {
                 unreachable!("non-reconciliation ARQ traffic implies an exchange in flight")
             };
             debug_assert_eq!(aborted, Some(exchange.request));
-            self.aborted_messages += self.exchange_messages;
+            self.tally.aborted_messages += self.exchange_messages;
             self.exchange_messages = 0;
             self.exchange_retrans = 0;
             self.extra_connections += 1; // the wasted connection setup
@@ -1147,7 +1064,7 @@ impl Simulation {
     /// Sheds a request with a typed outcome: it never enters the schedule,
     /// the ledger, or the oracle.
     fn shed_request(&mut self, arrival: Arrival, reason: ShedReason) {
-        self.shed.push(ShedRequest {
+        self.tally.shed.push(ShedRequest {
             at: self.now,
             request: arrival.request,
             reason,
@@ -1185,11 +1102,12 @@ impl Simulation {
         if self.config.arq.is_none() {
             return;
         }
-        self.control_messages += 1;
-        self.arq_acks += 1;
+        self.tally.control_messages += 1;
+        self.tally.arq_acks += 1;
     }
 
-    /// Runs the protocol over `workload` until `limit`, returning the
+    /// Runs the protocol over `workload` until `requests` more relevant
+    /// requests have been served (or the workload runs dry), returning the
     /// report.
     ///
     /// # Panics
@@ -1197,11 +1115,8 @@ impl Simulation {
     /// Panics (in oracle mode) if the distributed execution ever diverges
     /// from the reference policy, or if a protocol invariant (single window
     /// owner, replica freshness) is violated.
-    pub fn run(&mut self, workload: &mut dyn ArrivalProcess, limit: RunLimit) -> SimReport {
-        self.target = match limit {
-            RunLimit::Requests(n) => self.served.saturating_add(n),
-            RunLimit::Time(_) => usize::MAX,
-        };
+    pub fn run(&mut self, workload: &mut dyn ArrivalProcess, requests: usize) -> SimReport {
+        self.target = self.served.saturating_add(requests);
         let target = self.target;
         self.arrivals_done = false;
         // Prime the movement process.
@@ -1220,7 +1135,7 @@ impl Simulation {
             self.schedule_next_link_down();
         }
         // Prime the first arrival.
-        self.stage_next_arrival(workload, limit);
+        self.stage_next_arrival(workload);
         while self.served < target {
             // With no arrivals left and nothing in service, the only events
             // remaining are self-perpetuating maintenance (link faults,
@@ -1253,13 +1168,13 @@ impl Simulation {
             let (at, _, _) = calendar::unpack(key);
             debug_assert!(at >= self.now - 1e-9, "time went backwards");
             self.now = at.max(self.now);
-            self.events_processed += 1;
+            self.tally.events_processed += 1;
             match source {
                 NextEvent::StagedArrival => {
                     let Some((_, arrival)) = self.staged_arrival.take() else {
                         unreachable!("picked a staged arrival that is not there")
                     };
-                    self.handle_arrival(arrival, workload, limit);
+                    self.handle_arrival(arrival, workload);
                     continue;
                 }
                 NextEvent::StagedDelivery => {
@@ -1275,10 +1190,10 @@ impl Simulation {
                 unreachable!("picked a queue head from an empty queue")
             };
             match event {
-                Event::Arrival(arrival) => self.handle_arrival(arrival, workload, limit),
+                Event::Arrival(arrival) => self.handle_arrival(arrival, workload),
                 Event::Deliver(ticket) => self.handle_delivery(ticket),
                 Event::GhostDeliver(ticket) => {
-                    self.duplicated_deliveries += 1;
+                    self.tally.duplicated_deliveries += 1;
                     self.handle_delivery(ticket);
                 }
                 Event::Handoff => {
@@ -1312,12 +1227,12 @@ impl Simulation {
     pub fn run_timed(
         &mut self,
         workload: &mut dyn ArrivalProcess,
-        limit: RunLimit,
+        requests: usize,
     ) -> (SimReport, PerfStats) {
-        let before = self.events_processed;
+        let before = self.tally.events_processed;
         let watch = Stopwatch::start();
-        let report = self.run(workload, limit);
-        let stats = watch.stats(self.events_processed - before);
+        let report = self.run(workload, requests);
+        let stats = watch.stats(self.tally.events_processed - before);
         (report, stats)
     }
 
@@ -1349,7 +1264,7 @@ impl Simulation {
             }
             self.current_cell = next.min(cells - 1);
         }
-        self.handoffs += 1;
+        self.tally.handoffs += 1;
         self.cell_extra = self
             .config
             .mobility
@@ -1394,7 +1309,7 @@ impl Simulation {
             }
             self.mc_cell = next.min(cells - 1);
         }
-        self.migrations += 1;
+        self.tally.migrations += 1;
         if self.handoff.is_some() {
             self.abort_handoff();
         }
@@ -1454,7 +1369,7 @@ impl Simulation {
         flight.messages += 1;
         let attempt = flight.attempts;
         let epoch = flight.epoch;
-        self.handoff_messages += 1;
+        self.tally.handoff_messages += 1;
         if !lost {
             // Backbone legs ride SC-to-SC wiring at the base latency: no
             // cellular extra, no wireless billing.
@@ -1524,7 +1439,7 @@ impl Simulation {
             .as_ref()
             .is_some_and(|f| f.epoch == epoch && f.awaiting == leg);
         if !current {
-            self.handoff_discards += 1;
+            self.tally.handoff_discards += 1;
             return;
         }
         match leg {
@@ -1590,8 +1505,8 @@ impl Simulation {
         let Some(flight) = self.handoff.take() else {
             return;
         };
-        self.handoffs_aborted += 1;
-        self.aborted_handoff_messages += flight.messages;
+        self.tally.handoffs_aborted += 1;
+        self.tally.aborted_handoff_messages += flight.messages;
         if flight.transfer_landed {
             self.stale_replica[flight.target] = true;
         }
@@ -1622,8 +1537,8 @@ impl Simulation {
             flight.target, self.mc_cell,
             "a migration mid-flight re-fences the handoff"
         );
-        self.settled_handoff_messages += flight.messages;
-        self.handoffs_committed += 1;
+        self.tally.settled_handoff_messages += flight.messages;
+        self.tally.handoffs_committed += 1;
         self.stale_replica[flight.origin] = true;
         self.owner_cell = flight.target;
         self.stale_replica[flight.target] = false;
@@ -1636,12 +1551,12 @@ impl Simulation {
                 .as_ref()
                 .is_some_and(|t| t.broadcast_invalidation);
             if broadcast {
-                self.invalidation_messages += 1;
-                self.invalidation_rounds += 1;
+                self.tally.invalidation_messages += 1;
+                self.tally.invalidation_rounds += 1;
             } else {
-                self.invalidation_messages += stale;
+                self.tally.invalidation_messages += stale;
             }
-            self.replicas_invalidated += stale;
+            self.tally.replicas_invalidated += stale;
             for s in &mut self.stale_replica {
                 *s = false;
             }
@@ -1710,14 +1625,14 @@ impl Simulation {
                         let Some(since) = self.partitioned_since else {
                             unreachable!("degraded mode implies a partition start time")
                         };
-                        self.degraded_reads += 1;
-                        self.staleness_sum += self.now - since;
+                        self.tally.degraded_reads += 1;
+                        self.tally.staleness_sum += self.now - since;
                     }
                     if self.mc_cell != self.owner_cell {
                         // Window ownership is away from (or migrating
                         // toward) the MC's cell: the read is served stale
                         // from the origin cell's state.
-                        self.stale_reads += 1;
+                        self.tally.stale_reads += 1;
                     }
                 }
                 self.complete(arrival, action);
@@ -1774,7 +1689,7 @@ impl Simulation {
     /// guards.
     fn handle_delivery(&mut self, ticket: Ticket) {
         let Some(outcome) = self.protocol.receive(ticket) else {
-            self.discarded_deliveries += 1;
+            self.tally.discarded_deliveries += 1;
             return;
         };
         if self.config.arq.is_some() {
@@ -1789,8 +1704,8 @@ impl Simulation {
                 self.arq_outstanding = None;
             }
             if let Some(since) = self.partitioned_since.take() {
-                self.recovery_time_sum += self.now - since;
-                self.recoveries += 1;
+                self.tally.recovery_time_sum += self.now - since;
+                self.tally.recoveries += 1;
             }
         }
         match outcome {
@@ -1817,7 +1732,7 @@ impl Simulation {
                 self.bill_ack();
                 self.reconciling = false;
                 self.pending_crash = None;
-                self.reconciliations += 1;
+                self.tally.reconciliations += 1;
                 self.resume_after_outage();
             }
         }
@@ -1828,7 +1743,7 @@ impl Simulation {
             unreachable!("no exchange to finish")
         };
         self.exchange_messages = 0;
-        self.settled_retransmissions += self.exchange_retrans;
+        self.tally.settled_retransmissions += self.exchange_retrans;
         self.exchange_retrans = 0;
         self.complete(
             Arrival {
@@ -1917,10 +1832,10 @@ impl Simulation {
             }
         }
         let (kind, duration) = self.draw_outage();
-        self.disconnects += 1;
+        self.tally.disconnects += 1;
         match kind {
-            FaultKind::CrashVolatile | FaultKind::CrashStable => self.mc_crashes += 1,
-            FaultKind::ScOutage => self.sc_outages += 1,
+            FaultKind::CrashVolatile | FaultKind::CrashStable => self.tally.mc_crashes += 1,
+            FaultKind::ScOutage => self.tally.sc_outages += 1,
             FaultKind::Doze => {}
         }
         self.outage_kind = Some(kind);
@@ -1939,7 +1854,7 @@ impl Simulation {
                 unreachable!("in_flight checked above")
             };
             debug_assert_eq!(aborted, Some(exchange.request));
-            self.aborted_messages += self.exchange_messages;
+            self.tally.aborted_messages += self.exchange_messages;
             self.exchange_messages = 0;
             self.exchange_retrans = 0;
             self.extra_connections += 1; // the wasted connection setup
@@ -2022,7 +1937,7 @@ impl Simulation {
     /// schedule entry is made here, at completion, so shed requests never
     /// appear in it and `schedule.len()` always equals `counts.total()`.
     fn complete(&mut self, arrival: Arrival, action: Action) {
-        self.schedule.push(arrival.request);
+        self.tally.schedule.push(arrival.request);
         self.served += 1;
         self.check_invariants(arrival.request, action);
     }
@@ -2037,12 +1952,12 @@ impl Simulation {
         // before `complete` ran, so the identity is exact here.
         let counts = self.protocol.counts();
         self.monitor.check_billing(
-            self.data_messages + self.control_messages,
+            self.tally.data_messages + self.tally.control_messages,
             counts.data_messages() + counts.control_messages(),
-            self.settled_retransmissions,
-            self.aborted_messages + self.exchange_messages,
-            self.reconciliation_messages,
-            self.arq_acks,
+            self.tally.settled_retransmissions,
+            self.tally.aborted_messages + self.exchange_messages,
+            self.tally.reconciliation_messages,
+            self.tally.arq_acks,
         );
         // Handoff-ledger consistency (mobility extension): backbone legs
         // and invalidation traffic close their own identities — handoff
@@ -2057,16 +1972,16 @@ impl Simulation {
                 .as_ref()
                 .is_some_and(|t| t.broadcast_invalidation);
             let invalidation_expected = if broadcast {
-                self.invalidation_rounds
+                self.tally.invalidation_rounds
             } else {
-                self.replicas_invalidated
+                self.tally.replicas_invalidated
             };
             self.monitor.check_handoff_billing(
-                self.handoff_messages,
-                self.settled_handoff_messages,
-                self.aborted_handoff_messages,
+                self.tally.handoff_messages,
+                self.tally.settled_handoff_messages,
+                self.tally.aborted_handoff_messages,
                 in_flight,
-                self.invalidation_messages,
+                self.tally.invalidation_messages,
                 invalidation_expected,
             );
         }
@@ -2087,13 +2002,13 @@ impl Simulation {
         }
     }
 
+    /// The tally plus the fields derived from other state: the protocol
+    /// ledger's counts, the connections they imply, the clock, the mean
+    /// read latency and the monitor's check count.
     fn report(&self) -> SimReport {
         let counts = self.protocol.counts();
         SimReport {
-            schedule: self.schedule.clone(),
             counts,
-            data_messages: self.data_messages,
-            control_messages: self.control_messages,
             connections: counts.connections() + self.extra_connections,
             makespan: self.now,
             mean_read_latency: if self.reads_completed == 0 {
@@ -2101,40 +2016,8 @@ impl Simulation {
             } else {
                 self.read_latency_sum / self.reads_completed as f64
             },
-            queued_requests: self.queued_requests,
-            allocations: counts.allocations(),
-            deallocations: counts.deallocations(),
-            retransmissions: self.retransmissions,
-            handoffs: self.handoffs,
-            disconnects: self.disconnects,
-            mc_crashes: self.mc_crashes,
-            sc_outages: self.sc_outages,
-            duplicated_deliveries: self.duplicated_deliveries,
-            discarded_deliveries: self.discarded_deliveries,
-            aborted_messages: self.aborted_messages,
-            reconciliation_messages: self.reconciliation_messages,
-            reconciliations: self.reconciliations,
-            settled_retransmissions: self.settled_retransmissions,
-            arq_acks: self.arq_acks,
-            retry_escalations: self.retry_escalations,
-            shed: self.shed.clone(),
-            degraded_reads: self.degraded_reads,
-            staleness_sum: self.staleness_sum,
-            recovery_time_sum: self.recovery_time_sum,
-            recoveries: self.recoveries,
             invariant_checks: self.monitor.checks(),
-            events_processed: self.events_processed,
-            migrations: self.migrations,
-            handoffs_committed: self.handoffs_committed,
-            handoffs_aborted: self.handoffs_aborted,
-            handoff_messages: self.handoff_messages,
-            settled_handoff_messages: self.settled_handoff_messages,
-            aborted_handoff_messages: self.aborted_handoff_messages,
-            invalidation_messages: self.invalidation_messages,
-            invalidation_rounds: self.invalidation_rounds,
-            replicas_invalidated: self.replicas_invalidated,
-            stale_reads: self.stale_reads,
-            handoff_discards: self.handoff_discards,
+            ..self.tally.clone()
         }
     }
 }
@@ -2148,7 +2031,7 @@ impl Simulation {
     pub fn run_poisson(spec: PolicySpec, theta: f64, requests: usize, seed: u64) -> SimReport {
         let mut sim = Simulation::new(SimConfig::defaults(spec));
         let mut workload = crate::workload::PoissonWorkload::from_theta(1.0, theta, seed);
-        sim.run(&mut workload, RunLimit::Requests(requests))
+        sim.run(&mut workload, requests)
     }
 
     /// Convenience constructor-and-run: push an explicit schedule through
@@ -2159,7 +2042,7 @@ impl Simulation {
         config.latency = 0.001;
         let mut sim = Simulation::new(config);
         let mut workload = crate::workload::TraceWorkload::new(schedule.clone(), 1.0);
-        sim.run(&mut workload, RunLimit::Requests(schedule.len()))
+        sim.run(&mut workload, schedule.len())
     }
 }
 
@@ -2168,6 +2051,20 @@ mod tests {
     use super::*;
     use crate::SimBuilder;
     use mdr_core::run_spec;
+
+    /// Cuts `workload` off at simulation time `end`: the first arrival
+    /// after `end` ends the process, so a run stops once the arrivals up to
+    /// `end` are served.
+    pub(super) struct Until<W> {
+        pub(super) workload: W,
+        pub(super) end: f64,
+    }
+
+    impl<W: ArrivalProcess> ArrivalProcess for Until<W> {
+        fn next_arrival(&mut self) -> Option<Arrival> {
+            self.workload.next_arrival().filter(|a| a.time <= self.end)
+        }
+    }
 
     #[test]
     fn protocol_equals_reference_policy_on_fixed_schedules() {
@@ -2232,7 +2129,7 @@ mod tests {
                 .unwrap()
                 .simulation();
             let mut w = crate::workload::TraceWorkload::new(sched.clone(), 1.0);
-            sim.run(&mut w, RunLimit::Requests(sched.len()))
+            sim.run(&mut w, sched.len())
         };
         let fast = run(0.0);
         let slow = run(0.4);
@@ -2251,7 +2148,7 @@ mod tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::TraceWorkload::new(sched, 0.1);
-        let report = sim.run(&mut w, RunLimit::Requests(50));
+        let report = sim.run(&mut w, 50);
         assert!(report.queued_requests > 0);
         assert_eq!(report.counts.total(), 50);
         // Serialization keeps the cost exactly reads × 1 connection.
@@ -2261,8 +2158,11 @@ mod tests {
     #[test]
     fn time_limit_stops_the_run() {
         let mut sim = SimBuilder::new(PolicySpec::St2).unwrap().simulation();
-        let mut w = crate::workload::PoissonWorkload::from_theta(10.0, 0.5, 3);
-        let report = sim.run(&mut w, RunLimit::Time(5.0));
+        let mut w = Until {
+            workload: crate::workload::PoissonWorkload::from_theta(10.0, 0.5, 3),
+            end: 5.0,
+        };
+        let report = sim.run(&mut w, usize::MAX);
         // ≈ 50 expected arrivals; generous envelope.
         let n = report.counts.total();
         assert!(n > 10 && n < 150, "{n}");
@@ -2286,8 +2186,6 @@ mod tests {
         assert_eq!(report.data_messages, report.counts.data_messages());
         assert_eq!(report.control_messages, report.counts.control_messages());
         assert_eq!(report.connections, report.counts.connections());
-        assert_eq!(report.allocations, report.counts.allocations());
-        assert_eq!(report.deallocations, report.counts.deallocations());
     }
 
     #[test]
@@ -2397,7 +2295,7 @@ mod loss_tests {
             .unwrap()
             .simulation();
         let mut workload = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 99);
-        let report = sim.run(&mut workload, RunLimit::Requests(8_000));
+        let report = sim.run(&mut workload, 8_000);
         assert_eq!(report.retry_escalations, 0, "the budget is never spent");
         report
     }
@@ -2409,7 +2307,7 @@ mod loss_tests {
                 .unwrap()
                 .simulation();
             let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 99);
-            sim.run(&mut w, RunLimit::Requests(8_000))
+            sim.run(&mut w, 8_000)
         };
         let zero = lossy_run(0.0, 1);
         assert_eq!(zero.schedule, lossless.schedule);
@@ -2511,7 +2409,7 @@ mod mobility_tests {
         }
         let mut sim = builder.simulation();
         let mut workload = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4242);
-        sim.run(&mut workload, RunLimit::Requests(6_000))
+        sim.run(&mut workload, 6_000)
     }
 
     #[test]
@@ -2563,7 +2461,7 @@ mod mobility_tests {
             .unwrap()
             .simulation();
         let mut workload = crate::workload::PoissonWorkload::from_theta(0.2, 0.0, 7);
-        let report = sim.run(&mut workload, RunLimit::Requests(400));
+        let report = sim.run(&mut workload, 400);
         // All requests are reads (θ = 0); mean read latency is a mix of
         // 2·0.0 and 2·1.0 round trips — strictly between the extremes.
         assert!(report.mean_read_latency > 0.1 && report.mean_read_latency < 1.9);
@@ -2610,7 +2508,7 @@ mod fault_tests {
     fn faulty_run(spec: PolicySpec, rate: f64, seed: u64, n: usize) -> SimReport {
         let mut sim = Simulation::new(faulty_config(spec, rate, seed));
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4711);
-        sim.run(&mut w, RunLimit::Requests(n))
+        sim.run(&mut w, n)
     }
 
     #[test]
@@ -2639,7 +2537,7 @@ mod fault_tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 99);
-        let report = sim.run(&mut w, RunLimit::Requests(6_000));
+        let report = sim.run(&mut w, 6_000);
         assert_eq!(report.counts.total(), 6_000);
         assert!(report.disconnects > 0);
         assert_eq!(report.mc_crashes, 0);
@@ -2681,7 +2579,7 @@ mod fault_tests {
             }
             let mut sim = builder.simulation();
             let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 77);
-            sim.run(&mut w, RunLimit::Requests(5_000))
+            sim.run(&mut w, 5_000)
         };
         let clean = run_with(None);
         let plan = FaultPlan::new(0.0, 1.0, 8)
@@ -2705,7 +2603,7 @@ mod fault_tests {
         let clean = {
             let mut sim = SimBuilder::new(spec).unwrap().simulation();
             let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.5, 31);
-            sim.run(&mut w, RunLimit::Requests(3_000))
+            sim.run(&mut w, 3_000)
         };
         let inert = {
             let plan = FaultPlan::new(0.0, 1.0, 5).unwrap();
@@ -2714,7 +2612,7 @@ mod fault_tests {
                 .unwrap()
                 .simulation();
             let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.5, 31);
-            sim.run(&mut w, RunLimit::Requests(3_000))
+            sim.run(&mut w, 3_000)
         };
         assert_eq!(clean, inert);
         assert_eq!(inert.disconnects, 0);
@@ -2725,8 +2623,11 @@ mod fault_tests {
         // Link faults self-perpetuate; the run must still stop once the
         // workload is exhausted and nothing is in service.
         let mut sim = Simulation::new(faulty_config(PolicySpec::St2, 0.1, 9));
-        let mut w = crate::workload::PoissonWorkload::from_theta(5.0, 0.5, 17);
-        let report = sim.run(&mut w, RunLimit::Time(50.0));
+        let mut w = super::tests::Until {
+            workload: crate::workload::PoissonWorkload::from_theta(5.0, 0.5, 17),
+            end: 50.0,
+        };
+        let report = sim.run(&mut w, usize::MAX);
         let n = report.counts.total();
         assert!(n > 50, "{n}");
         assert!(report.makespan < 500.0, "{}", report.makespan);
@@ -2759,7 +2660,7 @@ mod arq_tests {
     fn arq_run(spec: PolicySpec, arq: ArqConfig, n: usize) -> SimReport {
         let mut sim = arq_sim(spec, arq);
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 2024);
-        sim.run(&mut w, RunLimit::Requests(n))
+        sim.run(&mut w, n)
     }
 
     #[test]
@@ -2769,7 +2670,7 @@ mod arq_tests {
                 .unwrap()
                 .simulation();
             let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 2024);
-            sim.run(&mut w, RunLimit::Requests(4_000))
+            sim.run(&mut w, 4_000)
         };
         let arq = ArqConfig::new(0.0, 1.0, 5).unwrap();
         let report = arq_run(PolicySpec::SlidingWindow { k: 5 }, arq, 4_000);
@@ -2866,7 +2767,7 @@ mod arq_tests {
         let mut sim = arq_sim(PolicySpec::St2, arq);
         let sched = Schedule::alternating(Request::Read, 400);
         let mut w = crate::workload::TraceWorkload::new(sched, 0.05);
-        let report = sim.run(&mut w, RunLimit::Requests(400));
+        let report = sim.run(&mut w, 400);
         assert!(report.retry_escalations >= 1);
         assert!(report.shed_requests() > 0, "writes must be shed");
         assert!(report.degraded_reads > 0, "reads must degrade, not block");
@@ -2944,7 +2845,7 @@ mod arq_tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 11);
-        let report = sim.run(&mut w, RunLimit::Requests(5_000));
+        let report = sim.run(&mut w, 5_000);
         // The storm must actually compose the two layers: injected crash
         // outages owing handshakes AND budget-exhausted escalations.
         assert!(report.mc_crashes > 0);
@@ -3001,7 +2902,7 @@ mod mutation_regressions {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4242);
-        let r = sim.run(&mut w, RunLimit::Requests(4_000));
+        let r = sim.run(&mut w, 4_000);
         assert_eq!(r.handoffs, 1_971);
     }
 
@@ -3016,8 +2917,28 @@ mod mutation_regressions {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4711);
-        let r = sim.run(&mut w, RunLimit::Requests(4_000));
+        let r = sim.run(&mut w, 4_000);
         assert_eq!((r.disconnects, r.mc_crashes, r.sc_outages), (174, 72, 20));
+    }
+
+    /// Regression (mutation): only reads enter the read-latency mean. With
+    /// long exchanges and volatile crashes, a write caught mid-exchange
+    /// resumes as a silent local completion once the crash has retracted
+    /// the replica (24 times in this run); counting those writes would
+    /// move the pinned mean.
+    #[test]
+    fn resumed_local_writes_stay_out_of_the_read_latency() {
+        let plan = FaultPlan::new(0.3, 2.0, 5 ^ 0xFA17)
+            .and_then(|p| p.with_crashes(0.3, 1.0))
+            .unwrap();
+        let mut sim = SimBuilder::new(PolicySpec::SlidingWindow { k: 3 })
+            .and_then(|b| b.latency(0.2))
+            .and_then(|b| b.faults(plan))
+            .unwrap()
+            .simulation();
+        let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.5, 5);
+        let r = sim.run(&mut w, 4_000);
+        assert_eq!(r.mean_read_latency.to_bits(), 0x3ff0_9ea5_9a76_f82b);
     }
 
     #[test]
@@ -3030,7 +2951,7 @@ mod mutation_regressions {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(2.0, 0.4, 77);
-        let r = sim.run(&mut w, RunLimit::Requests(3_000));
+        let r = sim.run(&mut w, 3_000);
         assert!(r.queued_requests > 0);
         assert_eq!(r.mean_read_latency.to_bits(), 0x3fa2_b10a_251b_1c26);
     }
@@ -3049,7 +2970,7 @@ mod mutation_regressions {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 2024);
-        let r = sim.run(&mut w, RunLimit::Requests(1_500));
+        let r = sim.run(&mut w, 1_500);
         assert_eq!(r.retransmissions, 490);
         assert_eq!(r.makespan.to_bits(), 0x4097_c13d_5150_a875);
     }
@@ -3070,7 +2991,7 @@ mod mutation_regressions {
             .unwrap()
             .simulation();
         let mut w = crate::workload::TraceWorkload::new("r".parse().unwrap(), 0.25);
-        let r = sim.run(&mut w, RunLimit::Requests(1));
+        let r = sim.run(&mut w, 1);
         assert_eq!(r.retry_escalations, 2);
         assert_eq!(r.shed_requests(), 1);
         assert_eq!(r.shed[0].at.to_bits(), 2.75f64.to_bits());
@@ -3091,7 +3012,7 @@ mod mutation_regressions {
             .simulation();
         let sched = Schedule::alternating(Request::Read, 400);
         let mut w = crate::workload::TraceWorkload::new(sched, 0.05);
-        let r = sim.run(&mut w, RunLimit::Requests(400));
+        let r = sim.run(&mut w, 400);
         assert_eq!(r.degraded_reads, 191);
         assert!(r.staleness_sum <= r.degraded_reads as f64 * r.makespan);
         assert_eq!(r.staleness_sum.to_bits(), 0x409c_1d00_0000_0000);
@@ -3113,7 +3034,7 @@ mod mutation_regressions {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 2024);
-        let r = sim.run(&mut w, RunLimit::Requests(1_500));
+        let r = sim.run(&mut w, 1_500);
         assert!(r.handoffs > 0 && r.retransmissions > 0);
         assert_eq!(r.retransmissions, 1_400);
         assert_eq!(r.mean_read_latency.to_bits(), 0x3fba_2603_ddf5_8473);
@@ -3133,7 +3054,7 @@ mod mutation_regressions {
             .simulation();
         let sched = Schedule::from_requests(vec![Request::Read; 100]);
         let mut w = crate::workload::TraceWorkload::new(sched, 0.5);
-        let r = sim.run(&mut w, RunLimit::Requests(100));
+        let r = sim.run(&mut w, 100);
         assert_eq!(r.queued_requests, 99);
     }
 }
@@ -3152,7 +3073,30 @@ mod topology_tests {
         }
         let mut sim = builder.simulation();
         let mut workload = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, seed);
-        sim.run(&mut workload, RunLimit::Requests(4_000))
+        sim.run(&mut workload, 4_000)
+    }
+
+    /// A one-cell topology has no other cell to migrate to, so each
+    /// migration draws only its next dwell: the migrations are exactly
+    /// the Exp(rate) partial sums of the topology stream that fall within
+    /// the run. (Regression, mutation: a destination draw there would
+    /// shift every later dwell.)
+    #[test]
+    fn one_cell_migrations_draw_only_their_dwell() {
+        let rate = 0.8;
+        let r = topo_run(Some(TopologyConfig::new(1, rate, 2.0, 13).unwrap()), 4242);
+        assert_eq!(r.handoffs_committed + r.handoffs_aborted, 0);
+        let mut rng = BatchedF64::new(13);
+        let (mut at, mut expected) = (0.0, 0);
+        loop {
+            at += -f64::ln(1.0 - rng.draw()) / rate;
+            if at > r.makespan {
+                break;
+            }
+            expected += 1;
+        }
+        assert!(expected > 1_000, "{expected}");
+        assert_eq!(r.migrations, expected);
     }
 
     #[test]
@@ -3282,7 +3226,7 @@ mod topology_tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4242);
-        let r = sim.run(&mut w, RunLimit::Requests(4_000));
+        let r = sim.run(&mut w, 4_000);
         assert!(r.handoffs_committed > 0);
         assert!(
             r.settled_handoff_messages > 3 * r.handoffs_committed,
@@ -3358,7 +3302,7 @@ mod topology_tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4242);
-        let r = sim.run(&mut w, RunLimit::Requests(4_000));
+        let r = sim.run(&mut w, 4_000);
         assert!(r.handoffs_committed > 0);
         assert_eq!(r.handoff_messages, 9_283, "regression pin");
         assert_eq!(r.settled_handoff_messages, 7_530, "regression pin");
@@ -3378,8 +3322,11 @@ mod topology_tests {
             .and_then(|b| b.faults(plan))
             .unwrap()
             .simulation();
-        let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.3, 9);
-        let report = sim.run(&mut w, RunLimit::Time(40.0));
+        let mut w = super::tests::Until {
+            workload: crate::workload::PoissonWorkload::from_theta(1.0, 0.3, 9),
+            end: 40.0,
+        };
+        let report = sim.run(&mut w, usize::MAX);
         assert!(report.counts.total() > 0);
         assert_eq!(report.disconnects, 24, "regression pin");
         assert_eq!(report.recoveries, 0, "regression pin");
@@ -3431,7 +3378,7 @@ mod topology_tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 11);
-        let r = sim.run(&mut w, RunLimit::Requests(3_000));
+        let r = sim.run(&mut w, 3_000);
         assert_eq!(r.handoffs_committed, 872, "regression pin");
     }
 
@@ -3448,7 +3395,7 @@ mod topology_tests {
             .unwrap()
             .simulation();
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 0xE15);
-        let r = sim.run(&mut w, RunLimit::Requests(8_000));
+        let r = sim.run(&mut w, 8_000);
         assert_eq!(r.handoffs_aborted, 123, "regression pin");
         let stuck = r
             .shed

@@ -35,10 +35,11 @@
 
 use crate::builder::{validate_latency, validate_policy};
 use crate::faults::{ArqConfig, ConfigError, FaultPlan};
-use crate::sim::{RunLimit, SimConfig, SimReport, Simulation};
+use crate::sim::{SimConfig, SimReport, Simulation};
 use crate::topology::TopologyConfig;
 use crate::workload::PoissonWorkload;
 use mdr_core::{CostModel, PolicySpec};
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -498,7 +499,7 @@ impl SweepGrid {
             self.thetas[theta_index],
             self.workload_seed(run_index),
         );
-        sim.run(&mut workload, RunLimit::Requests(self.requests))
+        sim.run(&mut workload, self.requests)
     }
 
     /// Runs every cell serially on the calling thread. Reference path for
@@ -948,111 +949,143 @@ pub struct SweepReport {
     pub events_processed: u64,
 }
 
+/// One word of a cell's ledger: a count, or a real that the digest reads
+/// by its bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LedgerWord {
+    Count(u64),
+    Real(f64),
+}
+
+impl LedgerWord {
+    /// The 64 bits the digest hashes.
+    fn bits(self) -> u64 {
+        match self {
+            LedgerWord::Count(n) => n,
+            LedgerWord::Real(x) => x.to_bits(),
+        }
+    }
+}
+
+impl fmt::Display for LedgerWord {
+    /// A count in decimal; a real as a rounded decimal plus its exact bits.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LedgerWord::Count(n) => write!(f, "{n}"),
+            LedgerWord::Real(x) => write!(f, "{x:.6}({:#018x})", x.to_bits()),
+        }
+    }
+}
+
+/// Words in one cell's ledger.
+const LEDGER_WORDS: usize = 47;
+
+impl CellReport {
+    /// The cell's ledger: every word [`SweepReport::ledger_digest`] hashes,
+    /// by name, in hash order — the cell's coordinates and cost, then its
+    /// report. [`SweepReport::ledger_lines`] prints the same list, so a
+    /// word that moves the digest also moves the line and names itself.
+    /// The report's `events_processed` and `invariant_checks` are work
+    /// tallies, not outcomes, and stay out; so do the contents of
+    /// `schedule` and `shed` beyond their lengths.
+    fn ledger_words(&self) -> [(&'static str, LedgerWord); LEDGER_WORDS] {
+        use LedgerWord::{Count, Real};
+        // An empty run's cost hashes as all ones: the bits of a NaN.
+        let cost = self.cost_per_request.unwrap_or(f64::from_bits(u64::MAX));
+        let r = &self.report;
+        let c = &r.counts;
+        [
+            ("seed", Count(self.workload_seed)),
+            ("fault", Count(self.fault_index as u64)),
+            ("arq", Count(self.arq_index as u64)),
+            ("topo", Count(self.topology_index as u64)),
+            ("cost", Real(cost)),
+            ("counts.total", Count(c.total())),
+            ("counts.data_messages", Count(c.data_messages())),
+            ("counts.control_messages", Count(c.control_messages())),
+            ("counts.connections", Count(c.connections())),
+            ("counts.allocations", Count(c.allocations())),
+            ("counts.deallocations", Count(c.deallocations())),
+            ("data_messages", Count(r.data_messages)),
+            ("control_messages", Count(r.control_messages)),
+            ("connections", Count(r.connections)),
+            ("retransmissions", Count(r.retransmissions)),
+            ("handoffs", Count(r.handoffs)),
+            ("disconnects", Count(r.disconnects)),
+            ("mc_crashes", Count(r.mc_crashes)),
+            ("sc_outages", Count(r.sc_outages)),
+            ("duplicated_deliveries", Count(r.duplicated_deliveries)),
+            ("discarded_deliveries", Count(r.discarded_deliveries)),
+            ("aborted_messages", Count(r.aborted_messages)),
+            ("reconciliation_messages", Count(r.reconciliation_messages)),
+            ("reconciliations", Count(r.reconciliations)),
+            ("queued_requests", Count(r.queued_requests)),
+            ("settled_retransmissions", Count(r.settled_retransmissions)),
+            ("arq_acks", Count(r.arq_acks)),
+            ("retry_escalations", Count(r.retry_escalations)),
+            ("shed.len", Count(r.shed_requests())),
+            ("degraded_reads", Count(r.degraded_reads)),
+            ("recoveries", Count(r.recoveries)),
+            ("staleness_sum", Real(r.staleness_sum)),
+            ("recovery_time_sum", Real(r.recovery_time_sum)),
+            ("makespan", Real(r.makespan)),
+            ("mean_read_latency", Real(r.mean_read_latency)),
+            ("schedule.len", Count(r.schedule.len() as u64)),
+            ("migrations", Count(r.migrations)),
+            ("handoffs_committed", Count(r.handoffs_committed)),
+            ("handoffs_aborted", Count(r.handoffs_aborted)),
+            ("handoff_messages", Count(r.handoff_messages)),
+            (
+                "settled_handoff_messages",
+                Count(r.settled_handoff_messages),
+            ),
+            (
+                "aborted_handoff_messages",
+                Count(r.aborted_handoff_messages),
+            ),
+            ("invalidation_messages", Count(r.invalidation_messages)),
+            ("invalidation_rounds", Count(r.invalidation_rounds)),
+            ("replicas_invalidated", Count(r.replicas_invalidated)),
+            ("stale_reads", Count(r.stale_reads)),
+            ("handoff_discards", Count(r.handoff_discards)),
+        ]
+    }
+}
+
 impl SweepReport {
-    /// FNV-1a digest of the full cost ledger — every cell's action counts,
-    /// billing totals, fault counters and cost bits, in cell order. Two
-    /// sweeps of the same grid must agree on this digest bit-for-bit
-    /// whatever their thread counts; CI diffs it between `--threads 1`
-    /// and `--threads 4`.
+    /// FNV-1a digest of the full cost ledger: every word that
+    /// [`SweepReport::ledger_lines`] prints, in cell order. Two sweeps of
+    /// the same grid must agree on this digest bit-for-bit whatever their
+    /// thread counts; CI diffs it between `--threads 1` and `--threads 4`.
     pub fn ledger_digest(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
         for cell in &self.cells {
-            let r = &cell.report;
-            eat(cell.workload_seed);
-            eat(cell.fault_index as u64);
-            eat(cell.arq_index as u64);
-            eat(cell.topology_index as u64);
-            eat(cell.cost_per_request.map_or(u64::MAX, f64::to_bits));
-            eat(r.counts.total());
-            eat(r.counts.data_messages());
-            eat(r.counts.control_messages());
-            eat(r.counts.connections());
-            eat(r.counts.allocations());
-            eat(r.counts.deallocations());
-            eat(r.data_messages);
-            eat(r.control_messages);
-            eat(r.connections);
-            eat(r.retransmissions);
-            eat(r.handoffs);
-            eat(r.disconnects);
-            eat(r.mc_crashes);
-            eat(r.sc_outages);
-            eat(r.duplicated_deliveries);
-            eat(r.discarded_deliveries);
-            eat(r.aborted_messages);
-            eat(r.reconciliation_messages);
-            eat(r.reconciliations);
-            eat(r.queued_requests);
-            eat(r.settled_retransmissions);
-            eat(r.arq_acks);
-            eat(r.retry_escalations);
-            eat(r.shed_requests());
-            eat(r.degraded_reads);
-            eat(r.recoveries);
-            eat(r.staleness_sum.to_bits());
-            eat(r.recovery_time_sum.to_bits());
-            eat(r.makespan.to_bits());
-            eat(r.mean_read_latency.to_bits());
-            eat(r.schedule.len() as u64);
-            eat(r.migrations);
-            eat(r.handoffs_committed);
-            eat(r.handoffs_aborted);
-            eat(r.handoff_messages);
-            eat(r.settled_handoff_messages);
-            eat(r.aborted_handoff_messages);
-            eat(r.invalidation_messages);
-            eat(r.invalidation_rounds);
-            eat(r.replicas_invalidated);
-            eat(r.stale_reads);
-            eat(r.handoff_discards);
+            for (_, word) in cell.ledger_words() {
+                for byte in word.bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
         }
         hash
     }
 
     /// One deterministic text line per cell — the human-diffable form of
-    /// [`SweepReport::ledger_digest`] (cost printed as exact bits plus a
-    /// rounded decimal).
+    /// [`SweepReport::ledger_digest`]: the cell's policy, θ, model and
+    /// replication, then every word the digest hashes as `name=value`.
     pub fn ledger_lines(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for cell in &self.cells {
-            let cost_bits = cell.cost_per_request.map_or(u64::MAX, f64::to_bits);
-            let cost = cell.cost_per_request.unwrap_or(f64::NAN);
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "{} theta={} model={} fault={} arq={} topo={} rep={} seed={:#018x} \
-                 cost={cost:.6}({cost_bits:#018x}) data={} ctrl={} conn={} retx={} disc={} \
-                 acks={} esc={} shed={} degr={} migr={} hcom={} habt={} hmsg={} inv={} stale={}",
-                cell.policy,
-                cell.theta,
-                cell.model,
-                cell.fault_index,
-                cell.arq_index,
-                cell.topology_index,
-                cell.replication,
-                cell.workload_seed,
-                cell.report.data_messages,
-                cell.report.control_messages,
-                cell.report.connections,
-                cell.report.retransmissions,
-                cell.report.disconnects,
-                cell.report.arq_acks,
-                cell.report.retry_escalations,
-                cell.report.shed_requests(),
-                cell.report.degraded_reads,
-                cell.report.migrations,
-                cell.report.handoffs_committed,
-                cell.report.handoffs_aborted,
-                cell.report.handoff_messages,
-                cell.report.invalidation_messages,
-                cell.report.stale_reads,
+                "{} theta={} model={} rep={}",
+                cell.policy, cell.theta, cell.model, cell.replication
             );
+            for (name, word) in cell.ledger_words() {
+                let _ = write!(out, " {name}={word}");
+            }
+            out.push('\n');
         }
         out
     }
@@ -1471,5 +1504,202 @@ mod tests {
         assert!(m.stderr() > 0.0);
         assert_eq!(Moments::default().variance(), 0.0);
         assert_eq!(Moments::default().stderr(), 0.0);
+    }
+
+    /// The ledger's word under `name` on `line`, if the line prints one.
+    fn ledger_word<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+        line.split(' ')
+            .find_map(|word| word.strip_prefix(name)?.strip_prefix('='))
+    }
+
+    #[test]
+    fn every_ledger_word_moves_the_digest_and_its_named_line() {
+        use crate::sim::{ShedReason, ShedRequest};
+        use mdr_core::Request;
+
+        let grid = SweepGrid::new(0x1ED6)
+            .policies(vec![PolicySpec::SlidingWindow { k: 3 }])
+            .and_then(|g| g.thetas(vec![0.4]))
+            .and_then(|g| g.fault_plans(vec![None, Some(FaultPlan::new(0.05, 1.5, 0)?)]))
+            .and_then(|g| g.arq_configs(vec![None, Some(ArqConfig::new(0.25, 0.5, 0)?)]))
+            .and_then(|g| {
+                let mobile = TopologyConfig::new(3, 0.4, 0.6, 0)?.with_loss(0.2)?;
+                g.topology_configs(vec![None, Some(mobile)])
+            })
+            .and_then(|g| g.requests(300))
+            .unwrap();
+        let base = grid.run_serial();
+        let at = base
+            .cells
+            .iter()
+            .position(|c| c.fault_index == 1 && c.arq_index == 1 && c.topology_index == 1)
+            .unwrap();
+
+        // Every report field, classified; no `..`, so a new field does not
+        // compile here until it is perturbed below under its ledger name
+        // or kept out of the ledger with a reason.
+        let SimReport {
+            // Hashed by its length (`schedule.len`); the served order itself
+            // is kept out, and the `counts.*` totals it drives are in.
+            schedule: _,
+            counts: _,
+            data_messages: _,
+            control_messages: _,
+            connections: _,
+            makespan: _,
+            mean_read_latency: _,
+            queued_requests: _,
+            retransmissions: _,
+            settled_retransmissions: _,
+            arq_acks: _,
+            retry_escalations: _,
+            // Hashed by its length (`shed.len`); when, what and why each
+            // request was shed is kept out.
+            shed: _,
+            degraded_reads: _,
+            staleness_sum: _,
+            recovery_time_sum: _,
+            recoveries: _,
+            // Kept out: the monitor's own work, not an outcome of the run.
+            invariant_checks: _,
+            // Kept out: the loop's work, which a change that drops dead
+            // timers may cut while every outcome holds.
+            events_processed: _,
+            handoffs: _,
+            disconnects: _,
+            mc_crashes: _,
+            sc_outages: _,
+            duplicated_deliveries: _,
+            discarded_deliveries: _,
+            aborted_messages: _,
+            reconciliation_messages: _,
+            reconciliations: _,
+            migrations: _,
+            handoffs_committed: _,
+            handoffs_aborted: _,
+            handoff_messages: _,
+            settled_handoff_messages: _,
+            aborted_handoff_messages: _,
+            invalidation_messages: _,
+            invalidation_rounds: _,
+            replicas_invalidated: _,
+            stale_reads: _,
+            handoff_discards: _,
+        } = &base.cells[at].report;
+
+        type Perturb = fn(&mut CellReport);
+        let perturbations: &[(&str, Perturb)] = &[
+            ("seed", |c| c.workload_seed ^= 1),
+            ("fault", |c| c.fault_index += 1),
+            ("arq", |c| c.arq_index += 1),
+            ("topo", |c| c.topology_index += 1),
+            ("cost", |c| {
+                c.cost_per_request = Some(c.cost_per_request.unwrap_or(0.0) + 1.0);
+            }),
+            ("counts.total", |c| c.report.counts.local_reads += 1),
+            ("counts.data_messages", |c| {
+                c.report.counts.propagated_writes += 1;
+            }),
+            ("counts.control_messages", |c| {
+                c.report.counts.delete_request_writes += 1;
+            }),
+            ("counts.connections", |c| c.report.counts.remote_reads += 1),
+            ("counts.allocations", |c| {
+                c.report.counts.allocating_reads += 1;
+            }),
+            ("counts.deallocations", |c| {
+                c.report.counts.deallocating_writes += 1;
+            }),
+            ("data_messages", |c| c.report.data_messages += 1),
+            ("control_messages", |c| c.report.control_messages += 1),
+            ("connections", |c| c.report.connections += 1),
+            ("retransmissions", |c| c.report.retransmissions += 1),
+            ("handoffs", |c| c.report.handoffs += 1),
+            ("disconnects", |c| c.report.disconnects += 1),
+            ("mc_crashes", |c| c.report.mc_crashes += 1),
+            ("sc_outages", |c| c.report.sc_outages += 1),
+            ("duplicated_deliveries", |c| {
+                c.report.duplicated_deliveries += 1;
+            }),
+            ("discarded_deliveries", |c| {
+                c.report.discarded_deliveries += 1;
+            }),
+            ("aborted_messages", |c| c.report.aborted_messages += 1),
+            ("reconciliation_messages", |c| {
+                c.report.reconciliation_messages += 1;
+            }),
+            ("reconciliations", |c| c.report.reconciliations += 1),
+            ("queued_requests", |c| c.report.queued_requests += 1),
+            ("settled_retransmissions", |c| {
+                c.report.settled_retransmissions += 1;
+            }),
+            ("arq_acks", |c| c.report.arq_acks += 1),
+            ("retry_escalations", |c| c.report.retry_escalations += 1),
+            ("shed.len", |c| {
+                c.report.shed.push(ShedRequest {
+                    at: 0.0,
+                    request: Request::Write,
+                    reason: ShedReason::DegradedPartition,
+                });
+            }),
+            ("degraded_reads", |c| c.report.degraded_reads += 1),
+            ("recoveries", |c| c.report.recoveries += 1),
+            ("staleness_sum", |c| c.report.staleness_sum += 1.0),
+            ("recovery_time_sum", |c| c.report.recovery_time_sum += 1.0),
+            ("makespan", |c| c.report.makespan += 1.0),
+            ("mean_read_latency", |c| c.report.mean_read_latency += 1.0),
+            ("schedule.len", |c| c.report.schedule.push(Request::Read)),
+            ("migrations", |c| c.report.migrations += 1),
+            ("handoffs_committed", |c| c.report.handoffs_committed += 1),
+            ("handoffs_aborted", |c| c.report.handoffs_aborted += 1),
+            ("handoff_messages", |c| c.report.handoff_messages += 1),
+            ("settled_handoff_messages", |c| {
+                c.report.settled_handoff_messages += 1;
+            }),
+            ("aborted_handoff_messages", |c| {
+                c.report.aborted_handoff_messages += 1;
+            }),
+            ("invalidation_messages", |c| {
+                c.report.invalidation_messages += 1;
+            }),
+            ("invalidation_rounds", |c| c.report.invalidation_rounds += 1),
+            ("replicas_invalidated", |c| {
+                c.report.replicas_invalidated += 1;
+            }),
+            ("stale_reads", |c| c.report.stale_reads += 1),
+            ("handoff_discards", |c| c.report.handoff_discards += 1),
+        ];
+
+        let digest = base.ledger_digest();
+        let lines = base.ledger_lines();
+        let line = lines.lines().nth(at).unwrap();
+        // The line prints the cell's identity, then exactly the perturbed
+        // words, in hash order.
+        let printed: Vec<&str> = line
+            .split(' ')
+            .skip_while(|word| !word.starts_with("rep="))
+            .skip(1)
+            .map(|word| word.split_once('=').unwrap().0)
+            .collect();
+        let perturbed: Vec<&str> = perturbations.iter().map(|(name, _)| *name).collect();
+        assert_eq!(printed, perturbed);
+        assert_eq!(perturbed.len(), LEDGER_WORDS);
+
+        for (name, perturb) in perturbations {
+            let mut moved = base.clone();
+            perturb(&mut moved.cells[at]);
+            assert_ne!(
+                moved.ledger_digest(),
+                digest,
+                "{name} leaves the digest as it was"
+            );
+            let moved_lines = moved.ledger_lines();
+            let moved_line = moved_lines.lines().nth(at).unwrap();
+            assert_ne!(
+                ledger_word(moved_line, name),
+                ledger_word(line, name),
+                "{name} leaves its word on the line as it was"
+            );
+        }
     }
 }

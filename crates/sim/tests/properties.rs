@@ -8,8 +8,8 @@ use mdr_sim::calendar::{key_lt, pack, unpack, CalendarQueue};
 use mdr_sim::engine::{DecisionCore, ServeConfig, ServeEngine};
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
-    ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, ProtocolState, RunLimit, SimBuilder,
-    Simulation, StepOutcome, Ticket, TopologyConfig, TraceWorkload,
+    ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, ProtocolState, SimBuilder, Simulation,
+    StepOutcome, Ticket, TopologyConfig, TraceWorkload,
 };
 use proptest::prelude::*;
 
@@ -154,7 +154,7 @@ proptest! {
             .unwrap()
             .simulation();
         let mut w = PoissonWorkload::from_theta(1.0, theta, seed);
-        let report = sim.run(&mut w, RunLimit::Requests(n));
+        let report = sim.run(&mut w, n);
         prop_assert_eq!(report.counts.total(), n as u64);
         prop_assert_eq!(report.schedule.len(), n);
         // Costs are consistent with the action tallies on a lossless link.
@@ -172,7 +172,7 @@ proptest! {
     ) {
         let mut sim = SimBuilder::new(spec).unwrap().simulation();
         let mut w = TraceWorkload::new(s.clone(), 1.0);
-        let report = sim.run(&mut w, RunLimit::Requests(s.len()));
+        let report = sim.run(&mut w, s.len());
         prop_assert!(report.cost(CostModel::Connection) <= s.len() as f64);
         prop_assert!(report.cost(CostModel::message(omega)) <= s.len() as f64 * (1.0 + omega) + 1e-9);
     }
@@ -200,7 +200,7 @@ proptest! {
             };
             let mut sim = builder.simulation();
             let mut w = TraceWorkload::new(s.clone(), 1.0);
-            sim.run(&mut w, RunLimit::Requests(s.len()))
+            sim.run(&mut w, s.len())
         };
         let clean = run(false);
         let lossy = run(true);
@@ -244,7 +244,7 @@ proptest! {
             };
             let mut sim = builder.simulation();
             let mut w = TraceWorkload::new(s.clone(), 1.0);
-            sim.run(&mut w, RunLimit::Requests(s.len()))
+            sim.run(&mut w, s.len())
         };
         let clean = run(false);
         let noisy = run(true);
@@ -281,7 +281,7 @@ proptest! {
                 .unwrap()
                 .simulation();
             let mut w = PoissonWorkload::from_theta(1.0, 0.4, seed ^ 0x5EED);
-            sim.run(&mut w, RunLimit::Requests(300))
+            sim.run(&mut w, 300)
         };
         let a = run();
         let b = run();
@@ -327,7 +327,7 @@ proptest! {
                 .unwrap()
                 .simulation();
             let mut w = PoissonWorkload::from_theta(1.0, 0.4, seed ^ 0x5EED);
-            sim.run(&mut w, RunLimit::Requests(250))
+            sim.run(&mut w, 250)
         };
         let a = run();
         let b = run();
@@ -389,7 +389,7 @@ proptest! {
                 .unwrap()
                 .simulation();
             let mut w = PoissonWorkload::from_theta(1.0, theta, seed ^ 0x5EED);
-            sim.run(&mut w, RunLimit::Requests(250))
+            sim.run(&mut w, 250)
         };
         let clean = run(false);
         let noisy = run(true);
@@ -786,7 +786,7 @@ fn regression_st2_poisson_with_high_latency() {
         Err(e) => panic!("builder rejected a valid configuration: {e}"),
     };
     let mut w = PoissonWorkload::from_theta(1.0, 0.535714170090935, 4359208734433868950);
-    let report = sim.run(&mut w, RunLimit::Requests(400));
+    let report = sim.run(&mut w, 400);
     assert_eq!(report.counts.total(), 400);
     assert_eq!(report.schedule.len(), 400);
     assert_eq!(report.data_messages, report.counts.data_messages());

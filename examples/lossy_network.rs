@@ -32,7 +32,7 @@ fn run(spec: PolicySpec, loss: f64) -> SimReport {
     };
     let mut sim = builder.simulation();
     let mut workload = PoissonWorkload::from_theta(1.0, 0.35, 4242);
-    sim.run(&mut workload, RunLimit::Requests(30_000))
+    sim.run(&mut workload, 30_000)
 }
 
 /// Message-model cost per request of the protocol's own traffic.

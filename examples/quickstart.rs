@@ -34,8 +34,8 @@ fn main() {
                 spec.to_string(),
                 predicted,
                 report.cost_per_request(model),
-                report.allocations,
-                report.deallocations,
+                report.counts.allocations(),
+                report.counts.deallocations(),
             );
         }
         println!();

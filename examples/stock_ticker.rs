@@ -17,7 +17,7 @@
 //! ```
 
 use mobile_replication::prelude::*;
-use mobile_replication::sim::{PhasedWorkload, RunLimit};
+use mobile_replication::sim::PhasedWorkload;
 
 fn run_phased(spec: PolicySpec, model: CostModel) -> (f64, u64) {
     // 8 alternating phases of 5 000 requests: quiet (θ = 0.1) ↔ volatile
@@ -27,10 +27,10 @@ fn run_phased(spec: PolicySpec, model: CostModel) -> (f64, u64) {
         unreachable!("example policies are valid by construction")
     };
     let mut sim = builder.simulation();
-    let report = sim.run(&mut workload, RunLimit::Requests(40_000));
+    let report = sim.run(&mut workload, 40_000);
     (
         report.cost_per_request(model),
-        report.allocations + report.deallocations,
+        report.counts.allocations() + report.counts.deallocations(),
     )
 }
 

@@ -80,5 +80,5 @@ pub mod prelude {
         RunOutcome, Schedule, SlidingWindow, St1, St2, T1, T2,
     };
     pub use mdr_sim::sweep::{SweepGrid, SweepOptions, SweepReport};
-    pub use mdr_sim::{PoissonWorkload, RunLimit, SimBuilder, SimConfig, SimReport, Simulation};
+    pub use mdr_sim::{PoissonWorkload, SimBuilder, SimConfig, SimReport, Simulation};
 }

@@ -101,7 +101,7 @@ fn deallocation_rate_matches_eq_11_transition_term() {
         let n = 80_000;
         let report = Simulation::run_poisson(PolicySpec::SlidingWindow { k }, theta, n, 5);
         let predicted = mobile_replication::analysis::transition_probability(k, theta);
-        let measured = report.deallocations as f64 / n as f64;
+        let measured = report.counts.deallocations() as f64 / n as f64;
         assert!(
             (measured - predicted).abs() < 0.01,
             "k={k} θ={theta}: measured dealloc rate {measured} vs C(2n,n)θ^{{n+1}}(1−θ)^{{n+1}} = {predicted}"

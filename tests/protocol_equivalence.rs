@@ -45,14 +45,14 @@ proptest! {
     /// the protocol's communication independent of timing.
     #[test]
     fn latency_never_changes_cost(spec in arb_spec(), s in arb_schedule(80), latency in 0.0f64..2.0) {
-        use mobile_replication::sim::{RunLimit, TraceWorkload};
+        use mobile_replication::sim::TraceWorkload;
         let run = |lat: f64| {
             let Ok(builder) = SimBuilder::new(spec).and_then(|b| b.latency(lat)) else {
                 unreachable!("generated policies and latencies are valid")
             };
             let mut sim = builder.simulation();
             let mut w = TraceWorkload::new(s.clone(), 0.5);
-            sim.run(&mut w, RunLimit::Requests(s.len()))
+            sim.run(&mut w, s.len())
         };
         let fast = run(0.0);
         let slow = run(latency);
@@ -83,10 +83,10 @@ fn window_handoff_carries_exact_history() {
         let spec = PolicySpec::SlidingWindow { k };
         let report = Simulation::run_schedule(spec, &s);
         assert!(
-            report.allocations >= 2,
+            report.counts.allocations() >= 2,
             "k={k}: ownership must migrate repeatedly"
         );
-        assert!(report.deallocations >= 2);
+        assert!(report.counts.deallocations() >= 2);
     }
 }
 
@@ -96,7 +96,7 @@ fn replica_is_never_stale() {
     // workload with replica churn to exercise that assertion hard.
     let report = Simulation::run_poisson(PolicySpec::SlidingWindow { k: 3 }, 0.65, 20_000, 9);
     assert!(
-        report.deallocations > 100,
+        report.counts.deallocations() > 100,
         "the workload must actually churn the replica"
     );
 }
@@ -159,7 +159,7 @@ fn regression_high_latency_st1_read_write_read() {
     // spec = ST1, s = "rwr", latency ≈ 1.8858. Serialization (§3) makes the
     // bill latency-independent even when the link is slower than the
     // inter-arrival gap.
-    use mobile_replication::sim::{RunLimit, TraceWorkload};
+    use mobile_replication::sim::TraceWorkload;
     let s: Schedule = "rwr".parse().unwrap();
     let run = |lat: f64| {
         let Ok(builder) = SimBuilder::new(PolicySpec::St1).and_then(|b| b.latency(lat)) else {
@@ -167,7 +167,7 @@ fn regression_high_latency_st1_read_write_read() {
         };
         let mut sim = builder.simulation();
         let mut w = TraceWorkload::new(s.clone(), 0.5);
-        sim.run(&mut w, RunLimit::Requests(s.len()))
+        sim.run(&mut w, s.len())
     };
     let fast = run(0.0);
     let slow = run(1.8857753182245665);
