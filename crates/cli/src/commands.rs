@@ -137,17 +137,14 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     let latency: f64 = args.number("latency", 0.01)?;
     let omega: f64 = args.number("omega", 0.5)?;
     let fault_rate: f64 = args.number("faults", 0.0)?;
-    let mut builder = SimBuilder::new(spec)
-        .and_then(|b| b.latency(latency))
-        .map_err(|e| CliError(e.to_string()))?;
+    let mut builder = SimBuilder::new(spec).and_then(|b| b.latency(latency))?;
     if fault_rate > 0.0 {
         let outage: f64 = args.number("outage", 2.0)?;
         let crash: f64 = args.number("crash-prob", 0.3)?;
         let volatile: f64 = args.number("volatile-prob", 0.5)?;
         let plan = FaultPlan::new(fault_rate, outage, seed ^ 0xFA17)
-            .and_then(|p| p.with_crashes(crash, volatile))
-            .map_err(|e| CliError(e.to_string()))?;
-        builder = builder.faults(plan).map_err(|e| CliError(e.to_string()))?;
+            .and_then(|p| p.with_crashes(crash, volatile))?;
+        builder = builder.faults(plan)?;
     }
     let arq_on = args.flags.contains_key("arq-loss");
     if arq_on {
@@ -158,15 +155,12 @@ fn simulate(args: &Args) -> Result<String, CliError> {
         let jitter: f64 = args.number("arq-jitter", 0.25)?;
         let mut arq = ArqConfig::new(arq_loss, timeout, seed ^ 0xA6)
             .and_then(|a| a.with_backoff(backoff, jitter))
-            .and_then(|a| a.with_retry_budget(budget))
-            .map_err(|e| CliError(e.to_string()))?;
+            .and_then(|a| a.with_retry_budget(budget))?;
         if args.flags.contains_key("arq-deadline") {
             let deadline: f64 = args.number("arq-deadline", 0.0)?;
-            arq = arq
-                .with_degrade_deadline(deadline)
-                .map_err(|e| CliError(e.to_string()))?;
+            arq = arq.with_degrade_deadline(deadline)?;
         }
-        builder = builder.arq(arq).map_err(|e| CliError(e.to_string()))?;
+        builder = builder.arq(arq)?;
     }
     let cells: usize = args.number("cells", 1)?;
     if cells > 1 {
@@ -174,14 +168,11 @@ fn simulate(args: &Args) -> Result<String, CliError> {
         let deadline: f64 = args.number("handoff-deadline", 1.0)?;
         let handoff_loss: f64 = args.number("handoff-loss", 0.0)?;
         let mut topology = TopologyConfig::new(cells, mobility, deadline, seed ^ 0x70)
-            .and_then(|t| t.with_loss(handoff_loss))
-            .map_err(|e| CliError(e.to_string()))?;
+            .and_then(|t| t.with_loss(handoff_loss))?;
         if args.get_or("broadcast-inv", "off") == "on" {
             topology = topology.with_broadcast_invalidation();
         }
-        builder = builder
-            .topology(topology)
-            .map_err(|e| CliError(e.to_string()))?;
+        builder = builder.topology(topology)?;
     }
     let mut sim = builder.simulation();
     let mut workload = PoissonWorkload::from_theta(1.0, theta, seed);
@@ -306,26 +297,20 @@ fn sweep(args: &Args) -> Result<String, CliError> {
                     .split(',')
                     .map(|p| parse_policy(p.trim()))
                     .collect::<Result<Vec<_>, _>>()?;
-                grid = grid
-                    .policies(policies)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.policies(policies)?;
             }
             if let Some(raw) = args.flags.get("thetas") {
-                grid = grid
-                    .thetas(parse_f64_list(raw, "θ")?)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.thetas(parse_f64_list(raw, "θ")?)?;
             }
             if let Some(raw) = args.flags.get("models") {
                 let models = raw
                     .split(',')
                     .map(|m| parse_model(m.trim()))
                     .collect::<Result<Vec<_>, _>>()?;
-                grid = grid.models(models).map_err(|e| CliError(e.to_string()))?;
+                grid = grid.models(models)?;
             }
             if let Some(raw) = args.flags.get("omegas") {
-                grid = grid
-                    .omegas(parse_f64_list(raw, "ω")?)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.omegas(parse_f64_list(raw, "ω")?)?;
             }
             if let Some(raw) = args.flags.get("fault-rates") {
                 // Each rate installs the E17 fault mix; rate 0 is the
@@ -337,9 +322,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
                     }
                     plans.push(Some(e17_fault_plan(rate)));
                 }
-                grid = grid
-                    .fault_plans(plans)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.fault_plans(plans)?;
             }
             if let Some(raw) = args.flags.get("arq-losses") {
                 // Each loss rate installs the E18 transport point
@@ -352,41 +335,19 @@ fn sweep(args: &Args) -> Result<String, CliError> {
                     }
                     configs.push(Some(e18_arq(loss, 8, 2.0)));
                 }
-                grid = grid
-                    .arq_configs(configs)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.arq_configs(configs)?;
             }
             if let Some(latency) = args.flags.get("latency") {
                 let latency: f64 = latency
                     .parse()
                     .map_err(|_| CliError(format!("invalid latency {latency:?}")))?;
-                grid = grid.latency(latency).map_err(|e| CliError(e.to_string()))?;
+                grid = grid.latency(latency)?;
             }
-            grid = grid
-                .oracle(args.get_or("oracle", "off") == "on")
-                .map_err(|e| CliError(e.to_string()))?;
+            grid = grid.oracle(args.get_or("oracle", "off") == "on")?;
             grid
         }
     };
-    // Run sizes are adjustable even on presets.
-    let grid = match args.flags.get("replications") {
-        Some(r) => {
-            let r: usize = r
-                .parse()
-                .map_err(|_| CliError(format!("invalid replication count {r:?}")))?;
-            grid.replications(r).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
-    let grid = match args.flags.get("requests") {
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| CliError(format!("invalid request count {n:?}")))?;
-            grid.requests(n).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
+    let grid = run_sizes(args, grid)?;
 
     let options = SweepOptions {
         threads: args.number("threads", 0)?,
@@ -446,6 +407,26 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Applies the `--replications` and `--requests` overrides that `sweep`
+/// and `bench` accept: run sizes stay adjustable even on presets.
+fn run_sizes(args: &Args, grid: SweepGrid) -> Result<SweepGrid, CliError> {
+    let count = |flag: &str, what: &str| -> Result<Option<usize>, CliError> {
+        let parse = |v: &String| {
+            v.parse()
+                .map_err(|_| CliError(format!("invalid {what} count {v:?}")))
+        };
+        args.flags.get(flag).map(parse).transpose()
+    };
+    let grid = match count("replications", "replication")? {
+        Some(r) => grid.replications(r)?,
+        None => grid,
+    };
+    Ok(match count("requests", "request")? {
+        Some(n) => grid.requests(n)?,
+        None => grid,
+    })
+}
+
 /// `mdr bench --preset e17` (flags in [`COMMANDS`])
 ///
 /// Measures a preset sweep with the typed perf API
@@ -471,24 +452,7 @@ fn bench(args: &Args) -> Result<String, CliError> {
             "unknown preset {preset_name:?}; expected e6, e17, e18, e19 or serve"
         ));
     };
-    let grid = match args.flags.get("replications") {
-        Some(r) => {
-            let r: usize = r
-                .parse()
-                .map_err(|_| CliError(format!("invalid replication count {r:?}")))?;
-            grid.replications(r).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
-    let grid = match args.flags.get("requests") {
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| CliError(format!("invalid request count {n:?}")))?;
-            grid.requests(n).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
+    let grid = run_sizes(args, grid)?;
     let options = SweepOptions {
         threads: args.number("threads", 0)?,
         chunk: args.number("chunk", 0)?,
@@ -526,8 +490,7 @@ fn bench_serve(args: &Args) -> Result<String, CliError> {
     // Workload synthesis is untimed: the clock covers only the serve path.
     let lines = serve_bench_lines(tenants, per_tenant, seed);
     let watch = Stopwatch::start();
-    let report =
-        run_serve_bench(&lines, ServeConfig::default()).map_err(|e| CliError(e.to_string()))?;
+    let report = run_serve_bench(&lines, ServeConfig::default())?;
     let stats = watch.stats(report.decisions);
     let snapshot = BenchSnapshot::new("serve", fast, per_tenant, tenants, stats, report.digest);
     render_bench(args, &snapshot)
@@ -665,7 +628,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
                     return err(format!("--{flag} requires --data-dir"));
                 }
             }
-            let mut engine = ServeEngine::new(config).map_err(|e| CliError(e.to_string()))?;
+            let mut engine = ServeEngine::new(config)?;
             serve_loop(
                 &mut engine,
                 std::io::stdin().lock(),
@@ -716,8 +679,7 @@ fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<String, 
     }
     journal.checkpoint_every = args.number("checkpoint-every", journal.checkpoint_every)?;
     let watch = Stopwatch::start();
-    let (mut serve, report) =
-        DurableServe::open(config, journal).map_err(|e| CliError(e.to_string()))?;
+    let (mut serve, report) = DurableServe::open(config, journal)?;
     let recovery = watch.stats(report.tenants.len() as u64);
     let stats = serve.stats();
     eprintln!(

@@ -2,6 +2,7 @@
 //! flag grammar. Hand-rolled (the surface is tiny) and fully unit-tested.
 
 use mdr_core::{CostModel, PolicySpec};
+use mdr_sim::ConfigError;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -16,6 +17,12 @@ impl fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<ConfigError> for CliError {
+    fn from(e: ConfigError) -> Self {
+        CliError(e.to_string())
+    }
+}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))

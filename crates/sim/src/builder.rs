@@ -24,8 +24,8 @@
 //! ```
 
 use crate::faults::{ArqConfig, ConfigError, FaultPlan};
-use crate::sim::{MobilityConfig, SimConfig, Simulation};
-use crate::topology::TopologyConfig;
+use crate::sim::{SimConfig, Simulation};
+use crate::topology::{MobilityConfig, TopologyConfig};
 use mdr_core::PolicySpec;
 
 /// Checks the cross-knob constraint between a topology and the ARQ

@@ -24,6 +24,7 @@
 //! bytes — which is what lets `mdr bench --serve` pin a digest of the
 //! whole wire conversation next to its throughput number.
 
+use crate::builder::validate_policy;
 use crate::faults::ConfigError;
 use mdr_core::{
     Action, ActionCounts, AllocationPolicy, CostModel, PolicySpec, Request, RequestWindow,
@@ -180,28 +181,14 @@ enum PolicyKind {
 
 impl PolicyKind {
     fn build(spec: PolicySpec) -> Result<PolicyKind, ConfigError> {
-        match spec {
-            PolicySpec::St1 => Ok(PolicyKind::St1(St1::new())),
-            PolicySpec::St2 => Ok(PolicyKind::St2(St2::new())),
-            PolicySpec::SlidingWindow { k } => {
-                if k == 0 || k % 2 == 0 {
-                    return Err(ConfigError::EvenWindow { k });
-                }
-                Ok(PolicyKind::Sw(SlidingWindow::new(k)))
-            }
-            PolicySpec::T1 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                Ok(PolicyKind::T1(T1::new(m)))
-            }
-            PolicySpec::T2 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                Ok(PolicyKind::T2(T2::new(m)))
-            }
-        }
+        validate_policy(spec)?;
+        Ok(match spec {
+            PolicySpec::St1 => PolicyKind::St1(St1::new()),
+            PolicySpec::St2 => PolicyKind::St2(St2::new()),
+            PolicySpec::SlidingWindow { k } => PolicyKind::Sw(SlidingWindow::new(k)),
+            PolicySpec::T1 { m } => PolicyKind::T1(T1::new(m)),
+            PolicySpec::T2 { m } => PolicyKind::T2(T2::new(m)),
+        })
     }
 
     fn policy(&mut self) -> &mut dyn AllocationPolicy {
@@ -253,9 +240,7 @@ impl PolicyKind {
         match (spec, state) {
             (PolicySpec::St1 | PolicySpec::St2, PolicyState::Stateless) => PolicyKind::build(spec),
             (PolicySpec::SlidingWindow { k }, PolicyState::Window { window }) => {
-                if k == 0 || k % 2 == 0 {
-                    return Err(ConfigError::EvenWindow { k });
-                }
+                validate_policy(spec)?;
                 if window.len() != k {
                     return Err(mismatch());
                 }
@@ -269,18 +254,14 @@ impl PolicyKind {
                 )))
             }
             (PolicySpec::T1 { m }, &PolicyState::Streak { has_copy, streak }) => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
+                validate_policy(spec)?;
                 if streak >= m as u64 {
                     return Err(mismatch());
                 }
                 Ok(PolicyKind::T1(T1::with_state(m, has_copy, streak as usize)))
             }
             (PolicySpec::T2 { m }, &PolicyState::Streak { has_copy, streak }) => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
+                validate_policy(spec)?;
                 if streak >= m as u64 {
                     return Err(mismatch());
                 }
@@ -490,30 +471,16 @@ impl DecisionCore {
     ///
     /// Rejects invalid target parameters, like [`DecisionCore::new`].
     pub fn adopt(&mut self, spec: PolicySpec) -> Result<(), ConfigError> {
+        validate_policy(spec)?;
         let has_copy = self.has_copy();
         let policy = match spec {
-            PolicySpec::SlidingWindow { k } => {
-                if k == 0 || k % 2 == 0 {
-                    return Err(ConfigError::EvenWindow { k });
-                }
-                PolicyKind::Sw(if has_copy {
-                    SlidingWindow::with_initial_copy(k)
-                } else {
-                    SlidingWindow::new(k)
-                })
-            }
-            PolicySpec::T1 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                PolicyKind::T1(T1::with_state(m, has_copy, 0))
-            }
-            PolicySpec::T2 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                PolicyKind::T2(T2::with_state(m, has_copy, 0))
-            }
+            PolicySpec::SlidingWindow { k } => PolicyKind::Sw(if has_copy {
+                SlidingWindow::with_initial_copy(k)
+            } else {
+                SlidingWindow::new(k)
+            }),
+            PolicySpec::T1 { m } => PolicyKind::T1(T1::with_state(m, has_copy, 0)),
+            PolicySpec::T2 { m } => PolicyKind::T2(T2::with_state(m, has_copy, 0)),
             PolicySpec::St1 | PolicySpec::St2 => PolicyKind::build(spec)?,
         };
         self.spec = spec;
@@ -1645,6 +1612,42 @@ mod tests {
             ConfigError::EvenWindow { k: 6 }
         );
         assert_eq!(core.spec(), PolicySpec::St1, "failed adoption is a no-op");
+    }
+
+    /// `restore` decides a spec/state mismatch before any parameter check:
+    /// a degenerate spec under the wrong state kind is a bad request, and
+    /// under its own kind fails with the spec's config error.
+    #[test]
+    fn restore_checks_the_state_kind_before_the_parameters() {
+        let mut snap = DecisionCore::new(PolicySpec::St1, CostModel::Connection)
+            .unwrap()
+            .snapshot();
+        let restore = |snap: &CoreSnapshot| DecisionCore::restore(snap).err().unwrap();
+        let window = PolicyState::Window {
+            window: "rrrr".to_owned(),
+        };
+        let streak = PolicyState::Streak {
+            has_copy: false,
+            streak: 0,
+        };
+        snap.spec = PolicySpec::SlidingWindow { k: 4 };
+        snap.state = streak.clone();
+        assert!(matches!(
+            restore(&snap),
+            ConfigError::BadDecisionRequest { .. }
+        ));
+        snap.state = window.clone();
+        assert_eq!(restore(&snap), ConfigError::EvenWindow { k: 4 });
+        for spec in [PolicySpec::T1 { m: 0 }, PolicySpec::T2 { m: 0 }] {
+            snap.spec = spec;
+            snap.state = window.clone();
+            assert!(matches!(
+                restore(&snap),
+                ConfigError::BadDecisionRequest { .. }
+            ));
+            snap.state = streak.clone();
+            assert_eq!(restore(&snap), ConfigError::ZeroThreshold, "{spec}");
+        }
     }
 
     #[test]

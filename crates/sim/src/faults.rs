@@ -14,6 +14,9 @@
 //! pair reproduces the same disconnection windows, crash kinds, ghost
 //! deliveries and therefore a byte-identical cost ledger.
 
+use crate::perf::BatchedF64;
+use crate::protocol::Ticket;
+use crate::sim::{Cx, Event};
 use std::error::Error;
 use std::fmt;
 
@@ -399,7 +402,9 @@ pub struct FaultPlan {
     pub seed: u64,
 }
 
-fn probability(value: f64, what: &'static str) -> Result<f64, ConfigError> {
+/// `value` if it lies in `[0, 1]`, else a [`ConfigError::Probability`]
+/// naming `what`.
+pub(crate) fn probability(value: f64, what: &'static str) -> Result<f64, ConfigError> {
     if (0.0..=1.0).contains(&value) {
         Ok(value)
     } else {
@@ -531,12 +536,7 @@ impl ArqConfig {
     /// of 8 retransmissions, and a degradation deadline of 40 base
     /// timeouts. Refine with the `with_*` builders.
     pub fn new(loss_probability: f64, base_timeout: f64, seed: u64) -> Result<Self, ConfigError> {
-        if !(0.0..=1.0).contains(&loss_probability) {
-            return Err(ConfigError::Probability {
-                what: "ARQ loss probability",
-                value: loss_probability,
-            });
-        }
+        let loss_probability = probability(loss_probability, "ARQ loss probability")?;
         if !(base_timeout > 0.0 && base_timeout.is_finite()) {
             return Err(ConfigError::RetryTimeout {
                 value: base_timeout,
@@ -591,6 +591,192 @@ impl ArqConfig {
     /// jitter: `base_timeout · backoff_factor^(attempt − 1)`.
     pub fn timeout_for_attempt(&self, attempt: u32) -> f64 {
         self.base_timeout * self.backoff_factor.powi(attempt.saturating_sub(1) as i32)
+    }
+
+    /// The retransmission timeout of attempt `attempt` after jitter, for a
+    /// uniform draw `u`: `timeout_for_attempt(attempt) · (1 + jitter · u)`.
+    pub(crate) fn jittered_timeout(&self, attempt: u32, u: f64) -> f64 {
+        self.timeout_for_attempt(attempt) * (1.0 + self.jitter * u)
+    }
+}
+
+/// A [`FaultPlan`] at run time: the plan, its RNG stream, and whether the
+/// first disconnection is scheduled. The one stream feeds the link-down
+/// gaps, each outage's kind and length, and the ghost fates of every
+/// wireless delivery, in the order the run asks for them.
+pub(crate) struct FaultProcess {
+    plan: FaultPlan,
+    rng: BatchedF64,
+    /// Whether the first link-down has been scheduled (once per
+    /// simulation, not per `run` call).
+    primed: bool,
+}
+
+impl FaultProcess {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
+        FaultProcess {
+            rng: BatchedF64::new(plan.seed),
+            plan,
+            primed: false,
+        }
+    }
+
+    /// Schedules the first disconnection, once per simulation.
+    pub(crate) fn prime(&mut self, cx: &mut Cx) {
+        if !self.primed {
+            self.primed = true;
+            self.schedule_link_down(cx);
+        }
+    }
+
+    /// Draws the waiting time to the next disconnection and schedules it.
+    /// No-op at disconnect rate zero.
+    pub(crate) fn schedule_link_down(&mut self, cx: &mut Cx) {
+        if self.plan.disconnect_rate <= 0.0 {
+            return;
+        }
+        let u = self.rng.draw();
+        let gap = -f64::ln(1.0 - u) / self.plan.disconnect_rate;
+        cx.push_event(cx.now + gap, Event::LinkDown);
+    }
+
+    /// Classifies the outage that just began and draws its duration.
+    pub(crate) fn draw_outage(&mut self) -> (FaultKind, f64) {
+        let (plan, rng) = (&self.plan, &mut self.rng);
+        let classify = rng.draw();
+        let kind = if classify < plan.crash_probability {
+            if rng.draw() < plan.volatile_probability {
+                FaultKind::CrashVolatile
+            } else {
+                FaultKind::CrashStable
+            }
+        } else if classify < plan.crash_probability + plan.sc_outage_probability {
+            FaultKind::ScOutage
+        } else {
+            FaultKind::Doze
+        };
+        let u = rng.draw();
+        (kind, -f64::ln(1.0 - u) * plan.mean_outage)
+    }
+
+    /// Draws the ghost fates of one wireless delivery.
+    pub(crate) fn ghosts(&mut self) -> Ghosts {
+        Ghosts::draw(&mut self.rng, self.plan.duplication, self.plan.reorder)
+    }
+}
+
+/// The ghost copies the network adds to one delivery. Ghosts are never
+/// billed — a delivery artifact, not a send — and the receiver's guards
+/// (epoch/sequence numbers, the handoff's epoch fence) discard them all.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Ghosts {
+    pub(crate) duplicate: bool,
+    pub(crate) reorder: bool,
+}
+
+impl Ghosts {
+    /// Draws both fates from `rng`, the duplicate's first; a kind whose
+    /// probability is zero draws nothing.
+    pub(crate) fn draw(rng: &mut BatchedF64, duplication: f64, reorder: f64) -> Self {
+        Ghosts {
+            duplicate: duplication > 0.0 && rng.draw() < duplication,
+            reorder: reorder > 0.0 && rng.draw() < reorder,
+        }
+    }
+
+    /// When the ghosts of a delivery landing at `arrives` land, on a link
+    /// of base `latency`: the duplicate takes a marginally longer path and
+    /// arrives right behind the original; the reordered copy is held up
+    /// long enough to land behind *subsequent* traffic.
+    pub(crate) fn arrivals(self, arrives: f64, latency: f64) -> impl Iterator<Item = f64> {
+        let duplicate = self.duplicate.then_some(arrives + 0.25 * latency + 1e-6);
+        let reorder = self.reorder.then_some(arrives + 2.5 * latency + 1e-3);
+        duplicate.into_iter().chain(reorder)
+    }
+}
+
+/// An [`ArqConfig`] at run time: the config, its loss/jitter stream, and
+/// the one envelope awaiting acknowledgement (stop-and-wait).
+pub(crate) struct Arq {
+    pub(crate) config: ArqConfig,
+    rng: BatchedF64,
+    /// The envelope currently awaiting acknowledgement, if any.
+    pub(crate) outstanding: Option<ArqOutstanding>,
+    /// Monotone timer-id source; a timeout event whose id differs from the
+    /// outstanding transmission's is stale and ignored.
+    timer_seq: u64,
+}
+
+/// Book-keeping for the envelope the ARQ transport currently has in the
+/// air (stop-and-wait: the one unacknowledged transmission).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArqOutstanding {
+    /// The envelope's ticket, re-sent on retransmission and matched on
+    /// delivery.
+    pub(crate) ticket: Ticket,
+    /// Transmissions so far (1 = the original send).
+    pub(crate) attempts: u32,
+    /// Whether this envelope belongs to the reconnection handshake.
+    pub(crate) reconciliation: bool,
+    /// Id of the armed retransmission timer.
+    timer: u64,
+}
+
+impl Arq {
+    pub(crate) fn new(config: ArqConfig) -> Self {
+        Arq {
+            config,
+            rng: BatchedF64::new(config.seed),
+            outstanding: None,
+            timer_seq: 0,
+        }
+    }
+
+    /// One transmission attempt of `ticket` (`attempts` counts it, 1 = the
+    /// original send): draws its loss fate, then its jitter — two draws, so
+    /// the stream position is a function of the attempt count alone — and
+    /// makes it the outstanding envelope. Returns whether it was lost, and
+    /// its retransmission timer with the time it fires.
+    pub(crate) fn attempt(
+        &mut self,
+        now: f64,
+        ticket: Ticket,
+        reconciliation: bool,
+        attempts: u32,
+    ) -> (bool, f64, Event) {
+        let lost = self.rng.draw() < self.config.loss_probability;
+        let rto = self.config.jittered_timeout(attempts, self.rng.draw());
+        self.timer_seq += 1;
+        let timer = self.timer_seq;
+        self.outstanding = Some(ArqOutstanding {
+            ticket,
+            attempts,
+            reconciliation,
+            timer,
+        });
+        (lost, now + rto, Event::ArqTimeout { timer })
+    }
+
+    /// The envelope behind `ticket` got through: its timer is settled (a
+    /// response supersedes it anyway; a completion acks it explicitly).
+    pub(crate) fn acknowledge(&mut self, ticket: Ticket) {
+        if self.outstanding.is_some_and(|out| out.ticket == ticket) {
+            self.outstanding = None;
+        }
+    }
+
+    /// Timer `timer` fired. `None` if it is stale — the envelope was
+    /// acknowledged, superseded, or destroyed. Otherwise the envelope,
+    /// plus, once it has used up its retry budget, the delay of the probe
+    /// that looks for the link after escalation (the backoff law continues
+    /// past the budget).
+    pub(crate) fn expire(&mut self, timer: u64) -> Option<(ArqOutstanding, Option<f64>)> {
+        let out = self.outstanding.take_if(|out| out.timer == timer)?;
+        let probe = (out.attempts > self.config.retry_budget).then(|| {
+            self.config
+                .jittered_timeout(out.attempts + 1, self.rng.draw())
+        });
+        Some((out, probe))
     }
 }
 

@@ -13,10 +13,10 @@
 
 use crate::calendar::{self, CalendarQueue};
 use crate::engine::DecisionCore;
-use crate::faults::{ArqConfig, FaultKind, FaultPlan};
-use crate::perf::{BatchedF64, PerfStats, Stopwatch};
+use crate::faults::{Arq, ArqConfig, FaultKind, FaultPlan, FaultProcess, Ghosts};
+use crate::perf::{PerfStats, Stopwatch};
 use crate::protocol::{ProtocolState, StepOutcome, Ticket};
-use crate::topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
+use crate::topology::{HandoffLeg, Mobility, MobilityConfig, Topology, TopologyConfig};
 use crate::workload::{Arrival, ArrivalProcess};
 use mdr_core::{Action, ActionCounts, CostModel, PolicySpec, Request, Schedule};
 use std::collections::VecDeque;
@@ -59,19 +59,6 @@ pub struct SimConfig {
     pub topology: Option<TopologyConfig>,
 }
 
-/// Parameters of the cellular-mobility model.
-#[derive(Debug, Clone)]
-pub struct MobilityConfig {
-    /// Extra one-way latency experienced in each cell (the cell count is
-    /// this vector's length).
-    pub cell_extra_latency: Vec<f64>,
-    /// Rate of the exponential dwell time in a cell (handoffs per time
-    /// unit).
-    pub handoff_rate: f64,
-    /// RNG seed for the movement process.
-    pub seed: u64,
-}
-
 /// Configuration equality is deliberate about its floating-point fields:
 /// they are compared by IEEE-754 total order (`f64::total_cmp`), so the
 /// semantics of NaN and signed zero are explicit rather than inherited from
@@ -91,23 +78,6 @@ impl PartialEq for SimConfig {
 }
 
 impl Eq for SimConfig {}
-
-/// See [`SimConfig`]'s `PartialEq`: total-order comparison on the latency
-/// vector, exact equality elsewhere.
-impl PartialEq for MobilityConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.cell_extra_latency.len() == other.cell_extra_latency.len()
-            && self
-                .cell_extra_latency
-                .iter()
-                .zip(&other.cell_extra_latency)
-                .all(|(a, b)| a.total_cmp(b).is_eq())
-            && self.handoff_rate.total_cmp(&other.handoff_rate).is_eq()
-            && self.seed == other.seed
-    }
-}
-
-impl Eq for MobilityConfig {}
 
 impl SimConfig {
     /// Crate-internal default construction shared with the
@@ -453,7 +423,7 @@ impl InvariantMonitor {
 }
 
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
     Arrival(Arrival),
     /// An envelope reaches its destination. Validity is re-checked at
     /// delivery time ([`ProtocolState::receive`]): faults leave ghost
@@ -544,6 +514,38 @@ impl Event {
 /// loop stages outside the calendar queue.
 const PROTOCOL_RANK: u8 = 1;
 
+/// What a layer's handler works against besides its own state: the
+/// clock, the future-event list, and the run's counters. The list is the
+/// calendar queue plus the `seq` counter every scheduled event takes its
+/// tie-break from, queued or staged; every layer schedules through
+/// [`Cx::push_event`], the simulator's one push path.
+pub(crate) struct Cx {
+    pub(crate) now: f64,
+    queue: CalendarQueue<Event>,
+    seq: u64,
+    /// The run's counters, kept in the report they end up in: the
+    /// handlers count straight into it, and [`Simulation::report`] clones
+    /// it and fills in the fields derived from other state.
+    pub(crate) tally: SimReport,
+}
+
+impl Cx {
+    /// Queues `event` at `at` under the next `seq`.
+    pub(crate) fn push_event(&mut self, at: f64, event: Event) {
+        self.seq += 1;
+        let rank = event.actor_rank();
+        self.queue.push(at, rank, self.seq, event);
+    }
+
+    /// Takes the next `seq` for a rank-1 event staged outside the queue at
+    /// `at`, returning the [`calendar::pack`]ed key it would have queued
+    /// with.
+    fn stage(&mut self, at: f64) -> u128 {
+        self.seq += 1;
+        calendar::pack((at, PROTOCOL_RANK, self.seq))
+    }
+}
+
 /// Which source holds the earliest pending event: one of the two staged
 /// slots, or the calendar queue's head.
 #[derive(Clone, Copy)]
@@ -553,7 +555,9 @@ enum NextEvent {
     Queue,
 }
 
-/// The simulator. Owns the two protocol nodes and the event queue.
+/// The simulator. Owns the two protocol nodes and the event queue; each
+/// optional layer — the cellular walk, the fault plan, the ARQ transport,
+/// the multi-cell topology — owns its own config, RNG stream and state.
 pub struct Simulation {
     config: SimConfig,
     /// The protocol transition relation (both nodes + wire + ledger); the
@@ -563,8 +567,7 @@ pub struct Simulation {
     /// [`DecisionCore`] fed the same serialized request order, so every
     /// run doubles as an equivalence test of the decision engine.
     oracle: Option<DecisionCore>,
-    events: CalendarQueue<Event>,
-    seq: u64,
+    cx: Cx,
     /// The next workload arrival, staged outside the queue under the
     /// [`calendar::pack`]ed key (rank 1) the queued [`Event::Arrival`]
     /// would have carried. At most one future arrival is known at a time,
@@ -580,35 +583,26 @@ pub struct Simulation {
     staged_delivery: Option<(u128, Ticket)>,
     /// Arrivals waiting for the in-flight exchange to finish.
     pending: VecDeque<Arrival>,
-    in_flight: Option<Exchange>,
-    now: f64,
-    /// The run's counters, kept in the report they end up in: the
-    /// handlers count straight into it, and [`Simulation::report`] clones
-    /// it and fills in the fields derived from other state.
-    tally: SimReport,
+    /// The request whose exchange is on the wire.
+    in_flight: Option<Arrival>,
     read_latency_sum: f64,
     reads_completed: u64,
     served: usize,
     /// Absolute request-count target for the current `run` call (serving
     /// stops exactly there, even mid-drain).
     target: usize,
-    mobility_rng: Option<BatchedF64>,
-    current_cell: usize,
-    /// Cached `cell_extra_latency[current_cell]` (0 without the mobility
-    /// model), so the per-transmit hot path reads one `f64` instead of
-    /// indexing through the config.
-    cell_extra: f64,
-    // --- fault injection (None / quiescent without a FaultPlan) ---
-    fault_rng: Option<BatchedF64>,
-    /// Whether the initial link-down has been scheduled (once per
-    /// simulation, not per `run` call).
-    fault_primed: bool,
+    mobility: Option<Mobility>,
+    faults: Option<FaultProcess>,
+    arq: Option<Arq>,
+    /// The multi-cell topology, built only for a plan that migrates.
+    topology: Option<Topology>,
+    // --- link state, driven by the fault plan and the ARQ transport ---
     link_up: bool,
     /// Kind of the outage in progress, while the link is down.
     outage_kind: Option<FaultKind>,
     /// An exchange a disconnection aborted, waiting to be retried once the
     /// link (and any owed reconciliation) is back.
-    suspended: Option<Exchange>,
+    suspended: Option<Arrival>,
     /// An MC crash owing a reconnection handshake at the next link-up;
     /// the flag records whether volatile state was lost.
     pending_crash: Option<bool>,
@@ -628,14 +622,6 @@ pub struct Simulation {
     /// exchange (the wasted setup), one per reconnection handshake, and one
     /// per ARQ retransmission (connection model: every retransmit re-dials).
     extra_connections: u64,
-    // --- ARQ transport (None / quiescent without an ArqConfig) ---
-    arq_rng: Option<BatchedF64>,
-    /// The envelope currently awaiting acknowledgement, if any (stop-and-
-    /// wait: at most one).
-    arq_outstanding: Option<ArqOutstanding>,
-    /// Monotone timer-id source; a timeout event whose id differs from the
-    /// outstanding transmission's is stale and ignored.
-    arq_timer_seq: u64,
     /// Monotone link-up token source (see [`Event::LinkUp`]).
     link_token: u64,
     /// Whether the current outage was declared by ARQ escalation rather
@@ -645,105 +631,16 @@ pub struct Simulation {
     /// enabled, at an injected link-down; cleared at the first successful
     /// delivery after it).
     partitioned_since: Option<f64>,
-    // --- multi-cell topology (None / quiescent without a TopologyConfig) ---
-    /// Dwell times, destination cells, and handoff-leg loss/jitter draws.
-    topology_rng: Option<BatchedF64>,
-    /// Commit duplication/reordering draws. A separate stream so turning
-    /// ghosts on cannot perturb the legs' loss fates — the idempotence
-    /// property in `properties.rs` relies on this.
-    topology_ghost_rng: Option<BatchedF64>,
-    /// The cell the MC currently sits in (distinct from `current_cell`,
-    /// the latency-only cellular model's position).
-    mc_cell: usize,
-    /// The cell whose SC currently owns the window and replica state.
-    owner_cell: usize,
-    /// Cells left holding a stale replica copy by an aborted transfer or
-    /// a committed migration; cleared by invalidation on commit.
-    stale_replica: Vec<bool>,
-    /// The handoff flight currently in the air, if any.
-    handoff: Option<HandoffFlight>,
-    /// Monotone epoch source; every flight gets a fresh epoch and legs of
-    /// older epochs self-discard (the fence).
-    handoff_epoch: u64,
-    /// Whether the last handoff attempt aborted with the MC still away
-    /// from the owner cell: reads are served stale from the origin and
-    /// wire-needing requests are shed with a typed outcome.
-    handoff_stuck: bool,
     monitor: InvariantMonitor,
-}
-
-/// Book-keeping for the envelope the ARQ transport currently has in the
-/// air (stop-and-wait: the one unacknowledged transmission).
-#[derive(Debug, Clone, Copy)]
-struct ArqOutstanding {
-    /// The envelope's ticket, re-sent on retransmission and matched on
-    /// delivery.
-    ticket: Ticket,
-    /// Transmissions so far (1 = the original send).
-    attempts: u32,
-    /// Whether this envelope belongs to the reconnection handshake.
-    reconciliation: bool,
-    /// Id of the armed retransmission timer.
-    timer: u64,
-}
-
-/// Book-keeping for the exchange currently on the wire.
-#[derive(Debug, Clone, Copy)]
-struct Exchange {
-    request: Request,
-    arrived_at: f64,
-}
-
-/// Book-keeping for the three-way handoff flight currently in the air
-/// (mobility extension, `docs/topology.md`). At most one flight exists at
-/// a time; a migration mid-flight fences the epoch and starts over.
-#[derive(Debug, Clone)]
-struct HandoffFlight {
-    /// The cell ownership departs from (and rolls back to on abort).
-    origin: usize,
-    /// The cell ownership is migrating toward (always the MC's cell at
-    /// initiation; a migration mid-flight aborts and re-initiates).
-    target: usize,
-    /// The fence: legs stamped with an older epoch self-discard.
-    epoch: u64,
-    /// The leg currently in the air.
-    awaiting: HandoffLeg,
-    /// Transmission attempts of the awaiting leg (1 = the original send);
-    /// reset when the flight advances to the next leg.
-    attempts: u32,
-    /// Billed backbone attempts of this flight — settled on commit, moved
-    /// to the aborted tally if the deadline or a migration fences it.
-    messages: u64,
-    /// Whether the state-transfer leg landed at the target (an abort then
-    /// leaves an orphaned stale replica there to invalidate later).
-    transfer_landed: bool,
-    /// The window/replica state captured at initiation and shipped on the
-    /// state-transfer leg.
-    snapshot: HandoffSnapshot,
 }
 
 impl Simulation {
     /// Creates a simulation in the policy's initial state.
     pub fn new(config: SimConfig) -> Self {
-        // Every stream head below goes through `BatchedF64::new`, which
+        // Every layer's stream head goes through `BatchedF64::new`, which
         // seeds the same SplitMix64-expanded `StdRng` the unbatched
         // simulator used — stream identity is pinned by the ledger-digest
         // regression tests.
-        let mobility_rng = config.mobility.as_ref().map(|m| BatchedF64::new(m.seed));
-        let fault_rng = config.faults.as_ref().map(|f| BatchedF64::new(f.seed));
-        let arq_rng = config.arq.as_ref().map(|a| BatchedF64::new(a.seed));
-        let topology_rng = config.topology.as_ref().map(|t| BatchedF64::new(t.seed));
-        // Salted so the ghost stream is independent of the leg stream.
-        let topology_ghost_rng = config
-            .topology
-            .as_ref()
-            .map(|t| BatchedF64::new(t.seed ^ 0x9e37_79b9_7f4a_7c15));
-        let cell_extra = config
-            .mobility
-            .as_ref()
-            .map_or(0.0, |m| m.cell_extra_latency[0]);
-        let home_cell = config.topology.as_ref().map_or(0, |t| t.home_cell);
-        let cells = config.topology.as_ref().map_or(1, |t| t.cells);
         Simulation {
             protocol: ProtocolState::new(config.policy),
             oracle: config.oracle_check.then(|| {
@@ -752,24 +649,24 @@ impl Simulation {
                 };
                 core
             }),
-            config,
-            events: CalendarQueue::new(),
-            seq: 0,
+            cx: Cx {
+                now: 0.0,
+                queue: CalendarQueue::new(),
+                seq: 0,
+                tally: SimReport::default(),
+            },
             staged_arrival: None,
             staged_delivery: None,
             pending: VecDeque::new(),
             in_flight: None,
-            now: 0.0,
-            tally: SimReport::default(),
-            mobility_rng,
-            current_cell: 0,
-            cell_extra,
             read_latency_sum: 0.0,
             reads_completed: 0,
             served: 0,
             target: usize::MAX,
-            fault_rng,
-            fault_primed: false,
+            mobility: config.mobility.clone().map(Mobility::new),
+            faults: config.faults.clone().map(FaultProcess::new),
+            topology: Topology::new(&config),
+            arq: config.arq.map(Arq::new),
             link_up: true,
             outage_kind: None,
             suspended: None,
@@ -779,28 +676,12 @@ impl Simulation {
             exchange_messages: 0,
             exchange_retrans: 0,
             extra_connections: 0,
-            arq_rng,
-            arq_outstanding: None,
-            arq_timer_seq: 0,
             link_token: 0,
             declared_down: false,
             partitioned_since: None,
-            topology_rng,
-            topology_ghost_rng,
-            mc_cell: home_cell,
-            owner_cell: home_cell,
-            stale_replica: vec![false; cells],
-            handoff: None,
-            handoff_epoch: 0,
-            handoff_stuck: false,
             monitor: InvariantMonitor::new(),
+            config,
         }
-    }
-
-    fn push_event(&mut self, at: f64, event: Event) {
-        self.seq += 1;
-        let rank = event.actor_rank();
-        self.events.push(at, rank, self.seq, event);
     }
 
     /// Fetches the next arrival from the workload and stages it (or, when
@@ -812,11 +693,9 @@ impl Simulation {
         match workload.next_arrival() {
             Some(a) => {
                 if self.staged_arrival.is_none() {
-                    self.seq += 1;
-                    let key = calendar::pack((a.time, PROTOCOL_RANK, self.seq));
-                    self.staged_arrival = Some((key, a));
+                    self.staged_arrival = Some((self.cx.stage(a.time), a));
                 } else {
-                    self.push_event(a.time, Event::Arrival(a));
+                    self.cx.push_event(a.time, Event::Arrival(a));
                 }
             }
             None => self.arrivals_done = true,
@@ -829,62 +708,65 @@ impl Simulation {
         self.stage_next_arrival(workload);
         if self.can_begin_service(arrival.request) {
             self.begin_service(arrival);
-        } else if self.degraded()
-            && self.pending.is_empty()
-            && self.suspended.is_none()
-            && self.needs_wire(arrival.request)
-        {
-            // Degraded mode: a wire-needing request is shed with a typed
-            // outcome instead of queueing behind a partition of unknown
-            // length. (With a non-empty queue the earlier entries were
-            // already shed or are locally servable, so this branch keeps
-            // FIFO intact.)
-            self.shed_request(arrival, ShedReason::DegradedPartition);
-        } else if self.handoff_stuck
-            && self.pending.is_empty()
-            && self.suspended.is_none()
-            && self.needs_wire(arrival.request)
-        {
-            // A stuck handoff (aborted at least once, by its deadline or
-            // by a migration's fence) degrades the same way: ownership is
-            // mid-migration, so a wire-needing request is shed instead of
-            // queueing behind a handoff of unknown length. Reads the MC
-            // can serve from its copy still go through (stale, from the
-            // origin cell).
-            self.shed_request(arrival, ShedReason::HandoffStuck);
+            return;
+        }
+        // Degraded mode, or a stuck handoff (aborted at least once, by its
+        // deadline or by a migration's fence): a wire-needing request is
+        // shed with a typed outcome instead of queueing behind a partition
+        // or a handoff of unknown length. Reads the MC can serve from its
+        // copy still go through (stale, from the origin cell). With a
+        // non-empty queue the earlier entries were already shed or are
+        // locally servable, so only a would-be queue head is shed and FIFO
+        // stays intact.
+        let reason = if self.degraded_since().is_some() {
+            Some(ShedReason::DegradedPartition)
+        } else if self.topology.as_ref().is_some_and(|t| t.stuck) {
+            Some(ShedReason::HandoffStuck)
         } else {
-            self.tally.queued_requests += 1;
+            None
+        };
+        let head = self.pending.is_empty() && self.suspended.is_none();
+        if let Some(arrival) = self.try_shed(arrival, reason.filter(|_| head)) {
+            self.cx.tally.queued_requests += 1;
             self.pending.push_back(arrival);
         }
     }
 
-    /// Bills and schedules the delivery of an envelope the protocol just put
-    /// on the wire. Under the ARQ transport the envelope instead plays the
-    /// timeout/retransmit game ([`Simulation::transmit_arq`]).
+    /// Bills one transmission attempt of an envelope the protocol just
+    /// put on the wire (`attempts` counts it, 1 = the original send) and
+    /// schedules its delivery. Under the ARQ transport the attempt may be
+    /// lost, and a retransmission timer is armed behind it.
     /// `reconciliation` routes the attempt tally to the handshake counters
     /// instead of the at-risk exchange tally.
-    ///
-    /// Under a fault plan the network may additionally inject ghost copies
-    /// (duplication, stale reordering). Ghosts are scheduled but never
-    /// billed: they are a delivery artifact, not a send, and the protocol's
-    /// epoch/sequence guards discard them — which is exactly the property
-    /// the `properties.rs` proptests pin down.
-    fn transmit(&mut self, ticket: Ticket, reconciliation: bool) {
-        if self.config.arq.is_some() {
-            self.transmit_arq(ticket, reconciliation, 1);
-            return;
-        }
+    fn transmit(&mut self, ticket: Ticket, reconciliation: bool, attempts: u32) {
         self.bill_attempt(ticket, reconciliation);
-        let arrives = self.now + self.config.latency + self.cell_extra;
-        self.schedule_delivery(ticket, arrives);
+        let cell_extra = self.mobility.as_ref().map_or(0.0, |m| m.cell_extra);
+        let arrives = self.cx.now + self.config.latency + cell_extra;
+        let Some(arq) = self.arq.as_mut() else {
+            self.schedule_delivery(ticket, arrives);
+            return;
+        };
+        let (lost, at, timer) = arq.attempt(self.cx.now, ticket, reconciliation, attempts);
+        if attempts > 1 {
+            self.cx.tally.retransmissions += 1;
+            if !reconciliation {
+                self.exchange_retrans += 1;
+            }
+            // Connection model: every retransmission re-dials.
+            self.extra_connections += 1;
+        }
+        if !lost {
+            self.schedule_delivery(ticket, arrives);
+        }
+        self.cx.push_event(at, timer);
     }
 
     /// Bills one transmission attempt on the wireless link to its message
     /// class, and to the handshake counters or the at-risk exchange tally.
     fn bill_attempt(&mut self, ticket: Ticket, reconciliation: bool) {
         match ticket.class {
-            crate::wire::MessageClass::Data => self.tally.data_messages += 1,
-            crate::wire::MessageClass::Control => self.tally.control_messages += 1,
+            crate::wire::MessageClass::Data => self.cx.tally.data_messages += 1,
+            crate::wire::MessageClass::Control => self.cx.tally.control_messages += 1,
             crate::wire::MessageClass::Invalidation => {
                 // Invalidation traffic rides the wired backbone, never the
                 // MC/SC wireless link.
@@ -892,7 +774,7 @@ impl Simulation {
             }
         }
         if reconciliation {
-            self.tally.reconciliation_messages += 1;
+            self.cx.tally.reconciliation_messages += 1;
         } else {
             self.exchange_messages += 1;
         }
@@ -901,155 +783,92 @@ impl Simulation {
     /// Schedules the delivery of `ticket` plus any ghost copies
     /// (duplication, stale reordering) a fault plan asks for. Ghost fates
     /// are drawn up front, so a ghost-free delivery can be staged outside
-    /// the queue. Ghosts are scheduled but never billed: they are a
-    /// delivery artifact, not a send, and the protocol's epoch/sequence
-    /// guards discard them.
+    /// the queue.
     fn schedule_delivery(&mut self, ticket: Ticket, arrives: f64) {
-        let (duplicate, reorder) = match (self.config.faults.as_ref(), self.fault_rng.as_mut()) {
-            (Some(plan), Some(rng)) => (
-                plan.duplication > 0.0 && rng.draw() < plan.duplication,
-                plan.reorder > 0.0 && rng.draw() < plan.reorder,
-            ),
-            _ => (false, false),
-        };
-        if !duplicate && !reorder && self.staged_delivery.is_none() {
+        let ghosts = self
+            .faults
+            .as_mut()
+            .map_or(Ghosts::default(), FaultProcess::ghosts);
+        if !(ghosts.duplicate || ghosts.reorder) && self.staged_delivery.is_none() {
             // The common ghost-free case: stage the sole in-flight
             // delivery outside the queue. It is consumed in
             // exact `(time, rank, seq)` order by the run loop's
             // three-way pick, under the very seq it would have queued
             // with — so billing, tie-breaks and digests are unchanged.
-            self.seq += 1;
-            let key = calendar::pack((arrives, PROTOCOL_RANK, self.seq));
-            self.staged_delivery = Some((key, ticket));
+            self.staged_delivery = Some((self.cx.stage(arrives), ticket));
             return;
         }
-        self.push_event(arrives, Event::Deliver(ticket));
-        let latency = self.config.latency;
-        if duplicate {
-            // The copy takes a marginally longer path and arrives right
-            // behind the original: a straight duplicate.
-            self.push_event(arrives + 0.25 * latency + 1e-6, Event::GhostDeliver(ticket));
+        self.cx.push_event(arrives, Event::Deliver(ticket));
+        for at in ghosts.arrivals(arrives, self.config.latency) {
+            self.cx.push_event(at, Event::GhostDeliver(ticket));
         }
-        if reorder {
-            // The copy is held up long enough to land behind *subsequent*
-            // traffic: a genuinely out-of-order stale delivery.
-            self.push_event(arrives + 2.5 * latency + 1e-3, Event::GhostDeliver(ticket));
-        }
-    }
-
-    /// One ARQ transmission attempt: bill it, draw its fate from the
-    /// dedicated ARQ loss stream, schedule the delivery if it survives, and
-    /// arm the backoff timer. `attempts` counts this transmission (1 = the
-    /// original send); retransmissions re-enter here from
-    /// [`Simulation::handle_arq_timeout`].
-    fn transmit_arq(&mut self, ticket: Ticket, reconciliation: bool, attempts: u32) {
-        let (Some(arq), Some(rng)) = (self.config.arq, self.arq_rng.as_mut()) else {
-            unreachable!("ARQ transmission requires an ArqConfig")
-        };
-        // Two draws per attempt — loss fate, then jitter — so the stream
-        // position is a function of the attempt count alone.
-        let lost = rng.draw() < arq.loss_probability;
-        let jitter_u = rng.draw();
-        self.bill_attempt(ticket, reconciliation);
-        if attempts > 1 {
-            self.tally.retransmissions += 1;
-            if !reconciliation {
-                self.exchange_retrans += 1;
-            }
-            // Connection model: every retransmission re-dials.
-            self.extra_connections += 1;
-        }
-        if !lost {
-            let arrives = self.now + self.config.latency + self.cell_extra;
-            self.schedule_delivery(ticket, arrives);
-        }
-        let rto = arq.timeout_for_attempt(attempts) * (1.0 + arq.jitter * jitter_u);
-        self.arq_timer_seq += 1;
-        let timer = self.arq_timer_seq;
-        self.arq_outstanding = Some(ArqOutstanding {
-            ticket,
-            attempts,
-            reconciliation,
-            timer,
-        });
-        self.push_event(self.now + rto, Event::ArqTimeout { timer });
     }
 
     /// A retransmission timer fired. If the envelope it guarded is still
     /// unacknowledged, either retransmit (budget permitting) or escalate to
     /// a declared disconnection.
     fn handle_arq_timeout(&mut self, timer: u64) {
-        let current = self
-            .arq_outstanding
-            .as_ref()
-            .is_some_and(|out| out.timer == timer);
-        if !current {
-            return; // acknowledged, superseded, or destroyed: stale timer
-        }
-        let Some(out) = self.arq_outstanding.take() else {
-            unreachable!("checked above")
-        };
-        let Some(arq) = self.config.arq else {
-            unreachable!("ARQ timeout without an ArqConfig")
-        };
-        if out.attempts <= arq.retry_budget {
-            self.transmit_arq(out.ticket, out.reconciliation, out.attempts + 1);
-        } else {
-            self.escalate_partition(out, arq);
+        match self.arq.as_mut().and_then(|arq| arq.expire(timer)) {
+            Some((out, None)) => self.transmit(out.ticket, out.reconciliation, out.attempts + 1),
+            Some((_, Some(probe))) => self.escalate_partition(probe),
+            None => {} // acknowledged, superseded, or destroyed: stale timer
         }
     }
 
     /// The retry budget is exhausted: declare the link disconnected, feed
     /// the exchange to the existing reconnect/suspend machinery, and probe
-    /// for the link later (the backoff law continues past the budget).
-    fn escalate_partition(&mut self, out: ArqOutstanding, arq: ArqConfig) {
-        self.tally.retry_escalations += 1;
+    /// for the link after `probe`.
+    fn escalate_partition(&mut self, probe: f64) {
+        self.cx.tally.retry_escalations += 1;
         self.link_up = false;
         self.declared_down = true;
         // A declared partition behaves like a doze: both sides keep their
         // state; only the wire is gone.
         self.outage_kind = Some(FaultKind::Doze);
         if self.partitioned_since.is_none() {
-            self.partitioned_since = Some(self.now);
+            self.partitioned_since = Some(self.cx.now);
         }
-        if out.reconciliation {
-            // The handshake gave out mid-flight: clear it off the wire; it
-            // restarts wholesale at the next probe (`pending_crash` and the
-            // protocol's `recovering` flag persist).
-            let _ = self.protocol.disconnect();
-            self.reconciling = false;
-        } else {
-            let aborted = self.protocol.disconnect();
-            let Some(exchange) = self.in_flight.take() else {
-                unreachable!("non-reconciliation ARQ traffic implies an exchange in flight")
-            };
-            debug_assert_eq!(aborted, Some(exchange.request));
-            self.tally.aborted_messages += self.exchange_messages;
-            self.exchange_messages = 0;
-            self.exchange_retrans = 0;
-            self.extra_connections += 1; // the wasted connection setup
-            self.suspended = Some(exchange);
-        }
-        if self.degraded() {
+        self.abort_on_outage();
+        if self.degraded_since().is_some() {
             self.degrade_pending();
         }
-        let jitter_u = match self.arq_rng.as_mut() {
-            Some(rng) => rng.draw(),
-            None => 0.0,
-        };
-        let probe = arq.timeout_for_attempt(out.attempts + 1) * (1.0 + arq.jitter * jitter_u);
-        self.link_token += 1;
-        let token = self.link_token;
-        self.push_event(self.now + probe, Event::LinkUp { token });
+        self.schedule_link_up(probe);
     }
 
-    /// Whether the ARQ transport is in degraded mode: partitioned beyond
-    /// the degradation deadline.
-    fn degraded(&self) -> bool {
-        match (self.config.arq.as_ref(), self.partitioned_since) {
-            (Some(arq), Some(since)) if !self.link_up => self.now - since >= arq.degrade_deadline,
-            _ => false,
+    /// The link is gone, and with it everything on the wire. An exchange
+    /// in flight is aborted: its billed attempts become aborted traffic,
+    /// its connection setup is wasted, and it waits, suspended, for the
+    /// link. An interrupted handshake restarts wholesale at the next
+    /// link-up (`pending_crash` and the protocol's `recovering` flag both
+    /// persist).
+    fn abort_on_outage(&mut self) {
+        let aborted = self.protocol.disconnect();
+        if let Some(exchange) = self.in_flight.take() {
+            debug_assert_eq!(aborted, Some(exchange.request));
+            self.cx.tally.aborted_messages += self.exchange_messages;
+            self.exchange_messages = 0;
+            self.exchange_retrans = 0;
+            self.extra_connections += 1;
+            self.suspended = Some(exchange);
         }
+        self.reconciling = false;
+    }
+
+    /// Schedules the link's return after `delay` under a fresh token,
+    /// which makes every link-up scheduled before it stale.
+    fn schedule_link_up(&mut self, delay: f64) {
+        self.link_token += 1;
+        let token = self.link_token;
+        self.cx
+            .push_event(self.cx.now + delay, Event::LinkUp { token });
+    }
+
+    /// When the partition in progress began, if the ARQ transport is in
+    /// degraded mode: partitioned beyond the degradation deadline.
+    fn degraded_since(&self) -> Option<f64> {
+        let deadline = self.arq.as_ref()?.config.degrade_deadline;
+        let since = self.partitioned_since?;
+        (!self.link_up && self.cx.now - since >= deadline).then_some(since)
     }
 
     /// Whether serving `request` requires the wireless link in the current
@@ -1064,46 +883,54 @@ impl Simulation {
     /// Sheds a request with a typed outcome: it never enters the schedule,
     /// the ledger, or the oracle.
     fn shed_request(&mut self, arrival: Arrival, reason: ShedReason) {
-        self.tally.shed.push(ShedRequest {
-            at: self.now,
+        self.cx.tally.shed.push(ShedRequest {
+            at: self.cx.now,
             request: arrival.request,
             reason,
         });
     }
 
-    /// Degraded mode just engaged (or deepened): shed the suspended
-    /// exchange and every queued request that needs the wire, then serve
-    /// what can complete locally.
-    fn degrade_pending(&mut self) {
-        if let Some(exchange) = self.suspended.take() {
-            // A suspended exchange needed the wire by construction.
-            self.shed_request(
-                Arrival {
-                    time: exchange.arrived_at,
-                    request: exchange.request,
-                },
-                ShedReason::DegradedPartition,
-            );
-        }
-        let queued = std::mem::take(&mut self.pending);
-        for arrival in queued {
-            if self.needs_wire(arrival.request) {
-                self.shed_request(arrival, ShedReason::DegradedPartition);
-            } else {
+    /// Sheds `arrival` for `reason`, if there is one and serving the
+    /// request needs the wire; hands it back otherwise.
+    fn try_shed(&mut self, arrival: Arrival, reason: Option<ShedReason>) -> Option<Arrival> {
+        let Some(reason) = reason.filter(|_| self.needs_wire(arrival.request)) else {
+            return Some(arrival);
+        };
+        self.shed_request(arrival, reason);
+        None
+    }
+
+    /// A degradation just engaged (or deepened): shed every queued request
+    /// that needs the wire, for `reason`, so the queue cannot wedge behind
+    /// a partition or a handoff of unknown length, then serve what can
+    /// complete locally.
+    fn shed_wire_needing(&mut self, reason: ShedReason) {
+        for arrival in std::mem::take(&mut self.pending) {
+            if let Some(arrival) = self.try_shed(arrival, Some(reason)) {
                 self.pending.push_back(arrival);
             }
         }
         self.drain_pending();
     }
 
+    /// Degraded mode just engaged (or deepened): shed the suspended
+    /// exchange — it needed the wire by construction — and every queued
+    /// request that needs the wire, then serve what can complete locally.
+    fn degrade_pending(&mut self) {
+        if let Some(exchange) = self.suspended.take() {
+            self.shed_request(exchange, ShedReason::DegradedPartition);
+        }
+        self.shed_wire_needing(ShedReason::DegradedPartition);
+    }
+
     /// Bills the transport-level acknowledgement that closes a completed
     /// exchange (control class; never retransmitted, never acked).
     fn bill_ack(&mut self) {
-        if self.config.arq.is_none() {
+        if self.arq.is_none() {
             return;
         }
-        self.tally.control_messages += 1;
-        self.tally.arq_acks += 1;
+        self.cx.tally.control_messages += 1;
+        self.cx.tally.arq_acks += 1;
     }
 
     /// Runs the protocol over `workload` until `requests` more relevant
@@ -1119,20 +946,17 @@ impl Simulation {
         self.target = self.served.saturating_add(requests);
         let target = self.target;
         self.arrivals_done = false;
-        // Prime the movement process.
-        if self.config.mobility.is_some() {
-            self.schedule_next_handoff();
+        // Prime the movement process, the topology's mobility plan (an
+        // inert plan has no layer, so it schedules nothing and draws
+        // nothing) and, once per simulation, the fault process.
+        if let Some(mobility) = &mut self.mobility {
+            mobility.schedule_handoff(&mut self.cx);
         }
-        // Prime the topology's mobility plan. An inert plan (zero
-        // migration rate) schedules nothing and draws nothing, so it
-        // reproduces the single-cell run bit for bit.
-        if self.topology_active() {
-            self.schedule_next_migration();
+        if let Some(topology) = &mut self.topology {
+            topology.schedule_migration(&mut self.cx);
         }
-        // Prime the fault process (once per simulation).
-        if !self.fault_primed {
-            self.fault_primed = true;
-            self.schedule_next_link_down();
+        if let Some(faults) = &mut self.faults {
+            faults.prime(&mut self.cx);
         }
         // Prime the first arrival.
         self.stage_next_arrival(workload);
@@ -1151,7 +975,11 @@ impl Simulation {
             // Pick the earliest of the two staged events and the queue
             // head by their packed `(time, rank, seq)` keys (unique —
             // every event consumed a distinct seq).
-            let mut best = self.events.peek_packed().map(|key| (key, NextEvent::Queue));
+            let mut best = self
+                .cx
+                .queue
+                .peek_packed()
+                .map(|key| (key, NextEvent::Queue));
             if let Some((key, _)) = self.staged_delivery {
                 if best.is_none_or(|(b, _)| key < b) {
                     best = Some((key, NextEvent::StagedDelivery));
@@ -1166,9 +994,9 @@ impl Simulation {
                 break;
             };
             let (at, _, _) = calendar::unpack(key);
-            debug_assert!(at >= self.now - 1e-9, "time went backwards");
-            self.now = at.max(self.now);
-            self.tally.events_processed += 1;
+            debug_assert!(at >= self.cx.now - 1e-9, "time went backwards");
+            self.cx.now = at.max(self.cx.now);
+            self.cx.tally.events_processed += 1;
             match source {
                 NextEvent::StagedArrival => {
                     let Some((_, arrival)) = self.staged_arrival.take() else {
@@ -1186,37 +1014,84 @@ impl Simulation {
                 }
                 NextEvent::Queue => {}
             }
-            let Some((_, event)) = self.events.pop() else {
+            let Some((_, event)) = self.cx.queue.pop() else {
                 unreachable!("picked a queue head from an empty queue")
             };
+            // A layer's events exist only when the layer does.
+            let cx = &mut self.cx;
             match event {
                 Event::Arrival(arrival) => self.handle_arrival(arrival, workload),
                 Event::Deliver(ticket) => self.handle_delivery(ticket),
                 Event::GhostDeliver(ticket) => {
-                    self.tally.duplicated_deliveries += 1;
+                    self.cx.tally.duplicated_deliveries += 1;
                     self.handle_delivery(ticket);
                 }
                 Event::Handoff => {
-                    self.perform_handoff();
-                    self.schedule_next_handoff();
+                    if let Some(mobility) = &mut self.mobility {
+                        mobility.hand_off(cx);
+                    }
                 }
-                Event::LinkDown => self.handle_link_down(),
+                Event::LinkDown => {
+                    if let Some(outage) = self.faults.as_mut().map(FaultProcess::draw_outage) {
+                        self.handle_link_down(outage);
+                    }
+                }
                 Event::LinkUp { token } => self.handle_link_up(token),
                 Event::ArqTimeout { timer } => self.handle_arq_timeout(timer),
                 Event::Migrate => {
-                    self.perform_migration();
-                    self.schedule_next_migration();
+                    if self.topology.as_mut().is_some_and(|t| t.migrate(cx)) {
+                        self.shed_wire_needing(ShedReason::HandoffStuck);
+                    }
+                    self.follow_mc();
+                    if let Some(topology) = &mut self.topology {
+                        topology.schedule_migration(&mut self.cx);
+                    }
                 }
-                Event::HandoffLegArrive { epoch, leg } => self.handle_handoff_leg(epoch, leg),
+                Event::HandoffLegArrive { epoch, leg } => {
+                    let version = self.protocol.sc().version();
+                    if self
+                        .topology
+                        .as_mut()
+                        .is_some_and(|t| t.land(epoch, leg, version, cx))
+                    {
+                        self.drain_pending();
+                    }
+                }
                 Event::HandoffRetry {
                     epoch,
                     leg,
                     attempt,
-                } => self.handle_handoff_retry(epoch, leg, attempt),
-                Event::HandoffDeadline { epoch } => self.handle_handoff_deadline(epoch),
+                } => {
+                    if let Some(topology) = &mut self.topology {
+                        topology.retry(epoch, leg, attempt, cx);
+                    }
+                }
+                Event::HandoffDeadline { epoch } => {
+                    if self.topology.as_mut().is_some_and(|t| t.expire(epoch, cx)) {
+                        self.shed_wire_needing(ShedReason::HandoffStuck);
+                        self.follow_mc();
+                    }
+                }
             }
         }
         self.report()
+    }
+
+    /// Ownership follows the MC: away from the owner cell, a fresh flight
+    /// sets off toward it, shipping the protocol's state as it stands now.
+    /// Back in the owner cell nothing is left to migrate: the stuck
+    /// degradation ends and the queue drains.
+    fn follow_mc(&mut self) {
+        let snapshot = self.protocol.handoff_snapshot();
+        let Some(topology) = &mut self.topology else {
+            return;
+        };
+        if topology.serves_stale() {
+            topology.initiate_handoff(snapshot, &mut self.cx);
+        } else {
+            topology.stuck = false;
+            self.drain_pending();
+        }
     }
 
     /// Runs like [`Simulation::run`] while timing the event loop: returns
@@ -1229,339 +1104,11 @@ impl Simulation {
         workload: &mut dyn ArrivalProcess,
         requests: usize,
     ) -> (SimReport, PerfStats) {
-        let before = self.tally.events_processed;
+        let before = self.cx.tally.events_processed;
         let watch = Stopwatch::start();
         let report = self.run(workload, requests);
-        let stats = watch.stats(self.tally.events_processed - before);
+        let stats = watch.stats(self.cx.tally.events_processed - before);
         (report, stats)
-    }
-
-    /// Draws the next exponential dwell time and schedules the handoff.
-    fn schedule_next_handoff(&mut self) {
-        let (Some(mobility), Some(rng)) =
-            (self.config.mobility.as_ref(), self.mobility_rng.as_mut())
-        else {
-            unreachable!("handoff scheduling requires the mobility model")
-        };
-        let rate = mobility.handoff_rate;
-        let u = rng.draw();
-        let dwell = -f64::ln(1.0 - u) / rate;
-        self.push_event(self.now + dwell, Event::Handoff);
-    }
-
-    /// Moves the MC to a uniformly chosen *different* cell.
-    fn perform_handoff(&mut self) {
-        let (Some(mobility), Some(rng)) =
-            (self.config.mobility.as_ref(), self.mobility_rng.as_mut())
-        else {
-            unreachable!("handoffs require the mobility model")
-        };
-        let cells = mobility.cell_extra_latency.len();
-        if cells > 1 {
-            let mut next = (rng.draw() * (cells - 1) as f64) as usize;
-            if next >= self.current_cell {
-                next += 1;
-            }
-            self.current_cell = next.min(cells - 1);
-        }
-        self.tally.handoffs += 1;
-        self.cell_extra = self
-            .config
-            .mobility
-            .as_ref()
-            .map_or(0.0, |m| m.cell_extra_latency[self.current_cell]);
-    }
-
-    /// Whether the multi-cell topology layer is live: configured and not
-    /// inert (an inert plan must behave exactly like no plan at all).
-    fn topology_active(&self) -> bool {
-        self.config.topology.as_ref().is_some_and(|t| !t.is_inert())
-    }
-
-    /// Draws the next exponential dwell time and schedules the migration.
-    fn schedule_next_migration(&mut self) {
-        let (Some(topology), Some(rng)) =
-            (self.config.topology.as_ref(), self.topology_rng.as_mut())
-        else {
-            unreachable!("migration scheduling requires a topology")
-        };
-        let u = rng.draw();
-        let dwell = -f64::ln(1.0 - u) / topology.migration_rate;
-        self.push_event(self.now + dwell, Event::Migrate);
-    }
-
-    /// Moves the MC to a uniformly chosen *different* cell and kicks off
-    /// the ownership handoff. A migration while a flight is already in the
-    /// air fences that flight's epoch (abort + rollback to the origin) and
-    /// re-initiates toward the new cell, so a live flight always targets
-    /// the MC's current cell.
-    fn perform_migration(&mut self) {
-        let (Some(topology), Some(rng)) =
-            (self.config.topology.as_ref(), self.topology_rng.as_mut())
-        else {
-            unreachable!("migrations require a topology")
-        };
-        let cells = topology.cells;
-        if cells > 1 {
-            let mut next = (rng.draw() * (cells - 1) as f64) as usize;
-            if next >= self.mc_cell {
-                next += 1;
-            }
-            self.mc_cell = next.min(cells - 1);
-        }
-        self.tally.migrations += 1;
-        if self.handoff.is_some() {
-            self.abort_handoff();
-        }
-        if self.mc_cell != self.owner_cell {
-            self.initiate_handoff();
-        } else {
-            // Moved back into the owner cell: nothing left to migrate.
-            self.handoff_stuck = false;
-            self.drain_pending();
-        }
-    }
-
-    /// Starts a fresh three-way handoff flight from the owner cell toward
-    /// the MC's current cell under a new epoch, arms its deadline, and
-    /// sends the first leg.
-    fn initiate_handoff(&mut self) {
-        let Some(topology) = self.config.topology.as_ref() else {
-            unreachable!("handoffs require a topology")
-        };
-        debug_assert!(self.handoff.is_none(), "at most one flight in the air");
-        debug_assert_ne!(self.owner_cell, self.mc_cell);
-        self.handoff_epoch += 1;
-        let epoch = self.handoff_epoch;
-        let deadline = topology.handoff_deadline;
-        self.handoff = Some(HandoffFlight {
-            origin: self.owner_cell,
-            target: self.mc_cell,
-            epoch,
-            awaiting: HandoffLeg::Request,
-            attempts: 0,
-            messages: 0,
-            transfer_landed: false,
-            snapshot: self.protocol.handoff_snapshot(),
-        });
-        self.push_event(self.now + deadline, Event::HandoffDeadline { epoch });
-        self.send_handoff_leg(HandoffLeg::Request);
-    }
-
-    /// One backbone transmission attempt of the awaiting leg: bill it,
-    /// draw its fate, schedule the arrival if it survives, and — with the
-    /// ARQ transport installed — arm a retransmission timer under the
-    /// transport's own timeout law and retry budget. Without ARQ a leg is
-    /// sent once and the deadline abort is the only recovery.
-    fn send_handoff_leg(&mut self, leg: HandoffLeg) {
-        let (Some(topology), Some(rng)) = (self.config.topology, self.topology_rng.as_mut()) else {
-            unreachable!("handoff legs require a topology")
-        };
-        // Two draws per attempt — loss fate, then retry jitter — mirroring
-        // the ARQ transport so the stream position is a function of the
-        // attempt count alone.
-        let lost = rng.draw() < topology.loss_probability;
-        let jitter_u = rng.draw();
-        let Some(flight) = self.handoff.as_mut() else {
-            unreachable!("sending a leg requires a flight in the air")
-        };
-        flight.attempts += 1;
-        flight.messages += 1;
-        let attempt = flight.attempts;
-        let epoch = flight.epoch;
-        self.tally.handoff_messages += 1;
-        if !lost {
-            // Backbone legs ride SC-to-SC wiring at the base latency: no
-            // cellular extra, no wireless billing.
-            let arrives = self.now + self.config.latency;
-            self.push_event(arrives, Event::HandoffLegArrive { epoch, leg });
-            if leg == HandoffLeg::Commit {
-                self.inject_commit_ghosts(epoch, arrives);
-            }
-        }
-        if let Some(arq) = self.config.arq.as_ref() {
-            if attempt <= arq.retry_budget {
-                let rto = arq.timeout_for_attempt(attempt) * (1.0 + arq.jitter * jitter_u);
-                self.push_event(
-                    self.now + rto,
-                    Event::HandoffRetry {
-                        epoch,
-                        leg,
-                        attempt,
-                    },
-                );
-            }
-            // Budget exhausted: stop retransmitting and let the deadline
-            // abort recover (graceful degradation, not escalation — the
-            // wireless link is fine).
-        }
-    }
-
-    /// Schedules ghost copies of a commit leg (duplication, stale
-    /// reordering) when the topology asks for them, from the dedicated
-    /// ghost stream. Ghost copies land strictly after the original, so
-    /// the epoch fence discards every one of them — the idempotence
-    /// property `properties.rs` pins down.
-    fn inject_commit_ghosts(&mut self, epoch: u64, arrives: f64) {
-        let (duplicate, reorder) = match (
-            self.config.topology.as_ref(),
-            self.topology_ghost_rng.as_mut(),
-        ) {
-            (Some(t), Some(rng)) if t.has_ghosts() => (
-                t.commit_duplication > 0.0 && rng.draw() < t.commit_duplication,
-                t.commit_reorder > 0.0 && rng.draw() < t.commit_reorder,
-            ),
-            _ => (false, false),
-        };
-        let latency = self.config.latency;
-        let leg = HandoffLeg::Commit;
-        if duplicate {
-            self.push_event(
-                arrives + 0.25 * latency + 1e-6,
-                Event::HandoffLegArrive { epoch, leg },
-            );
-        }
-        if reorder {
-            self.push_event(
-                arrives + 2.5 * latency + 1e-3,
-                Event::HandoffLegArrive { epoch, leg },
-            );
-        }
-    }
-
-    /// A handoff leg landed. Stale copies — wrong epoch (fenced flight),
-    /// wrong leg (duplicated or reordered copy of an already-processed
-    /// one) — self-discard against the fence; a current leg advances the
-    /// flight's state machine.
-    fn handle_handoff_leg(&mut self, epoch: u64, leg: HandoffLeg) {
-        let current = self
-            .handoff
-            .as_ref()
-            .is_some_and(|f| f.epoch == epoch && f.awaiting == leg);
-        if !current {
-            self.tally.handoff_discards += 1;
-            return;
-        }
-        match leg {
-            HandoffLeg::Request => {
-                let Some(flight) = self.handoff.as_mut() else {
-                    unreachable!("checked above")
-                };
-                flight.awaiting = HandoffLeg::Transfer;
-                flight.attempts = 0;
-                self.send_handoff_leg(HandoffLeg::Transfer);
-            }
-            HandoffLeg::Transfer => {
-                let Some(flight) = self.handoff.as_mut() else {
-                    unreachable!("checked above")
-                };
-                debug_assert!(
-                    flight.snapshot.version <= self.protocol.sc().version(),
-                    "the shipped snapshot cannot be newer than the SC"
-                );
-                flight.transfer_landed = true;
-                flight.awaiting = HandoffLeg::Commit;
-                flight.attempts = 0;
-                self.send_handoff_leg(HandoffLeg::Commit);
-            }
-            HandoffLeg::Commit => self.commit_handoff(),
-        }
-    }
-
-    /// A leg retransmission timer fired. If the flight, leg, and attempt
-    /// count still match — the leg neither landed nor was fenced in the
-    /// meantime — retransmit it.
-    fn handle_handoff_retry(&mut self, epoch: u64, leg: HandoffLeg, attempt: u32) {
-        let current = self
-            .handoff
-            .as_ref()
-            .is_some_and(|f| f.epoch == epoch && f.awaiting == leg && f.attempts == attempt);
-        if !current {
-            return; // landed, advanced, or fenced: stale timer
-        }
-        self.send_handoff_leg(leg);
-    }
-
-    /// The deadline for the flight with `epoch` expired. If that flight is
-    /// still in the air, abort it (rollback to the origin cell) and — with
-    /// the MC still away from the owner — try again under a fresh epoch.
-    fn handle_handoff_deadline(&mut self, epoch: u64) {
-        let current = self.handoff.as_ref().is_some_and(|f| f.epoch == epoch);
-        if !current {
-            return; // committed or already fenced: stale deadline
-        }
-        self.abort_handoff();
-        if self.mc_cell != self.owner_cell {
-            self.initiate_handoff();
-        }
-    }
-
-    /// Aborts the flight in the air: ownership rolls back to (stays at)
-    /// the origin cell, the flight's billed legs move to the aborted
-    /// tally, an orphaned transfer leaves a stale replica at the target,
-    /// and the simulator enters the stuck-handoff degradation — reads are
-    /// served stale from the origin and wire-needing requests shed.
-    fn abort_handoff(&mut self) {
-        let Some(flight) = self.handoff.take() else {
-            return;
-        };
-        self.tally.handoffs_aborted += 1;
-        self.tally.aborted_handoff_messages += flight.messages;
-        if flight.transfer_landed {
-            self.stale_replica[flight.target] = true;
-        }
-        self.handoff_stuck = true;
-        // Degrade like a sustained partition: shed queued wire-needing
-        // requests (typed outcome) and serve what completes locally, so
-        // the queue cannot wedge behind a handoff of unknown length.
-        let queued = std::mem::take(&mut self.pending);
-        for arrival in queued {
-            if self.needs_wire(arrival.request) {
-                self.shed_request(arrival, ShedReason::HandoffStuck);
-            } else {
-                self.pending.push_back(arrival);
-            }
-        }
-        self.drain_pending();
-    }
-
-    /// The commit leg landed at the target: ownership moves, the origin's
-    /// replica goes stale, and invalidation traffic (the third message
-    /// class) makes every non-owner cell drop its stale copy — one
-    /// broadcast per commit round, or one unicast per stale replica.
-    fn commit_handoff(&mut self) {
-        let Some(flight) = self.handoff.take() else {
-            unreachable!("committing requires a flight in the air")
-        };
-        debug_assert_eq!(
-            flight.target, self.mc_cell,
-            "a migration mid-flight re-fences the handoff"
-        );
-        self.tally.settled_handoff_messages += flight.messages;
-        self.tally.handoffs_committed += 1;
-        self.stale_replica[flight.origin] = true;
-        self.owner_cell = flight.target;
-        self.stale_replica[flight.target] = false;
-        self.handoff_stuck = false;
-        let stale = self.stale_replica.iter().filter(|s| **s).count() as u64;
-        if stale > 0 {
-            let broadcast = self
-                .config
-                .topology
-                .as_ref()
-                .is_some_and(|t| t.broadcast_invalidation);
-            if broadcast {
-                self.tally.invalidation_messages += 1;
-                self.tally.invalidation_rounds += 1;
-            } else {
-                self.tally.invalidation_messages += stale;
-            }
-            self.tally.replicas_invalidated += stale;
-            for s in &mut self.stale_replica {
-                *s = false;
-            }
-        }
-        self.drain_pending();
     }
 
     /// Whether a fresh arrival can enter service right now. FIFO order is
@@ -1592,7 +1139,7 @@ impl Simulation {
         // mid-migration between cells, so neither SC may run the
         // exchange. Local reads still go through (served stale from the
         // origin cell) and silent writes complete on the MC alone.
-        if self.handoff_stuck && self.needs_wire(request) {
+        if self.topology.as_ref().is_some_and(|t| t.stuck) && self.needs_wire(request) {
             return false;
         }
         if self.link_up {
@@ -1619,20 +1166,14 @@ impl Simulation {
             StepOutcome::Completed(action) => {
                 if action == Action::LocalRead {
                     self.reads_completed += 1; // zero added latency
-                    if self.degraded() {
+                    if let Some(since) = self.degraded_since() {
                         // Served from the replica while partitioned beyond
                         // the deadline: a degraded, staleness-tracked read.
-                        let Some(since) = self.partitioned_since else {
-                            unreachable!("degraded mode implies a partition start time")
-                        };
-                        self.tally.degraded_reads += 1;
-                        self.tally.staleness_sum += self.now - since;
+                        self.cx.tally.degraded_reads += 1;
+                        self.cx.tally.staleness_sum += self.cx.now - since;
                     }
-                    if self.mc_cell != self.owner_cell {
-                        // Window ownership is away from (or migrating
-                        // toward) the MC's cell: the read is served stale
-                        // from the origin cell's state.
-                        self.tally.stale_reads += 1;
+                    if self.topology.as_ref().is_some_and(Topology::serves_stale) {
+                        self.cx.tally.stale_reads += 1;
                     }
                 }
                 self.complete(arrival, action);
@@ -1642,11 +1183,8 @@ impl Simulation {
                     self.link_up,
                     "wire traffic submitted while the link is down"
                 );
-                self.in_flight = Some(Exchange {
-                    request: arrival.request,
-                    arrived_at: arrival.time,
-                });
-                self.transmit(ticket, false);
+                self.in_flight = Some(arrival);
+                self.transmit(ticket, false, 1);
             }
             StepOutcome::Reconciled => unreachable!("submit never reconciles"),
         }
@@ -1658,25 +1196,19 @@ impl Simulation {
     /// recovery may have changed the
     /// allocation state enough that the retry now completes locally (e.g.
     /// a propagating write turns silent once the replica was retracted).
-    fn resume_service(&mut self, exchange: Exchange) {
+    fn resume_service(&mut self, exchange: Arrival) {
         debug_assert!(self.in_flight.is_none());
         match self.protocol.submit(exchange.request) {
             StepOutcome::Completed(action) => {
                 if exchange.request == Request::Read {
-                    self.read_latency_sum += self.now - exchange.arrived_at;
+                    self.read_latency_sum += self.cx.now - exchange.time;
                     self.reads_completed += 1;
                 }
-                self.complete(
-                    Arrival {
-                        time: exchange.arrived_at,
-                        request: exchange.request,
-                    },
-                    action,
-                );
+                self.complete(exchange, action);
             }
             StepOutcome::Sent(ticket) => {
                 self.in_flight = Some(exchange);
-                self.transmit(ticket, false);
+                self.transmit(ticket, false, 1);
             }
             StepOutcome::Reconciled => unreachable!("submit never reconciles"),
         }
@@ -1689,23 +1221,16 @@ impl Simulation {
     /// guards.
     fn handle_delivery(&mut self, ticket: Ticket) {
         let Some(outcome) = self.protocol.receive(ticket) else {
-            self.tally.discarded_deliveries += 1;
+            self.cx.tally.discarded_deliveries += 1;
             return;
         };
-        if self.config.arq.is_some() {
-            // The envelope got through: its retransmission timer is settled
-            // (a response supersedes it below; a completion acks it
-            // explicitly), and any partition in progress has healed.
-            if self
-                .arq_outstanding
-                .as_ref()
-                .is_some_and(|out| out.ticket == ticket)
-            {
-                self.arq_outstanding = None;
-            }
+        if let Some(arq) = &mut self.arq {
+            // The envelope got through: its retransmission timer is
+            // settled, and any partition in progress has healed.
+            arq.acknowledge(ticket);
             if let Some(since) = self.partitioned_since.take() {
-                self.tally.recovery_time_sum += self.now - since;
-                self.tally.recoveries += 1;
+                self.cx.tally.recovery_time_sum += self.cx.now - since;
+                self.cx.tally.recoveries += 1;
             }
         }
         match outcome {
@@ -1713,46 +1238,33 @@ impl Simulation {
                 // The response acknowledges the delivered envelope
                 // implicitly; its own timer takes over the outstanding slot.
                 let reconciliation = self.reconciling;
-                self.transmit(response, reconciliation);
+                self.transmit(response, reconciliation, 1);
             }
             StepOutcome::Completed(action) => {
-                let Some(exchange) = self.in_flight else {
+                let Some(exchange) = self.in_flight.take() else {
                     unreachable!("completion without an exchange in flight")
                 };
                 if matches!(action, Action::RemoteRead { .. }) {
-                    self.read_latency_sum += self.now - exchange.arrived_at;
+                    self.read_latency_sum += self.cx.now - exchange.time;
                     self.reads_completed += 1;
                 }
                 // Nothing speaks next in this exchange: close it with an
                 // explicit transport-level acknowledgement.
                 self.bill_ack();
-                self.finish_exchange(action);
+                self.exchange_messages = 0;
+                self.cx.tally.settled_retransmissions += self.exchange_retrans;
+                self.exchange_retrans = 0;
+                self.complete(exchange, action);
+                self.drain_pending();
             }
             StepOutcome::Reconciled => {
                 self.bill_ack();
                 self.reconciling = false;
                 self.pending_crash = None;
-                self.tally.reconciliations += 1;
+                self.cx.tally.reconciliations += 1;
                 self.resume_after_outage();
             }
         }
-    }
-
-    fn finish_exchange(&mut self, action: Action) {
-        let Some(exchange) = self.in_flight.take() else {
-            unreachable!("no exchange to finish")
-        };
-        self.exchange_messages = 0;
-        self.tally.settled_retransmissions += self.exchange_retrans;
-        self.exchange_retrans = 0;
-        self.complete(
-            Arrival {
-                time: exchange.arrived_at,
-                request: exchange.request,
-            },
-            action,
-        );
-        self.drain_pending();
     }
 
     /// Serves queued arrivals until one cannot be served in the current
@@ -1764,59 +1276,20 @@ impl Simulation {
     /// target exactly.
     fn drain_pending(&mut self) {
         while self.in_flight.is_none() && self.served < self.target {
-            let servable = self
-                .pending
-                .front()
-                .is_some_and(|next| self.request_is_servable(next.request));
-            if !servable {
-                break;
+            match self.pending.front() {
+                Some(&next) if self.request_is_servable(next.request) => {
+                    self.pending.pop_front();
+                    self.begin_service(next);
+                }
+                _ => break,
             }
-            let Some(next) = self.pending.pop_front() else {
-                unreachable!("checked above")
-            };
-            self.begin_service(next);
         }
     }
 
-    /// Draws the waiting time to the next disconnection and schedules it.
-    /// No-op without a fault plan (or at disconnect rate zero).
-    fn schedule_next_link_down(&mut self) {
-        let (Some(plan), Some(rng)) = (self.config.faults.as_ref(), self.fault_rng.as_mut()) else {
-            return;
-        };
-        if plan.disconnect_rate <= 0.0 {
-            return;
-        }
-        let u = rng.draw();
-        let gap = -f64::ln(1.0 - u) / plan.disconnect_rate;
-        self.push_event(self.now + gap, Event::LinkDown);
-    }
-
-    /// Classifies the outage that just began and draws its duration.
-    fn draw_outage(&mut self) -> (FaultKind, f64) {
-        let (Some(plan), Some(rng)) = (self.config.faults.as_ref(), self.fault_rng.as_mut()) else {
-            unreachable!("link events require a fault plan")
-        };
-        let classify = rng.draw();
-        let kind = if classify < plan.crash_probability {
-            if rng.draw() < plan.volatile_probability {
-                FaultKind::CrashVolatile
-            } else {
-                FaultKind::CrashStable
-            }
-        } else if classify < plan.crash_probability + plan.sc_outage_probability {
-            FaultKind::ScOutage
-        } else {
-            FaultKind::Doze
-        };
-        let u = rng.draw();
-        (kind, -f64::ln(1.0 - u) * plan.mean_outage)
-    }
-
-    /// The link goes down: classify the outage, destroy everything in
-    /// flight (suspending a mid-exchange request for retry), and note a
-    /// crash's owed reconciliation.
-    fn handle_link_down(&mut self) {
+    /// The link goes down for an outage of `kind` lasting `duration`:
+    /// destroy everything in flight (suspending a mid-exchange request for
+    /// retry), and note a crash's owed reconciliation.
+    fn handle_link_down(&mut self, (kind, duration): (FaultKind, f64)) {
         debug_assert!(
             self.link_up || self.declared_down,
             "link-down while already down"
@@ -1825,17 +1298,16 @@ impl Simulation {
         // An injected outage supersedes a declared (ARQ) partition in
         // progress; the partition start time is kept for MTTR purposes.
         self.declared_down = false;
-        if self.config.arq.is_some() {
-            self.arq_outstanding = None; // in-air timers are now stale
+        if let Some(arq) = &mut self.arq {
+            arq.outstanding = None; // in-air timers are now stale
             if self.partitioned_since.is_none() {
-                self.partitioned_since = Some(self.now);
+                self.partitioned_since = Some(self.cx.now);
             }
         }
-        let (kind, duration) = self.draw_outage();
-        self.tally.disconnects += 1;
+        self.cx.tally.disconnects += 1;
         match kind {
-            FaultKind::CrashVolatile | FaultKind::CrashStable => self.tally.mc_crashes += 1,
-            FaultKind::ScOutage => self.tally.sc_outages += 1,
+            FaultKind::CrashVolatile | FaultKind::CrashStable => self.cx.tally.mc_crashes += 1,
+            FaultKind::ScOutage => self.cx.tally.sc_outages += 1,
             FaultKind::Doze => {}
         }
         self.outage_kind = Some(kind);
@@ -1848,23 +1320,7 @@ impl Simulation {
         // the same instant as an MC crash therefore always aborts the
         // exchange before the crash is bookkept, regardless of scheduling
         // order.
-        if self.in_flight.is_some() {
-            let aborted = self.protocol.disconnect();
-            let Some(exchange) = self.in_flight.take() else {
-                unreachable!("in_flight checked above")
-            };
-            debug_assert_eq!(aborted, Some(exchange.request));
-            self.tally.aborted_messages += self.exchange_messages;
-            self.exchange_messages = 0;
-            self.exchange_retrans = 0;
-            self.extra_connections += 1; // the wasted connection setup
-            self.suspended = Some(exchange);
-        } else {
-            // Clears a handshake (or nothing) off the wire; an interrupted
-            // handshake restarts at the next link-up (`pending_crash` and
-            // the protocol's `recovering` flag both persist).
-            let _ = self.protocol.disconnect();
-        }
+        self.abort_on_outage();
         if matches!(kind, FaultKind::CrashVolatile | FaultKind::CrashStable) {
             let volatile = matches!(kind, FaultKind::CrashVolatile);
             // A second crash before the first reconciled keeps the stronger
@@ -1880,10 +1336,7 @@ impl Simulation {
                 }
             }
         }
-        self.reconciling = false;
-        self.link_token += 1;
-        let token = self.link_token;
-        self.push_event(self.now + duration, Event::LinkUp { token });
+        self.schedule_link_up(duration);
     }
 
     /// The link comes back: bump the epoch (stale deliveries self-discard
@@ -1905,15 +1358,15 @@ impl Simulation {
         self.declared_down = false;
         self.outage_kind = None;
         self.protocol.reconnect();
-        if heals_injected {
-            self.schedule_next_link_down();
+        if let Some(faults) = self.faults.as_mut().filter(|_| heals_injected) {
+            faults.schedule_link_down(&mut self.cx);
         }
         if let Some(volatile) = self.pending_crash {
             self.reconciling = true;
             match self.protocol.begin_reconciliation(volatile) {
                 StepOutcome::Sent(ticket) => {
                     self.extra_connections += 1; // the handshake's connection
-                    self.transmit(ticket, true);
+                    self.transmit(ticket, true, 1);
                 }
                 outcome => unreachable!("reconciliation must start with a send: {outcome:?}"),
             }
@@ -1937,7 +1390,7 @@ impl Simulation {
     /// schedule entry is made here, at completion, so shed requests never
     /// appear in it and `schedule.len()` always equals `counts.total()`.
     fn complete(&mut self, arrival: Arrival, action: Action) {
-        self.tally.schedule.push(arrival.request);
+        self.cx.tally.schedule.push(arrival.request);
         self.served += 1;
         self.check_invariants(arrival.request, action);
     }
@@ -1952,38 +1405,18 @@ impl Simulation {
         // before `complete` ran, so the identity is exact here.
         let counts = self.protocol.counts();
         self.monitor.check_billing(
-            self.tally.data_messages + self.tally.control_messages,
+            self.cx.tally.data_messages + self.cx.tally.control_messages,
             counts.data_messages() + counts.control_messages(),
-            self.tally.settled_retransmissions,
-            self.tally.aborted_messages + self.exchange_messages,
-            self.tally.reconciliation_messages,
-            self.tally.arq_acks,
+            self.cx.tally.settled_retransmissions,
+            self.cx.tally.aborted_messages + self.exchange_messages,
+            self.cx.tally.reconciliation_messages,
+            self.cx.tally.arq_acks,
         );
-        // Handoff-ledger consistency (mobility extension): backbone legs
-        // and invalidation traffic close their own identities — handoff
-        // billing is a separate class, never mixed into the §3 wireless
-        // bill above. Skipped for an inert plan, which must reproduce the
-        // single-cell run exactly — including the check counter.
-        if self.topology_active() {
-            let in_flight = self.handoff.as_ref().map_or(0, |f| f.messages);
-            let broadcast = self
-                .config
-                .topology
-                .as_ref()
-                .is_some_and(|t| t.broadcast_invalidation);
-            let invalidation_expected = if broadcast {
-                self.tally.invalidation_rounds
-            } else {
-                self.tally.replicas_invalidated
-            };
-            self.monitor.check_handoff_billing(
-                self.tally.handoff_messages,
-                self.tally.settled_handoff_messages,
-                self.tally.aborted_handoff_messages,
-                in_flight,
-                self.tally.invalidation_messages,
-                invalidation_expected,
-            );
+        // Handoff-ledger consistency (mobility extension). An inert plan
+        // has no layer and must reproduce the single-cell run exactly —
+        // including the check counter.
+        if let Some(topology) = &self.topology {
+            topology.check_billing(&mut self.monitor, &self.cx.tally);
         }
         // Oracle equivalence: the distributed protocol must take exactly
         // the action the decision core decides for the same request.
@@ -2010,14 +1443,14 @@ impl Simulation {
         SimReport {
             counts,
             connections: counts.connections() + self.extra_connections,
-            makespan: self.now,
+            makespan: self.cx.now,
             mean_read_latency: if self.reads_completed == 0 {
                 0.0
             } else {
                 self.read_latency_sum / self.reads_completed as f64
             },
             invariant_checks: self.monitor.checks(),
-            ..self.tally.clone()
+            ..self.cx.tally.clone()
         }
     }
 }
@@ -3062,6 +2495,7 @@ mod mutation_regressions {
 #[cfg(test)]
 mod topology_tests {
     use super::*;
+    use crate::perf::BatchedF64;
     use crate::SimBuilder;
 
     fn topo_run(topology: Option<TopologyConfig>, seed: u64) -> SimReport {

@@ -396,108 +396,73 @@ impl SweepGrid {
         self.requests
     }
 
-    /// The (θ, replication) slot of `run_index` — deliberately blind to
+    /// Decodes `run_index` into the run's position on each axis, in the
+    /// canonical order policy → θ → fault → ARQ → topology → replication
+    /// (replication varies fastest).
+    fn decode(&self, run_index: usize) -> RunAt {
+        let mut rest = run_index;
+        let mut next = |len: usize| {
+            let index = rest % len;
+            rest /= len;
+            index
+        };
+        let replication = next(self.replications);
+        let topology = next(self.topologies.len());
+        let arq = next(self.arqs.len());
+        let fault = next(self.faults.len());
+        let theta = next(self.thetas.len());
+        RunAt {
+            policy: rest,
+            theta,
+            fault,
+            arq,
+            topology,
+            replication,
+        }
+    }
+
+    /// The seed of `stream` for the run at `at`, whose index on the
+    /// stream's own axis is `axis` (0 for the workload). The workload
+    /// takes one stream slot per (θ, replication) — deliberately blind to
     /// the policy, fault, ARQ and topology axes, so every policy, fault
-    /// plan, transport and topology at the same (θ, replication)
-    /// coordinates draws the same seeds and the grid produces *paired*
-    /// comparisons.
-    fn workload_index(&self, run_index: usize) -> u64 {
-        let reps = self.replications;
-        let rep_index = run_index % reps;
-        let theta_index = (run_index
-            / (reps * self.topologies.len() * self.arqs.len() * self.faults.len()))
-            % self.thetas.len();
-        (theta_index * reps + rep_index) as u64
+    /// plan, transport and topology at the same coordinates draws the same
+    /// arrivals and the grid produces *paired* comparisons. A layer's
+    /// stream takes one slot per (axis value, θ, replication): shared
+    /// across policies and the other axes, so every policy faces the same
+    /// outage schedule, loss fates and migrations, and distinct per axis
+    /// value so plans, configs and topologies don't echo each other.
+    fn stream_seed(&self, stream: u64, axis: usize, at: RunAt) -> u64 {
+        let slots = self.thetas.len() * self.replications;
+        let slot = axis * slots + at.theta * self.replications + at.replication;
+        derive_seed(self.seed, stream, slot as u64)
     }
 
-    /// Arrival-process seed for `run_index` (shared across policies and
-    /// fault plans).
-    fn workload_seed(&self, run_index: usize) -> u64 {
-        derive_seed(self.seed, streams::WORKLOAD, self.workload_index(run_index))
-    }
-
-    /// Fault-schedule seed for `run_index`: one stream slot per
-    /// (fault plan, θ, replication) — shared across policies and ARQ
-    /// configs so every policy and transport faces the same outage
-    /// schedule, distinct per plan so plans don't echo each other.
-    fn fault_seed(&self, run_index: usize) -> u64 {
-        let fault_index = (run_index
-            / (self.replications * self.topologies.len() * self.arqs.len()))
-            % self.faults.len();
-        let slots = (self.thetas.len() * self.replications) as u64;
-        derive_seed(
-            self.seed,
-            streams::FAULT,
-            fault_index as u64 * slots + self.workload_index(run_index),
-        )
-    }
-
-    /// Transport seed for `run_index`: one stream slot per
-    /// (ARQ config, θ, replication) — shared across policies and fault
-    /// plans so every policy faces the same loss fates and jitter draws,
-    /// distinct per config so configs don't echo each other.
-    fn arq_seed(&self, run_index: usize) -> u64 {
-        let arq_index = (run_index / (self.replications * self.topologies.len())) % self.arqs.len();
-        let slots = (self.thetas.len() * self.replications) as u64;
-        derive_seed(
-            self.seed,
-            streams::ARQ,
-            arq_index as u64 * slots + self.workload_index(run_index),
-        )
-    }
-
-    /// Topology seed for `run_index`: one stream slot per
-    /// (topology, θ, replication) — shared across policies, fault plans
-    /// and transports so every policy faces the same migration schedule
-    /// and backbone fates, distinct per topology so topologies don't echo
-    /// each other.
-    fn topology_seed(&self, run_index: usize) -> u64 {
-        let topology_index = (run_index / self.replications) % self.topologies.len();
-        let slots = (self.thetas.len() * self.replications) as u64;
-        derive_seed(
-            self.seed,
-            streams::TOPOLOGY,
-            topology_index as u64 * slots + self.workload_index(run_index),
-        )
-    }
-
-    /// Decodes `run_index` (canonical order: policy → θ → fault → ARQ →
-    /// topology → replication) and executes that run.
+    /// Executes the run at `run_index`.
     fn execute_run(&self, run_index: usize) -> SimReport {
-        let reps = self.replications;
-        let topos = self.topologies.len();
-        let arqs = self.arqs.len();
-        let faults = self.faults.len();
-        let thetas = self.thetas.len();
-        let topology_index = (run_index / reps) % topos;
-        let arq_index = (run_index / (reps * topos)) % arqs;
-        let fault_index = (run_index / (reps * topos * arqs)) % faults;
-        let theta_index = (run_index / (reps * topos * arqs * faults)) % thetas;
-        let policy_index = run_index / (reps * topos * arqs * faults * thetas);
-
-        let mut config = SimConfig::defaults(self.policies[policy_index]);
+        let at = self.decode(run_index);
+        let mut config = SimConfig::defaults(self.policies[at.policy]);
         config.latency = self.latency;
         config.oracle_check = self.oracle;
-        if let Some(plan) = &self.faults[fault_index] {
+        if let Some(plan) = &self.faults[at.fault] {
             let mut plan = plan.clone();
-            plan.seed = self.fault_seed(run_index);
+            plan.seed = self.stream_seed(streams::FAULT, at.fault, at);
             config.faults = Some(plan);
         }
-        if let Some(arq) = &self.arqs[arq_index] {
+        if let Some(arq) = &self.arqs[at.arq] {
             let mut arq = *arq;
-            arq.seed = self.arq_seed(run_index);
+            arq.seed = self.stream_seed(streams::ARQ, at.arq, at);
             config.arq = Some(arq);
         }
-        if let Some(topology) = &self.topologies[topology_index] {
+        if let Some(topology) = &self.topologies[at.topology] {
             let mut topology = *topology;
-            topology.seed = self.topology_seed(run_index);
+            topology.seed = self.stream_seed(streams::TOPOLOGY, at.topology, at);
             config.topology = Some(topology);
         }
         let mut sim = Simulation::new(config);
         let mut workload = PoissonWorkload::from_theta(
             1.0,
-            self.thetas[theta_index],
-            self.workload_seed(run_index),
+            self.thetas[at.theta],
+            self.stream_seed(streams::WORKLOAD, 0, at),
         );
         sim.run(&mut workload, self.requests)
     }
@@ -536,70 +501,41 @@ impl SweepGrid {
     /// the *only* reduction path; determinism follows from `reports`
     /// already being in run-index order.
     fn assemble(&self, reports: Vec<SimReport>) -> SweepReport {
-        let reps = self.replications;
-        let topos = self.topologies.len();
-        let arqs = self.arqs.len();
-        let faults = self.faults.len();
         let mut cells = Vec::with_capacity(self.cells());
         for (run_index, report) in reports.iter().enumerate() {
-            let rep_index = run_index % reps;
-            let topology_index = (run_index / reps) % topos;
-            let arq_index = (run_index / (reps * topos)) % arqs;
-            let fault_index = (run_index / (reps * topos * arqs)) % faults;
-            let theta_index = (run_index / (reps * topos * arqs * faults)) % self.thetas.len();
-            let policy_index = run_index / (reps * topos * arqs * faults * self.thetas.len());
+            let at = self.decode(run_index);
+            let workload_seed = self.stream_seed(streams::WORKLOAD, 0, at);
             for &model in &self.models {
                 cells.push(CellReport {
-                    policy: self.policies[policy_index],
-                    theta: self.thetas[theta_index],
+                    policy: self.policies[at.policy],
+                    theta: self.thetas[at.theta],
                     model,
-                    fault_index,
-                    arq_index,
-                    topology_index,
-                    replication: rep_index,
-                    workload_seed: self.workload_seed(run_index),
+                    fault_index: at.fault,
+                    arq_index: at.arq,
+                    topology_index: at.topology,
+                    replication: at.replication,
+                    workload_seed,
                     cost_per_request: report.try_cost_per_request(model),
                     report: report.clone(),
                 });
             }
         }
 
-        // Summary groups: (policy, θ, fault, ARQ, topology, model),
-        // replications folded in ascending order within each group.
+        // Summary groups: (policy, θ, fault, ARQ, topology, model). The
+        // replications of one group are consecutive runs, folded in
+        // ascending order.
         let mut entries = Vec::new();
-        for (policy_index, &policy) in self.policies.iter().enumerate() {
-            for (theta_index, &theta) in self.thetas.iter().enumerate() {
-                for fault_index in 0..faults {
-                    for arq_index in 0..arqs {
-                        for topology_index in 0..topos {
-                            for &model in &self.models {
-                                let mut entry = SweepEntry::empty(
-                                    policy,
-                                    theta,
-                                    model,
-                                    fault_index,
-                                    arq_index,
-                                    topology_index,
-                                );
-                                let analytic = mdr_analysis::expected_cost(policy, model, theta);
-                                for rep_index in 0..reps {
-                                    let run_index = ((((policy_index * self.thetas.len()
-                                        + theta_index)
-                                        * faults
-                                        + fault_index)
-                                        * arqs
-                                        + arq_index)
-                                        * topos
-                                        + topology_index)
-                                        * reps
-                                        + rep_index;
-                                    entry.push(&reports[run_index], model, analytic);
-                                }
-                                entries.push(entry);
-                            }
-                        }
-                    }
+        for (group, runs) in reports.chunks(self.replications).enumerate() {
+            let at = self.decode(group * self.replications);
+            let (policy, theta) = (self.policies[at.policy], self.thetas[at.theta]);
+            for &model in &self.models {
+                let mut entry =
+                    SweepEntry::empty(policy, theta, model, at.fault, at.arq, at.topology);
+                let analytic = mdr_analysis::expected_cost(policy, model, theta);
+                for report in runs {
+                    entry.push(report, model, analytic);
                 }
+                entries.push(entry);
             }
         }
         let events_processed = reports.iter().map(|r| r.events_processed).sum();
@@ -903,6 +839,17 @@ impl SweepSummary {
         }
         Some(SweepSummary { entries })
     }
+}
+
+/// One run's position on each axis of its grid.
+#[derive(Debug, Clone, Copy)]
+struct RunAt {
+    policy: usize,
+    theta: usize,
+    fault: usize,
+    arq: usize,
+    topology: usize,
+    replication: usize,
 }
 
 /// One priced cell of a sweep: a simulated run billed under one model.
@@ -1302,15 +1249,25 @@ mod tests {
     #[test]
     fn arq_seeds_are_shared_across_policies_and_distinct_per_config() {
         let grid = arq_grid();
+        let seed = |stream, run| {
+            let at = grid.decode(run);
+            let axis = match stream {
+                streams::FAULT => at.fault,
+                streams::ARQ => at.arq,
+                _ => 0,
+            };
+            grid.stream_seed(stream, axis, at)
+        };
+        let arq_seed = |run| seed(streams::ARQ, run);
         // Runs: policy → θ → fault → arq → rep. Policy stride is 4.
         for run in 0..4 {
-            assert_eq!(grid.arq_seed(run), grid.arq_seed(run + 4), "run {run}");
+            assert_eq!(arq_seed(run), arq_seed(run + 4), "run {run}");
         }
         // Distinct ARQ index ⇒ distinct transport seed at equal slots.
-        assert_ne!(grid.arq_seed(0), grid.arq_seed(2));
+        assert_ne!(arq_seed(0), arq_seed(2));
         // And the transport stream never collides with workload or fault.
-        assert_ne!(grid.arq_seed(0), grid.workload_seed(0));
-        assert_ne!(grid.arq_seed(0), grid.fault_seed(0));
+        assert_ne!(arq_seed(0), seed(streams::WORKLOAD, 0));
+        assert_ne!(arq_seed(0), seed(streams::FAULT, 0));
     }
 
     #[test]

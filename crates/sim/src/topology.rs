@@ -40,8 +40,14 @@
 //! byte-identical cost ledger. A plan with `migration_rate == 0` is
 //! *inert*: it schedules no events, draws nothing from any RNG stream and
 //! reproduces the single-cell ledger digest bit for bit.
+//!
+//! The module also holds §1's latency-only cellular walk
+//! ([`MobilityConfig`]). At run time each walk is a crate-private layer,
+//! `Mobility` or `Topology`, that owns its config, RNG streams and state.
 
-use crate::faults::ConfigError;
+use crate::faults::{probability, ArqConfig, ConfigError, Ghosts};
+use crate::perf::BatchedF64;
+use crate::sim::{Cx, Event, InvariantMonitor, SimConfig, SimReport};
 
 /// The three legs of the handoff protocol, in wire order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -203,13 +209,7 @@ impl TopologyConfig {
     ///
     /// [`ConfigError::Probability`] for a value outside `[0, 1]`.
     pub fn with_loss(mut self, loss_probability: f64) -> Result<Self, ConfigError> {
-        if !(0.0..=1.0).contains(&loss_probability) {
-            return Err(ConfigError::Probability {
-                what: "handoff loss probability",
-                value: loss_probability,
-            });
-        }
-        self.loss_probability = loss_probability;
+        self.loss_probability = probability(loss_probability, "handoff loss probability")?;
         Ok(self)
     }
 
@@ -224,20 +224,8 @@ impl TopologyConfig {
         duplication: f64,
         reorder: f64,
     ) -> Result<Self, ConfigError> {
-        if !(0.0..=1.0).contains(&duplication) {
-            return Err(ConfigError::Probability {
-                what: "commit duplication probability",
-                value: duplication,
-            });
-        }
-        if !(0.0..=1.0).contains(&reorder) {
-            return Err(ConfigError::Probability {
-                what: "commit reorder probability",
-                value: reorder,
-            });
-        }
-        self.commit_duplication = duplication;
-        self.commit_reorder = reorder;
+        self.commit_duplication = probability(duplication, "commit duplication probability")?;
+        self.commit_reorder = probability(reorder, "commit reorder probability")?;
         Ok(self)
     }
 
@@ -281,6 +269,392 @@ impl PartialEq for TopologyConfig {
 }
 
 impl Eq for TopologyConfig {}
+
+/// Parameters of the cellular-mobility model.
+#[derive(Debug, Clone)]
+pub struct MobilityConfig {
+    /// Extra one-way latency experienced in each cell (the cell count is
+    /// this vector's length).
+    pub cell_extra_latency: Vec<f64>,
+    /// Rate of the exponential dwell time in a cell (handoffs per time
+    /// unit).
+    pub handoff_rate: f64,
+    /// RNG seed for the movement process.
+    pub seed: u64,
+}
+
+/// See [`SimConfig`]'s `PartialEq`: total-order comparison on the latency
+/// vector, exact equality elsewhere.
+impl PartialEq for MobilityConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.cell_extra_latency.len() == other.cell_extra_latency.len()
+            && self
+                .cell_extra_latency
+                .iter()
+                .zip(&other.cell_extra_latency)
+                .all(|(a, b)| a.total_cmp(b).is_eq())
+            && self.handoff_rate.total_cmp(&other.handoff_rate).is_eq()
+            && self.seed == other.seed
+    }
+}
+
+impl Eq for MobilityConfig {}
+
+/// An exponential dwell at `rate` from one draw of `rng`: the waiting time
+/// to a cell walk's next move.
+fn dwell(rng: &mut BatchedF64, rate: f64) -> f64 {
+    let u = rng.draw();
+    -f64::ln(1.0 - u) / rate
+}
+
+/// A uniformly drawn cell of `cells` other than `current`, from one draw
+/// of `rng`; a single cell stays put and draws nothing.
+fn other_cell(rng: &mut BatchedF64, current: usize, cells: usize) -> usize {
+    if cells > 1 {
+        let mut next = (rng.draw() * (cells - 1) as f64) as usize;
+        if next >= current {
+            next += 1;
+        }
+        next.min(cells - 1)
+    } else {
+        current
+    }
+}
+
+/// A [`MobilityConfig`] at run time: the config, its movement stream, and
+/// the cell the MC sits in.
+pub(crate) struct Mobility {
+    config: MobilityConfig,
+    rng: BatchedF64,
+    cell: usize,
+    /// Cached `cell_extra_latency[cell]`, so the per-transmit hot path
+    /// reads one `f64` instead of indexing through the config.
+    pub(crate) cell_extra: f64,
+}
+
+impl Mobility {
+    pub(crate) fn new(config: MobilityConfig) -> Self {
+        Mobility {
+            rng: BatchedF64::new(config.seed),
+            cell: 0,
+            cell_extra: config.cell_extra_latency[0],
+            config,
+        }
+    }
+
+    /// Draws the next dwell time and schedules the handoff.
+    pub(crate) fn schedule_handoff(&mut self, cx: &mut Cx) {
+        let dwell = dwell(&mut self.rng, self.config.handoff_rate);
+        cx.push_event(cx.now + dwell, Event::Handoff);
+    }
+
+    /// Moves the MC to a uniformly chosen *different* cell, then schedules
+    /// the next handoff.
+    pub(crate) fn hand_off(&mut self, cx: &mut Cx) {
+        let cells = &self.config.cell_extra_latency;
+        self.cell = other_cell(&mut self.rng, self.cell, cells.len());
+        self.cell_extra = cells[self.cell];
+        cx.tally.handoffs += 1;
+        self.schedule_handoff(cx);
+    }
+}
+
+/// A live [`TopologyConfig`] at run time: the config, its two RNG
+/// streams, where the MC and the window's owner sit, and the handoff
+/// flight in the air. Backbone legs ride SC-to-SC wiring at the base link
+/// `latency`; with the ARQ transport installed, its timeout law and retry
+/// budget govern their retransmissions too.
+pub(crate) struct Topology {
+    config: TopologyConfig,
+    latency: f64,
+    arq: Option<ArqConfig>,
+    /// Dwell times, destination cells, and handoff-leg loss/jitter draws.
+    rng: BatchedF64,
+    /// Commit duplication/reordering draws. A separate stream so turning
+    /// ghosts on cannot perturb the legs' loss fates — the idempotence
+    /// property in `properties.rs` relies on this.
+    ghost_rng: BatchedF64,
+    /// The cell the MC currently sits in.
+    mc_cell: usize,
+    /// The cell whose SC currently owns the window and replica state.
+    owner_cell: usize,
+    /// Cells left holding a stale replica copy by an aborted transfer or
+    /// a committed migration; cleared by invalidation on commit.
+    stale_replica: Vec<bool>,
+    /// The handoff flight currently in the air, if any.
+    handoff: Option<HandoffFlight>,
+    /// Monotone epoch source; every flight gets a fresh epoch and legs of
+    /// older epochs self-discard (the fence).
+    epoch: u64,
+    /// Whether the last handoff attempt aborted with the MC still away
+    /// from the owner cell: reads are served stale from the origin and
+    /// wire-needing requests are shed with a typed outcome.
+    pub(crate) stuck: bool,
+}
+
+/// Book-keeping for the three-way handoff flight currently in the air.
+/// At most one flight exists at a time; a migration mid-flight fences the
+/// epoch and starts over.
+#[derive(Debug, Clone)]
+struct HandoffFlight {
+    /// The cell ownership departs from (and rolls back to on abort).
+    origin: usize,
+    /// The cell ownership is migrating toward (always the MC's cell at
+    /// initiation; a migration mid-flight aborts and re-initiates).
+    target: usize,
+    /// The fence: legs stamped with an older epoch self-discard.
+    epoch: u64,
+    /// The leg currently in the air.
+    awaiting: HandoffLeg,
+    /// Transmission attempts of the awaiting leg (1 = the original send);
+    /// reset when the flight advances to the next leg.
+    attempts: u32,
+    /// Billed backbone attempts of this flight — settled on commit, moved
+    /// to the aborted tally if the deadline or a migration fences it.
+    messages: u64,
+    /// Whether the state-transfer leg landed at the target (an abort then
+    /// leaves an orphaned stale replica there to invalidate later).
+    transfer_landed: bool,
+    /// The window/replica state captured at initiation and shipped on the
+    /// state-transfer leg.
+    snapshot: HandoffSnapshot,
+}
+
+impl Topology {
+    /// The layer for `sim`'s topology, or `None` without one or for an
+    /// inert plan: one that never migrates must behave exactly like no
+    /// plan at all, so it schedules nothing, draws nothing and runs no
+    /// handoff-billing check.
+    pub(crate) fn new(sim: &SimConfig) -> Option<Self> {
+        let config = sim.topology.filter(|t| !t.is_inert())?;
+        Some(Topology {
+            config,
+            latency: sim.latency,
+            arq: sim.arq,
+            rng: BatchedF64::new(config.seed),
+            // Salted so the ghost stream is independent of the leg stream.
+            ghost_rng: BatchedF64::new(config.seed ^ 0x9e37_79b9_7f4a_7c15),
+            mc_cell: config.home_cell,
+            owner_cell: config.home_cell,
+            stale_replica: vec![false; config.cells],
+            handoff: None,
+            epoch: 0,
+            stuck: false,
+        })
+    }
+
+    /// Whether window ownership is away from (or migrating toward) the
+    /// MC's cell: a local read is then served stale from the origin cell's
+    /// state.
+    pub(crate) fn serves_stale(&self) -> bool {
+        self.mc_cell != self.owner_cell
+    }
+
+    /// Draws the next exponential dwell time and schedules the migration.
+    pub(crate) fn schedule_migration(&mut self, cx: &mut Cx) {
+        let dwell = dwell(&mut self.rng, self.config.migration_rate);
+        cx.push_event(cx.now + dwell, Event::Migrate);
+    }
+
+    /// Moves the MC to a uniformly chosen *different* cell. A migration
+    /// while a flight is already in the air fences that flight's epoch
+    /// (abort + rollback to the origin); returns whether it did, so the
+    /// simulator degrades its queue before ownership follows the MC — a
+    /// live flight always targets the MC's current cell.
+    pub(crate) fn migrate(&mut self, cx: &mut Cx) -> bool {
+        self.mc_cell = other_cell(&mut self.rng, self.mc_cell, self.config.cells);
+        cx.tally.migrations += 1;
+        let flight = self.handoff.take();
+        self.abort(flight, cx)
+    }
+
+    /// Starts a fresh three-way handoff flight from the owner cell toward
+    /// the MC's current cell under a new epoch, arms its deadline, and
+    /// sends the first leg.
+    pub(crate) fn initiate_handoff(&mut self, snapshot: HandoffSnapshot, cx: &mut Cx) {
+        debug_assert!(self.handoff.is_none(), "at most one flight in the air");
+        debug_assert_ne!(self.owner_cell, self.mc_cell);
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let deadline = cx.now + self.config.handoff_deadline;
+        cx.push_event(deadline, Event::HandoffDeadline { epoch });
+        let flight = HandoffFlight {
+            origin: self.owner_cell,
+            target: self.mc_cell,
+            epoch,
+            awaiting: HandoffLeg::Request,
+            attempts: 0,
+            messages: 0,
+            transfer_landed: false,
+            snapshot,
+        };
+        self.send(flight, cx);
+    }
+
+    /// Puts `flight` in the air with one more backbone attempt of its
+    /// awaiting leg: bill it, draw its fate, schedule the arrival (and any
+    /// commit ghosts) if it survives, and — with the ARQ transport
+    /// installed — arm a retransmission timer. Without ARQ a leg is sent
+    /// once and the deadline abort is the only recovery.
+    fn send(&mut self, mut flight: HandoffFlight, cx: &mut Cx) {
+        // Two draws per attempt — loss fate, then retry jitter — mirroring
+        // the ARQ transport so the stream position is a function of the
+        // attempt count alone.
+        let lost = self.rng.draw() < self.config.loss_probability;
+        let jitter_u = self.rng.draw();
+        flight.attempts += 1;
+        flight.messages += 1;
+        let (epoch, leg, attempt) = (flight.epoch, flight.awaiting, flight.attempts);
+        self.handoff = Some(flight);
+        cx.tally.handoff_messages += 1;
+        if !lost {
+            let arrives = cx.now + self.latency;
+            cx.push_event(arrives, Event::HandoffLegArrive { epoch, leg });
+            if leg == HandoffLeg::Commit {
+                // Ghost copies land strictly after the original, so the
+                // epoch fence discards every one of them — the idempotence
+                // property `properties.rs` pins down.
+                let t = &self.config;
+                let ghosts =
+                    Ghosts::draw(&mut self.ghost_rng, t.commit_duplication, t.commit_reorder);
+                for at in ghosts.arrivals(arrives, self.latency) {
+                    cx.push_event(at, Event::HandoffLegArrive { epoch, leg });
+                }
+            }
+        }
+        // Past the budget: stop retransmitting and let the deadline abort
+        // recover (graceful degradation, not escalation — the wireless
+        // link is fine).
+        if let Some(arq) = self.arq.filter(|arq| attempt <= arq.retry_budget) {
+            cx.push_event(
+                cx.now + arq.jittered_timeout(attempt, jitter_u),
+                Event::HandoffRetry {
+                    epoch,
+                    leg,
+                    attempt,
+                },
+            );
+        }
+    }
+
+    /// A handoff leg landed. Stale copies — wrong epoch (fenced flight),
+    /// wrong leg (duplicated or reordered copy of an already-processed
+    /// one) — self-discard against the fence; a current leg advances the
+    /// flight's state machine. Returns whether the flight committed, so
+    /// the simulator drains its queue.
+    pub(crate) fn land(&mut self, epoch: u64, leg: HandoffLeg, version: u64, cx: &mut Cx) -> bool {
+        let current = |f: &mut HandoffFlight| f.epoch == epoch && f.awaiting == leg;
+        let Some(mut flight) = self.handoff.take_if(current) else {
+            cx.tally.handoff_discards += 1;
+            return false;
+        };
+        flight.awaiting = match leg {
+            HandoffLeg::Request => HandoffLeg::Transfer,
+            HandoffLeg::Transfer => {
+                debug_assert!(
+                    flight.snapshot.version <= version,
+                    "the shipped snapshot cannot be newer than the SC"
+                );
+                flight.transfer_landed = true;
+                HandoffLeg::Commit
+            }
+            HandoffLeg::Commit => {
+                self.commit(flight, cx);
+                return true;
+            }
+        };
+        flight.attempts = 0;
+        self.send(flight, cx);
+        false
+    }
+
+    /// A leg retransmission timer fired. If the flight, leg, and attempt
+    /// count still match — the leg neither landed nor was fenced in the
+    /// meantime — retransmit it.
+    pub(crate) fn retry(&mut self, epoch: u64, leg: HandoffLeg, attempt: u32, cx: &mut Cx) {
+        let current =
+            |f: &mut HandoffFlight| f.epoch == epoch && f.awaiting == leg && f.attempts == attempt;
+        if let Some(flight) = self.handoff.take_if(current) {
+            self.send(flight, cx);
+        }
+    }
+
+    /// The deadline for the flight with `epoch` expired. If that flight is
+    /// still in the air it aborts; returns whether it did, so the
+    /// simulator degrades its queue and ownership chases the MC under a
+    /// fresh epoch.
+    pub(crate) fn expire(&mut self, epoch: u64, cx: &mut Cx) -> bool {
+        let flight = self.handoff.take_if(|f| f.epoch == epoch);
+        self.abort(flight, cx)
+    }
+
+    /// Aborts `flight`, if any: ownership rolls back to (stays at) the
+    /// origin cell, the flight's billed legs move to the aborted tally, an
+    /// orphaned transfer leaves a stale replica at the target, and the
+    /// layer enters the stuck-handoff degradation — reads are served stale
+    /// from the origin and wire-needing requests shed. Returns whether
+    /// there was a flight to abort.
+    fn abort(&mut self, flight: Option<HandoffFlight>, cx: &mut Cx) -> bool {
+        let Some(flight) = flight else {
+            return false;
+        };
+        cx.tally.handoffs_aborted += 1;
+        cx.tally.aborted_handoff_messages += flight.messages;
+        if flight.transfer_landed {
+            self.stale_replica[flight.target] = true;
+        }
+        self.stuck = true;
+        true
+    }
+
+    /// The commit leg landed at the target: ownership moves, the origin's
+    /// replica goes stale, and invalidation traffic (the third message
+    /// class) makes every non-owner cell drop its stale copy — one
+    /// broadcast per commit round, or one unicast per stale replica.
+    fn commit(&mut self, flight: HandoffFlight, cx: &mut Cx) {
+        debug_assert_eq!(
+            flight.target, self.mc_cell,
+            "a migration mid-flight re-fences the handoff"
+        );
+        cx.tally.settled_handoff_messages += flight.messages;
+        cx.tally.handoffs_committed += 1;
+        self.stale_replica[flight.origin] = true;
+        self.owner_cell = flight.target;
+        self.stale_replica[flight.target] = false;
+        self.stuck = false;
+        let stale = self.stale_replica.iter().filter(|s| **s).count() as u64;
+        if stale > 0 {
+            if self.config.broadcast_invalidation {
+                cx.tally.invalidation_messages += 1;
+                cx.tally.invalidation_rounds += 1;
+            } else {
+                cx.tally.invalidation_messages += stale;
+            }
+            cx.tally.replicas_invalidated += stale;
+            self.stale_replica.fill(false);
+        }
+    }
+
+    /// Handoff-ledger consistency: backbone legs and invalidation traffic
+    /// close their own identities — handoff billing is a separate class,
+    /// never mixed into the §3 wireless bill.
+    pub(crate) fn check_billing(&self, monitor: &mut InvariantMonitor, tally: &SimReport) {
+        let in_flight = self.handoff.as_ref().map_or(0, |f| f.messages);
+        let invalidation_expected = if self.config.broadcast_invalidation {
+            tally.invalidation_rounds
+        } else {
+            tally.replicas_invalidated
+        };
+        monitor.check_handoff_billing(
+            tally.handoff_messages,
+            tally.settled_handoff_messages,
+            tally.aborted_handoff_messages,
+            in_flight,
+            tally.invalidation_messages,
+            invalidation_expected,
+        );
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -27,8 +27,8 @@
 //! `target/mutants`, and — if it builds — runs the per-crate kill suite
 //! (targeted lib tests plus the `mdr-verify --kill-suite` model-checker
 //! battery). Survivors must be triaged in `crates/xtask/mutants.allow`;
-//! `--check` fails on an unmanifested survivor or a kill rate below the
-//! threshold.
+//! `--check` fails on an unmanifested survivor, a kill rate below the
+//! threshold, or an allowlist id that no generated mutant carries.
 
 use crate::lexer::{in_ranges, lex, test_ranges, Token, TokenKind};
 use std::path::Path;
@@ -564,6 +564,18 @@ pub(crate) fn parse_manifest(text: &str) -> Result<Vec<(String, String)>, String
     Ok(out)
 }
 
+/// The manifest entries whose id matches none of the generated mutants.
+pub(crate) fn stale_entries<'a>(
+    manifest: &'a [(String, String)],
+    all: &[Mutant],
+) -> Vec<&'a (String, String)> {
+    let ids: std::collections::BTreeSet<&str> = all.iter().map(|m| m.id.as_str()).collect();
+    manifest
+        .iter()
+        .filter(|(id, _)| !ids.contains(id.as_str()))
+        .collect()
+}
+
 /// CLI options for `xtask mutate`.
 struct Options {
     sample: usize,
@@ -644,6 +656,21 @@ fn run_inner(root: &Path, args: &[String]) -> Result<ExitCode, String> {
         Ok(text) => parse_manifest(&text)?,
         Err(_) => Vec::new(),
     };
+
+    // An allowlist id that no generated mutant carries any more — its code
+    // moved or was deleted — would rot silently: name it, and fail
+    // `--check` before spending a run.
+    let stale = stale_entries(&manifest, &all);
+    for (id, note) in &stale {
+        println!("stale allowlist entry {id} matches no generated mutant: {note}");
+    }
+    if opts.check && !stale.is_empty() {
+        println!(
+            "xtask mutate: {} stale allowlist id(s) in crates/xtask/mutants.allow; re-key or drop them",
+            stale.len()
+        );
+        return Ok(ExitCode::FAILURE);
+    }
 
     let picked = sample_mutants(&all, opts.seed, opts.sample);
     println!(
@@ -879,6 +906,20 @@ mod tests {
         assert_ne!(ids(&a), ids(&c));
         // Oversampling returns everything.
         assert_eq!(sample_mutants(&mutants, 6, 10_000).len(), mutants.len());
+    }
+
+    #[test]
+    fn stale_entries_are_the_ids_no_mutant_carries() {
+        let (_, mutants) = all_mutants();
+        let live = mutants[0].id.clone();
+        let manifest = vec![
+            (live, "still generated".to_owned()),
+            ("0123456789abcdef".to_owned(), "code moved".to_owned()),
+        ];
+        let stale = stale_entries(&manifest, &mutants);
+        assert_eq!(stale.len(), 1);
+        assert_eq!(stale[0].0, "0123456789abcdef");
+        assert!(stale_entries(&manifest[..1], &mutants).is_empty());
     }
 
     #[test]

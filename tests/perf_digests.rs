@@ -21,31 +21,94 @@ fn fast_report(name: &str) -> SweepReport {
         .run_serial()
 }
 
-/// The pre-rewrite digests, captured from the heap-based simulator at
-/// the commit that introduced this test. The queue/ticket/RNG rewrite must
-/// reproduce them bit for bit.
-const PINNED: &[(&str, u64)] = &[
-    ("e6", 0x7c56_bffb_ee11_e10f),
-    ("e17", 0x686f_e07d_53ce_b53e),
-    ("e18", 0x734b_ebd2_ed35_1b61),
-    ("e19", 0xa150_fd50_486a_3178),
+/// One preset's pins: its ledger digest, the events its runs processed,
+/// and a digest of its shed requests.
+struct Pin {
+    name: &'static str,
+    digest: u64,
+    events: u64,
+    shed: u64,
+}
+
+/// The ledger digests were captured from the heap-based simulator at the
+/// commit that introduced this test; the queue/ticket/RNG rewrite must
+/// reproduce them bit for bit. The ledger hashes only how many requests
+/// were shed, so the event counts and shed digests, captured before the
+/// simulator's layers moved into their own structs, pin what the ledger
+/// does not: every scheduled event, and when, what and why each shed.
+const PINNED: &[Pin] = &[
+    Pin {
+        name: "e6",
+        digest: 0x7c56_bffb_ee11_e10f,
+        events: 116_779,
+        shed: 0xcbf2_9ce4_8422_2325,
+    },
+    Pin {
+        name: "e17",
+        digest: 0x686f_e07d_53ce_b53e,
+        events: 144_593,
+        shed: 0xcbf2_9ce4_8422_2325,
+    },
+    Pin {
+        name: "e18",
+        digest: 0x734b_ebd2_ed35_1b61,
+        events: 68_257,
+        shed: 0xcbf2_9ce4_8422_2325,
+    },
+    Pin {
+        name: "e19",
+        digest: 0xa150_fd50_486a_3178,
+        events: 167_018,
+        shed: 0x1773_1278_c572_24fd,
+    },
 ];
+
+/// FNV-1a over every cell's shed requests: each one's time bits, request
+/// letter and reason name.
+fn shed_digest(report: &SweepReport) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for shed in report.cells.iter().flat_map(|cell| &cell.report.shed) {
+        eat(&shed.at.to_bits().to_le_bytes());
+        eat(&[shed.request.letter() as u8]);
+        eat(shed.reason.name().as_bytes());
+    }
+    hash
+}
 
 #[test]
 fn preset_ledger_digests_are_pinned() {
-    for &(name, expected) in PINNED {
-        let digest = fast_report(name).ledger_digest();
+    for pin in PINNED {
+        let report = fast_report(pin.name);
+        let digest = report.ledger_digest();
         assert_eq!(
-            digest, expected,
-            "preset {name}: ledger digest {digest:#018x} drifted from the \
-             pinned pre-rewrite value {expected:#018x}"
+            digest, pin.digest,
+            "preset {}: ledger digest {digest:#018x} drifted from the \
+             pinned pre-rewrite value {:#018x}",
+            pin.name, pin.digest
+        );
+        assert_eq!(
+            report.events_processed, pin.events,
+            "preset {}: event count drifted",
+            pin.name
+        );
+        let shed = shed_digest(&report);
+        assert_eq!(
+            shed, pin.shed,
+            "preset {}: shed digest {shed:#018x} drifted from {:#018x}",
+            pin.name, pin.shed
         );
     }
 }
 
 #[test]
 fn preset_ledgers_are_thread_count_invariant() {
-    for &(name, _) in PINNED {
+    for &Pin { name, .. } in PINNED {
         let grid = preset(name, RunCfg { fast: true }).expect("known preset");
         let serial = grid.run_serial();
         let parallel = grid.run(SweepOptions {
