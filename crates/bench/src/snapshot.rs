@@ -3,7 +3,7 @@
 //! A [`BenchSnapshot`] records one measured sweep of a named preset:
 //! what was run (preset, mode, per-run request cap, run count), what it
 //! deterministically produced (events processed, ledger digest), and
-//! how fast it went (wall nanoseconds, events/sec). Snapshots are
+//! how fast it went (wall nanoseconds, requests/sec). Snapshots are
 //! written by `mdr bench --write-baseline`, committed as
 //! `BENCH_e17.json` / `BENCH_e18.json`, and re-read by the CI perf gate,
 //! which fails the build when a run regresses beyond its tolerance —
@@ -17,6 +17,11 @@
 //! into a fleet-wide throughput figure the same way
 //! [`PerfStats::merge`](mdr_sim::perf::PerfStats::merge) pools run
 //! measurements.
+//!
+//! Throughput is requests per second, not events per second: the
+//! requests are the work, and the events are the simulator's means to
+//! it, so an event the simulator learns to skip must not read as a
+//! slowdown.
 
 use mdr_sim::perf::PerfStats;
 
@@ -32,14 +37,13 @@ pub struct BenchSnapshot {
     /// Simulation runs in the grid (cells ÷ models × replications).
     pub runs: usize,
     /// Events the simulation loops processed, summed over every run —
-    /// deterministic, and the denominator-independent half of the
-    /// measurement: it must match between baseline and candidate or the
+    /// deterministic: it must match between baseline and candidate or the
     /// comparison is meaningless.
     pub events: u64,
     /// Wall-clock nanoseconds the sweep took (measurement metadata).
     pub wall_nanos: u64,
-    /// Throughput: `events / wall`, in events per second.
-    pub events_per_sec: f64,
+    /// Throughput: `requests × runs / wall`, in requests per second.
+    pub requests_per_sec: f64,
     /// FNV-1a digest of the full cost ledger, rendered as `0x`-hex —
     /// the determinism half of the gate: any drift is a hard failure
     /// regardless of speed.
@@ -63,7 +67,7 @@ impl BenchSnapshot {
             runs,
             events: stats.events,
             wall_nanos: stats.wall_nanos,
-            events_per_sec: stats.events_per_sec(),
+            requests_per_sec: per_sec((requests * runs) as u64, stats.wall_nanos),
             ledger_digest: format!("{ledger_digest:#018x}"),
         }
     }
@@ -101,11 +105,12 @@ impl BenchSnapshot {
     }
 
     /// Pools two snapshots of *different* presets into a combined
-    /// figure: summed events over summed wall time, digest and identity
-    /// fields joined textually. Useful for a fleet-wide events/sec
+    /// figure: summed requests over summed wall time, digest and identity
+    /// fields joined textually. Useful for a fleet-wide requests/sec
     /// number across `BENCH_e17.json` + `BENCH_e18.json`.
     pub fn merge(&self, other: &BenchSnapshot) -> BenchSnapshot {
         let stats = self.stats().merge(&other.stats());
+        let served = (self.requests * self.runs + other.requests * other.runs) as u64;
         BenchSnapshot {
             preset: format!("{}+{}", self.preset, other.preset),
             mode: if self.mode == other.mode {
@@ -117,7 +122,7 @@ impl BenchSnapshot {
             runs: self.runs + other.runs,
             events: stats.events,
             wall_nanos: stats.wall_nanos,
-            events_per_sec: stats.events_per_sec(),
+            requests_per_sec: per_sec(served, stats.wall_nanos),
             ledger_digest: format!("{},{}", self.ledger_digest, other.ledger_digest),
         }
     }
@@ -161,8 +166,8 @@ impl BenchSnapshot {
                 ),
             };
         }
-        let speedup = if baseline.events_per_sec > 0.0 {
-            self.events_per_sec / baseline.events_per_sec
+        let speedup = if baseline.requests_per_sec > 0.0 {
+            self.requests_per_sec / baseline.requests_per_sec
         } else {
             f64::INFINITY
         };
@@ -175,11 +180,20 @@ impl BenchSnapshot {
     }
 }
 
+/// `count` per second over `wall_nanos`; zero when no time was observed
+/// (a degenerate measurement, not a division error).
+fn per_sec(count: u64, wall_nanos: u64) -> f64 {
+    if wall_nanos == 0 {
+        return 0.0;
+    }
+    count as f64 * 1e9 / wall_nanos as f64
+}
+
 /// The outcome of gating a candidate snapshot against a baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegressionVerdict {
     /// Throughput is at or above the gate floor; `speedup` is the
-    /// candidate/baseline events-per-second ratio (1.0 = parity).
+    /// candidate/baseline requests-per-second ratio (1.0 = parity).
     Pass {
         /// Candidate ÷ baseline throughput.
         speedup: f64,
@@ -308,13 +322,39 @@ mod tests {
     }
 
     #[test]
-    fn merge_pools_events_over_wall_time() {
+    fn throughput_is_requests_over_wall_time() {
+        // 4,000 requests × 40 runs in 0.1 s, whatever the event count.
+        let few = snap("e17", 1_000, 100_000_000, 0xa);
+        let many = snap("e17", 9_000, 100_000_000, 0xa);
+        assert!((few.requests_per_sec - 1.6e6).abs() < 1e-6);
+        assert!((many.requests_per_sec - few.requests_per_sec).abs() < 1e-6);
+        assert!(
+            BenchSnapshot::new("e17", true, 1, 1, PerfStats::zero(), 0)
+                .requests_per_sec
+                .abs()
+                < 1e-12
+        );
+    }
+
+    #[test]
+    fn merge_pools_requests_over_wall_time() {
         let a = snap("e17", 1_000, 1_000_000, 0xa);
-        let b = snap("e18", 3_000, 1_000_000, 0xb);
+        let b = BenchSnapshot::new(
+            "e18",
+            true,
+            2_000,
+            15,
+            PerfStats {
+                events: 3_000,
+                wall_nanos: 1_000_000,
+            },
+            0xb,
+        );
         let merged = a.merge(&b);
         assert_eq!(merged.preset, "e17+e18");
         assert_eq!(merged.events, 4_000);
         assert_eq!(merged.wall_nanos, 2_000_000);
-        assert!((merged.events_per_sec - 2e6).abs() < 1e-3);
+        // (4,000 × 40 + 2,000 × 15) requests over 2 ms.
+        assert!((merged.requests_per_sec - 9.5e7).abs() < 1e-3);
     }
 }

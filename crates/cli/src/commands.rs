@@ -431,7 +431,7 @@ fn run_sizes(args: &Args, grid: SweepGrid) -> Result<SweepGrid, CliError> {
 ///
 /// Measures a preset sweep with the typed perf API
 /// ([`SweepGrid::run_timed`]) and renders a [`BenchSnapshot`]: events
-/// processed, wall time, events/sec, and the deterministic ledger digest.
+/// processed, wall time, requests/sec, and the deterministic ledger digest.
 /// With `--write-baseline on` the snapshot is written to the baseline
 /// path (default `BENCH_<preset>.json`); otherwise, when the baseline
 /// file exists, the measurement is gated against it — a throughput drop
@@ -475,7 +475,7 @@ fn bench(args: &Args) -> Result<String, CliError> {
 /// (mixed policy roster, per-tenant write fractions fanned across (0, 1))
 /// is pushed through [`ServeEngine::handle_line`] — the exact path `mdr
 /// serve` runs — and timed end to end, JSON parse to JSON print. The
-/// snapshot's events/sec is therefore *decisions per second*, and its
+/// snapshot's requests/sec is therefore *decisions per second*, and its
 /// digest is the FNV-1a hash of every response byte, so the committed
 /// `BENCH_serve.json` pins the wire behaviour bit-for-bit: any drift
 /// fails the gate at any speed.
@@ -529,10 +529,10 @@ fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliErro
             );
             let _ = writeln!(
                 out,
-                "events {}   wall {:.2} ms   throughput {:.0} events/sec",
+                "events {}   wall {:.2} ms   throughput {:.0} requests/sec",
                 snapshot.events,
                 snapshot.wall_nanos as f64 / 1e6,
-                snapshot.events_per_sec
+                snapshot.requests_per_sec
             );
             let _ = writeln!(out, "ledger digest: {}", snapshot.ledger_digest);
         }
@@ -1085,7 +1085,7 @@ const COMMANDS: &[Command] = &[
         usage: "  bench      --preset e6|e17|e18|e19|serve [--baseline BENCH_e17.json] [--gate-pct 10]
              [--write-baseline on] [--full on] [--requests N] [--replications R]
              [--threads T] [--chunk C] [--format table|json]
-             (typed perf measurement: events, wall time, events/sec, ledger digest;
+             (typed perf measurement: events, wall time, requests/sec, ledger digest;
               gates against a committed BENCH_*.json — digest drift always fails.
               --preset serve times the decision daemon: decisions/sec through the
               full JSON wire path, with [--tenants N] [--requests R] [--seed S])

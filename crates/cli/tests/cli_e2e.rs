@@ -355,6 +355,6 @@ fn bench_serve_reports_decisions_per_second() {
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("bench serve/fast"), "{stdout}");
-    assert!(stdout.contains("events/sec"), "{stdout}");
+    assert!(stdout.contains("requests/sec"), "{stdout}");
     assert!(stdout.contains("ledger digest: 0x"), "{stdout}");
 }
