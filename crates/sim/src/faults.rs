@@ -16,7 +16,7 @@
 
 use crate::perf::BatchedF64;
 use crate::protocol::Ticket;
-use crate::sim::{Cx, Event};
+use crate::sim::{Cx, Wakeup};
 use std::error::Error;
 use std::fmt;
 
@@ -600,16 +600,13 @@ impl ArqConfig {
     }
 }
 
-/// A [`FaultPlan`] at run time: the plan, its RNG stream, and whether the
-/// first disconnection is scheduled. The one stream feeds the link-down
-/// gaps, each outage's kind and length, and the ghost fates of every
-/// wireless delivery, in the order the run asks for them.
+/// A [`FaultPlan`] at run time: the plan and its RNG stream. The one
+/// stream feeds the link-down gaps, each outage's kind and length, and the
+/// ghost fates of every wireless delivery, in the order the run asks for
+/// them.
 pub(crate) struct FaultProcess {
     plan: FaultPlan,
     rng: BatchedF64,
-    /// Whether the first link-down has been scheduled (once per
-    /// simulation, not per `run` call).
-    primed: bool,
 }
 
 impl FaultProcess {
@@ -617,27 +614,19 @@ impl FaultProcess {
         FaultProcess {
             rng: BatchedF64::new(plan.seed),
             plan,
-            primed: false,
         }
     }
 
-    /// Schedules the first disconnection, once per simulation.
-    pub(crate) fn prime(&mut self, cx: &mut Cx) {
-        if !self.primed {
-            self.primed = true;
-            self.schedule_link_down(cx);
-        }
-    }
-
-    /// Draws the waiting time to the next disconnection and schedules it.
+    /// Draws the waiting time to the next disconnection and arms it.
     /// No-op at disconnect rate zero.
     pub(crate) fn schedule_link_down(&mut self, cx: &mut Cx) {
         if self.plan.disconnect_rate <= 0.0 {
             return;
         }
+        debug_assert!(!cx.is_armed(Wakeup::LinkDown), "one link-down at a time");
         let u = self.rng.draw();
         let gap = -f64::ln(1.0 - u) / self.plan.disconnect_rate;
-        cx.push_event(cx.now + gap, Event::LinkDown);
+        cx.arm(Wakeup::LinkDown, cx.now + gap);
     }
 
     /// Classifies the outage that just began and draws its duration.
@@ -696,15 +685,13 @@ impl Ghosts {
 }
 
 /// An [`ArqConfig`] at run time: the config, its loss/jitter stream, and
-/// the one envelope awaiting acknowledgement (stop-and-wait).
+/// the one envelope awaiting acknowledgement (stop-and-wait), whose
+/// retransmission timer is armed exactly while it is outstanding.
 pub(crate) struct Arq {
     pub(crate) config: ArqConfig,
     rng: BatchedF64,
     /// The envelope currently awaiting acknowledgement, if any.
-    pub(crate) outstanding: Option<ArqOutstanding>,
-    /// Monotone timer-id source; a timeout event whose id differs from the
-    /// outstanding transmission's is stale and ignored.
-    timer_seq: u64,
+    outstanding: Option<ArqOutstanding>,
 }
 
 /// Book-keeping for the envelope the ARQ transport currently has in the
@@ -718,8 +705,6 @@ pub(crate) struct ArqOutstanding {
     pub(crate) attempts: u32,
     /// Whether this envelope belongs to the reconnection handshake.
     pub(crate) reconciliation: bool,
-    /// Id of the armed retransmission timer.
-    timer: u64,
 }
 
 impl Arq {
@@ -728,7 +713,6 @@ impl Arq {
             config,
             rng: BatchedF64::new(config.seed),
             outstanding: None,
-            timer_seq: 0,
         }
     }
 
@@ -736,47 +720,53 @@ impl Arq {
     /// original send): draws its loss fate, then its jitter — two draws, so
     /// the stream position is a function of the attempt count alone — and
     /// makes it the outstanding envelope. Returns whether it was lost, and
-    /// its retransmission timer with the time it fires.
+    /// when its retransmission timer fires; the caller arms
+    /// [`Wakeup::ArqTimeout`] there once the delivery is scheduled.
     pub(crate) fn attempt(
         &mut self,
         now: f64,
         ticket: Ticket,
         reconciliation: bool,
         attempts: u32,
-    ) -> (bool, f64, Event) {
+    ) -> (bool, f64) {
         let lost = self.rng.draw() < self.config.loss_probability;
         let rto = self.config.jittered_timeout(attempts, self.rng.draw());
-        self.timer_seq += 1;
-        let timer = self.timer_seq;
         self.outstanding = Some(ArqOutstanding {
             ticket,
             attempts,
             reconciliation,
-            timer,
         });
-        (lost, now + rto, Event::ArqTimeout { timer })
+        (lost, now + rto)
     }
 
     /// The envelope behind `ticket` got through: its timer is settled (a
     /// response supersedes it anyway; a completion acks it explicitly).
-    pub(crate) fn acknowledge(&mut self, ticket: Ticket) {
+    pub(crate) fn acknowledge(&mut self, ticket: Ticket, cx: &mut Cx) {
         if self.outstanding.is_some_and(|out| out.ticket == ticket) {
-            self.outstanding = None;
+            self.abandon(cx);
         }
     }
 
-    /// Timer `timer` fired. `None` if it is stale — the envelope was
-    /// acknowledged, superseded, or destroyed. Otherwise the envelope,
-    /// plus, once it has used up its retry budget, the delay of the probe
-    /// that looks for the link after escalation (the backoff law continues
-    /// past the budget).
-    pub(crate) fn expire(&mut self, timer: u64) -> Option<(ArqOutstanding, Option<f64>)> {
-        let out = self.outstanding.take_if(|out| out.timer == timer)?;
+    /// Nothing is outstanding any more — acknowledged, or destroyed with
+    /// the link — so no timer guards it.
+    pub(crate) fn abandon(&mut self, cx: &mut Cx) {
+        self.outstanding = None;
+        cx.disarm(Wakeup::ArqTimeout);
+    }
+
+    /// The outstanding envelope's timer fired: the envelope, plus, once it
+    /// has used up its retry budget, the delay of the probe that looks for
+    /// the link after escalation (the backoff law continues past the
+    /// budget).
+    pub(crate) fn expire(&mut self) -> (ArqOutstanding, Option<f64>) {
+        let Some(out) = self.outstanding.take() else {
+            unreachable!("the ARQ timer is armed only while an envelope is outstanding")
+        };
         let probe = (out.attempts > self.config.retry_budget).then(|| {
             self.config
                 .jittered_timeout(out.attempts + 1, self.rng.draw())
         });
-        Some((out, probe))
+        (out, probe)
     }
 }
 

@@ -422,9 +422,13 @@ impl InvariantMonitor {
     }
 }
 
+/// An entry of the event queue. Each layer's single live timer sits in
+/// its [`Wakeup`] slot instead, so the queue holds only what can be many:
+/// ghost and ghost-bearing deliveries, a second delivery in flight, and
+/// handoff legs that land after their flight moved on. All of them are
+/// rank-1 protocol events.
 #[derive(Debug)]
 pub(crate) enum Event {
-    Arrival(Arrival),
     /// An envelope reaches its destination. Validity is re-checked at
     /// delivery time ([`ProtocolState::receive`]): faults leave ghost
     /// deliveries in the queue — duplicates, reordered stale copies, and
@@ -437,122 +441,222 @@ pub(crate) enum Event {
     /// actually land (a run may end with ghosts still in the air). Ghost
     /// copies carry a copy of the original delivery's ticket.
     GhostDeliver(Ticket),
-    /// The MC crosses into another cell.
-    Handoff,
-    /// A fault from the [`FaultPlan`] severs the link.
-    LinkDown,
-    /// The current outage ends and the link is re-established. The token
-    /// guards against stale events: a declared (ARQ) partition and an
-    /// injected outage can overlap, and only the newest scheduled link-up
-    /// may fire.
-    LinkUp {
-        /// Matches the simulation's `link_token` when current.
-        token: u64,
-    },
-    /// The ARQ retransmission timer for the outstanding envelope fires.
-    /// Stale timers (the envelope was acknowledged, superseded, or destroyed
-    /// by an outage in the meantime) are identified by id and ignored.
-    ArqTimeout {
-        /// Matches the outstanding transmission's timer id when current.
-        timer: u64,
-    },
-    /// The topology's mobility plan moves the MC to another cell
-    /// (mobility extension, `docs/topology.md`).
-    Migrate,
-    /// A handoff leg lands at its destination SC over the backbone.
-    /// Stale copies — legs of an aborted (fenced) epoch, duplicated or
-    /// reordered commits — self-discard against the epoch fence.
+    /// A handoff leg that lands after its flight moved on: a commit ghost,
+    /// a retransmission queued behind the copy in the leg slot, or the
+    /// leg of a flight an abort fenced. The epoch fence discards it.
     HandoffLegArrive {
         /// The flight epoch stamped on the leg at send time.
         epoch: u64,
         /// Which of the three legs this is.
         leg: HandoffLeg,
     },
-    /// The retransmission timer for an in-flight handoff leg fires (only
-    /// scheduled when the ARQ transport is installed; its timeout law and
-    /// retry budget govern backbone legs too). Stale timers — the leg
-    /// landed, the flight advanced, or the epoch was fenced — are
-    /// identified by (epoch, leg, attempt) and ignored.
-    HandoffRetry {
-        /// The flight epoch the timer belongs to.
-        epoch: u64,
-        /// The leg that was in the air when the timer was armed.
-        leg: HandoffLeg,
-        /// The attempt count when the timer was armed.
-        attempt: u32,
-    },
-    /// The handoff deadline expires: if the flight with this epoch is
-    /// still in the air, it aborts and rolls back to the origin cell.
-    HandoffDeadline {
-        /// The flight epoch the deadline was armed for.
-        epoch: u64,
-    },
 }
 
-impl Event {
+/// The timers of which a layer has at most one live at a time, since §3
+/// serializes relevant requests. Each has one slot in [`Cx`] holding only
+/// its packed key: re-arming overwrites it, so a superseded timer never
+/// reaches the run loop, and a fired slot's handler reads what it needs
+/// from its layer's state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wakeup {
+    /// The fault plan severs the link.
+    LinkDown,
+    /// The outage in progress, injected or declared by ARQ escalation,
+    /// ends. A newer outage re-arms it.
+    LinkUp,
+    /// The ARQ retransmission timer of the outstanding envelope.
+    ArqTimeout,
+    /// The cellular walk moves the MC to another cell.
+    Handoff,
+    /// The topology's mobility plan moves the MC to another cell
+    /// (mobility extension, `docs/topology.md`).
+    Migrate,
+    /// The handoff flight's leg in the air lands at its destination SC.
+    HandoffLeg,
+    /// The retransmission timer of that leg (only armed with the ARQ
+    /// transport installed; its timeout law and retry budget govern
+    /// backbone legs too).
+    HandoffRetry,
+    /// The flight's deadline: it aborts and rolls back to the origin cell.
+    HandoffDeadline,
+}
+
+/// Number of [`Wakeup`] slots.
+const WAKEUPS: usize = 8;
+
+impl Wakeup {
+    const ALL: [Wakeup; WAKEUPS] = [
+        Wakeup::LinkDown,
+        Wakeup::LinkUp,
+        Wakeup::ArqTimeout,
+        Wakeup::Handoff,
+        Wakeup::Migrate,
+        Wakeup::HandoffLeg,
+        Wakeup::HandoffRetry,
+        Wakeup::HandoffDeadline,
+    ];
+
     /// Actor rank for same-instant ties, the first tie-break after time
-    /// in the [`CalendarQueue`]'s `(time, actor-id, seq)` order: the
-    /// network/SC actor (an injected outage severing the link) resolves
-    /// first, ordinary protocol and workload events second, and MC-side
-    /// timers (retransmission timers, handoff deadlines) last. This pins
-    /// the documented order for the corner where an SC outage and a
+    /// in the packed `(time, actor-id, seq)` key: the network/SC actor (an
+    /// injected outage severing the link) resolves first, ordinary
+    /// protocol and workload events second, and MC-side timers
+    /// (retransmission timers, handoff deadlines) last. This pins the
+    /// documented order for the corner where an SC outage and a
     /// simultaneous MC-side event land at the same instant — the outage
     /// wins, deterministically, instead of depending on scheduling order.
-    fn actor_rank(&self) -> u8 {
+    fn rank(self) -> u8 {
         match self {
-            Event::LinkDown => 0,
-            Event::ArqTimeout { .. }
-            | Event::HandoffRetry { .. }
-            | Event::HandoffDeadline { .. } => 2,
+            Wakeup::LinkDown => 0,
+            Wakeup::ArqTimeout | Wakeup::HandoffRetry | Wakeup::HandoffDeadline => 2,
             _ => PROTOCOL_RANK,
         }
     }
 }
 
-/// The [`Event::actor_rank`] of ordinary protocol and workload events —
-/// in particular of arrivals and deliveries, the two event kinds the run
-/// loop stages outside the calendar queue.
+/// The actor rank of ordinary protocol and workload events — of every
+/// queued [`Event`], of the staged arrival and delivery, and of the
+/// wakeups that are not timers.
 const PROTOCOL_RANK: u8 = 1;
+
+/// The key of a disarmed slot and of an empty queue: above every real
+/// key, whose rank field is at most 2.
+const NEVER: u128 = u128::MAX;
 
 /// What a layer's handler works against besides its own state: the
 /// clock, the future-event list, and the run's counters. The list is the
-/// calendar queue plus the `seq` counter every scheduled event takes its
-/// tie-break from, queued or staged; every layer schedules through
-/// [`Cx::push_event`], the simulator's one push path.
+/// [`Wakeup`] slots, the calendar queue, and the `seq` counter every
+/// scheduled event takes its tie-break from, slotted, queued or staged.
 pub(crate) struct Cx {
     pub(crate) now: f64,
     queue: CalendarQueue<Event>,
     seq: u64,
+    /// Each wakeup's packed key while armed, [`NEVER`] otherwise.
+    slots: [u128; WAKEUPS],
+    /// The earliest of the armed slots and the queue head, cached so the
+    /// run loop compares one key for all of them: its key ([`NEVER`] when
+    /// there is none) and its slot, or `None` for the queue head.
+    next: (u128, Option<Wakeup>),
     /// The run's counters, kept in the report they end up in: the
     /// handlers count straight into it, and [`Simulation::report`] clones
     /// it and fills in the fields derived from other state.
     pub(crate) tally: SimReport,
 }
 
+/// What the cached minimum named when the run loop took it.
+enum Due {
+    Wakeup(Wakeup),
+    Event(Event),
+}
+
 impl Cx {
+    fn new() -> Self {
+        Cx {
+            now: 0.0,
+            queue: CalendarQueue::new(),
+            seq: 0,
+            slots: [NEVER; WAKEUPS],
+            next: (NEVER, None),
+            tally: SimReport::default(),
+        }
+    }
+
+    /// The [`calendar::pack`]ed key of an event at `at` with `rank`,
+    /// under the next `seq`.
+    fn key(&mut self, at: f64, rank: u8) -> u128 {
+        self.seq += 1;
+        calendar::pack((at, rank, self.seq))
+    }
+
     /// Queues `event` at `at` under the next `seq`.
     pub(crate) fn push_event(&mut self, at: f64, event: Event) {
-        self.seq += 1;
-        let rank = event.actor_rank();
-        self.queue.push(at, rank, self.seq, event);
+        let key = self.key(at, PROTOCOL_RANK);
+        self.queue.push_packed(key, event);
+        if key < self.next.0 {
+            self.next = (key, None);
+        }
+    }
+
+    /// Arms `wakeup` at `at` under the next `seq`, superseding the timer
+    /// it held, if any.
+    pub(crate) fn arm(&mut self, wakeup: Wakeup, at: f64) {
+        let key = self.key(at, wakeup.rank());
+        self.slots[wakeup as usize] = key;
+        if key < self.next.0 {
+            self.next = (key, Some(wakeup));
+        } else if self.next.1 == Some(wakeup) {
+            self.refresh();
+        }
+    }
+
+    /// Disarms `wakeup`; a no-op if it is not armed.
+    pub(crate) fn disarm(&mut self, wakeup: Wakeup) {
+        self.slots[wakeup as usize] = NEVER;
+        if self.next.1 == Some(wakeup) {
+            self.refresh();
+        }
+    }
+
+    pub(crate) fn is_armed(&self, wakeup: Wakeup) -> bool {
+        self.slots[wakeup as usize] != NEVER
+    }
+
+    /// Moves armed `wakeup` into the queue as `event` under the same key,
+    /// so it still fires, in the same order, once its layer moved on.
+    pub(crate) fn demote(&mut self, wakeup: Wakeup, event: Event) {
+        let key = std::mem::replace(&mut self.slots[wakeup as usize], NEVER);
+        debug_assert_ne!(key, NEVER, "demoted a disarmed wakeup");
+        self.queue.push_packed(key, event);
+        if self.next.1 == Some(wakeup) {
+            self.next.1 = None;
+        }
+    }
+
+    /// Recomputes the cached minimum from the slots and the queue head.
+    fn refresh(&mut self) {
+        let mut next = (self.queue.peek_packed().unwrap_or(NEVER), None);
+        for wakeup in Wakeup::ALL {
+            let key = self.slots[wakeup as usize];
+            if key < next.0 {
+                next = (key, Some(wakeup));
+            }
+        }
+        self.next = next;
+    }
+
+    /// Takes the entry the cached minimum names: disarms its slot or pops
+    /// the queue head.
+    fn take_next(&mut self) -> Due {
+        let due = match self.next.1 {
+            Some(wakeup) => {
+                self.slots[wakeup as usize] = NEVER;
+                Due::Wakeup(wakeup)
+            }
+            None => {
+                let Some((_, event)) = self.queue.pop() else {
+                    unreachable!("took a queue head from an empty queue")
+                };
+                Due::Event(event)
+            }
+        };
+        self.refresh();
+        due
     }
 
     /// Takes the next `seq` for a rank-1 event staged outside the queue at
     /// `at`, returning the [`calendar::pack`]ed key it would have queued
     /// with.
     fn stage(&mut self, at: f64) -> u128 {
-        self.seq += 1;
-        calendar::pack((at, PROTOCOL_RANK, self.seq))
+        self.key(at, PROTOCOL_RANK)
     }
 }
 
 /// Which source holds the earliest pending event: one of the two staged
-/// slots, or the calendar queue's head.
+/// slots, or the wakeup slots and queue behind [`Cx`]'s cached minimum.
 #[derive(Clone, Copy)]
 enum NextEvent {
     StagedArrival,
     StagedDelivery,
-    Queue,
+    Cx,
 }
 
 /// The simulator. Owns the two protocol nodes and the event queue; each
@@ -568,11 +672,11 @@ pub struct Simulation {
     /// run doubles as an equivalence test of the decision engine.
     oracle: Option<DecisionCore>,
     cx: Cx,
-    /// The next workload arrival, staged outside the queue under the
-    /// [`calendar::pack`]ed key (rank 1) the queued [`Event::Arrival`]
-    /// would have carried. At most one future arrival is known at a time,
-    /// so in the steady state arrivals never touch the queue at all: the
-    /// run loop picks the earliest of the staged events and the queue head.
+    /// The next workload arrival, staged outside the queue under its
+    /// [`calendar::pack`]ed key (rank 1). At most one future arrival is
+    /// known at a time, so arrivals never touch the queue at all: the run
+    /// loop picks the earliest of the staged events and [`Cx`]'s cached
+    /// minimum.
     staged_arrival: Option<(u128, Arrival)>,
     /// A ghost-free delivery's ticket staged outside the queue, same
     /// scheme. The §3 exchange serialization leaves at most one envelope
@@ -591,6 +695,10 @@ pub struct Simulation {
     /// Absolute request-count target for the current `run` call (serving
     /// stops exactly there, even mid-drain).
     target: usize,
+    /// Whether the cellular walk, the topology's mobility plan and the
+    /// fault plan have armed their first wakeup (once per simulation, not
+    /// per `run` call).
+    primed: bool,
     mobility: Option<Mobility>,
     faults: Option<FaultProcess>,
     arq: Option<Arq>,
@@ -622,8 +730,6 @@ pub struct Simulation {
     /// exchange (the wasted setup), one per reconnection handshake, and one
     /// per ARQ retransmission (connection model: every retransmit re-dials).
     extra_connections: u64,
-    /// Monotone link-up token source (see [`Event::LinkUp`]).
-    link_token: u64,
     /// Whether the current outage was declared by ARQ escalation rather
     /// than injected by the fault plan.
     declared_down: bool,
@@ -649,12 +755,7 @@ impl Simulation {
                 };
                 core
             }),
-            cx: Cx {
-                now: 0.0,
-                queue: CalendarQueue::new(),
-                seq: 0,
-                tally: SimReport::default(),
-            },
+            cx: Cx::new(),
             staged_arrival: None,
             staged_delivery: None,
             pending: VecDeque::new(),
@@ -663,6 +764,7 @@ impl Simulation {
             reads_completed: 0,
             served: 0,
             target: usize::MAX,
+            primed: false,
             mobility: config.mobility.clone().map(Mobility::new),
             faults: config.faults.clone().map(FaultProcess::new),
             topology: Topology::new(&config),
@@ -676,7 +778,6 @@ impl Simulation {
             exchange_messages: 0,
             exchange_retrans: 0,
             extra_connections: 0,
-            link_token: 0,
             declared_down: false,
             partitioned_since: None,
             monitor: InvariantMonitor::new(),
@@ -684,20 +785,14 @@ impl Simulation {
         }
     }
 
-    /// Fetches the next arrival from the workload and stages it (or, when
-    /// a staged arrival is already pending from an earlier `run` call,
-    /// queues it behind that one). Consumes a `seq` either way, at the
-    /// exact point the old queue-everything loop consumed it, so event
-    /// keys — and therefore tie-breaks and digests — are unchanged.
+    /// Fetches the next arrival from the workload and stages it under the
+    /// next `seq`, at the exact point the old queue-everything loop
+    /// consumed it, so event keys — and therefore tie-breaks and digests —
+    /// are unchanged.
     fn stage_next_arrival(&mut self, workload: &mut dyn ArrivalProcess) {
+        debug_assert!(self.staged_arrival.is_none(), "one staged arrival");
         match workload.next_arrival() {
-            Some(a) => {
-                if self.staged_arrival.is_none() {
-                    self.staged_arrival = Some((self.cx.stage(a.time), a));
-                } else {
-                    self.cx.push_event(a.time, Event::Arrival(a));
-                }
-            }
+            Some(a) => self.staged_arrival = Some((self.cx.stage(a.time), a)),
             None => self.arrivals_done = true,
         }
     }
@@ -739,6 +834,7 @@ impl Simulation {
     /// `reconciliation` routes the attempt tally to the handshake counters
     /// instead of the at-risk exchange tally.
     fn transmit(&mut self, ticket: Ticket, reconciliation: bool, attempts: u32) {
+        debug_assert!(self.link_up, "a transmission while the link is down");
         self.bill_attempt(ticket, reconciliation);
         let cell_extra = self.mobility.as_ref().map_or(0.0, |m| m.cell_extra);
         let arrives = self.cx.now + self.config.latency + cell_extra;
@@ -746,7 +842,7 @@ impl Simulation {
             self.schedule_delivery(ticket, arrives);
             return;
         };
-        let (lost, at, timer) = arq.attempt(self.cx.now, ticket, reconciliation, attempts);
+        let (lost, at) = arq.attempt(self.cx.now, ticket, reconciliation, attempts);
         if attempts > 1 {
             self.cx.tally.retransmissions += 1;
             if !reconciliation {
@@ -758,7 +854,7 @@ impl Simulation {
         if !lost {
             self.schedule_delivery(ticket, arrives);
         }
-        self.cx.push_event(at, timer);
+        self.cx.arm(Wakeup::ArqTimeout, at);
     }
 
     /// Bills one transmission attempt on the wireless link to its message
@@ -804,14 +900,16 @@ impl Simulation {
         }
     }
 
-    /// A retransmission timer fired. If the envelope it guarded is still
-    /// unacknowledged, either retransmit (budget permitting) or escalate to
-    /// a declared disconnection.
-    fn handle_arq_timeout(&mut self, timer: u64) {
-        match self.arq.as_mut().and_then(|arq| arq.expire(timer)) {
-            Some((out, None)) => self.transmit(out.ticket, out.reconciliation, out.attempts + 1),
-            Some((_, Some(probe))) => self.escalate_partition(probe),
-            None => {} // acknowledged, superseded, or destroyed: stale timer
+    /// The retransmission timer of the unacknowledged envelope fired:
+    /// either retransmit (budget permitting) or escalate to a declared
+    /// disconnection.
+    fn handle_arq_timeout(&mut self) {
+        let Some(arq) = &mut self.arq else {
+            return;
+        };
+        match arq.expire() {
+            (out, None) => self.transmit(out.ticket, out.reconciliation, out.attempts + 1),
+            (_, Some(probe)) => self.escalate_partition(probe),
         }
     }
 
@@ -854,13 +952,10 @@ impl Simulation {
         self.reconciling = false;
     }
 
-    /// Schedules the link's return after `delay` under a fresh token,
-    /// which makes every link-up scheduled before it stale.
+    /// Arms the link's return after `delay`, superseding any link-up
+    /// armed before it.
     fn schedule_link_up(&mut self, delay: f64) {
-        self.link_token += 1;
-        let token = self.link_token;
-        self.cx
-            .push_event(self.cx.now + delay, Event::LinkUp { token });
+        self.cx.arm(Wakeup::LinkUp, self.cx.now + delay);
     }
 
     /// When the partition in progress began, if the ARQ transport is in
@@ -944,23 +1039,28 @@ impl Simulation {
     /// owner, replica freshness) is violated.
     pub fn run(&mut self, workload: &mut dyn ArrivalProcess, requests: usize) -> SimReport {
         self.target = self.served.saturating_add(requests);
-        let target = self.target;
         self.arrivals_done = false;
-        // Prime the movement process, the topology's mobility plan (an
-        // inert plan has no layer, so it schedules nothing and draws
-        // nothing) and, once per simulation, the fault process.
-        if let Some(mobility) = &mut self.mobility {
-            mobility.schedule_handoff(&mut self.cx);
+        if !self.primed {
+            // Arm the cellular walk, the topology's mobility plan (an inert
+            // plan has no layer, so it arms nothing and draws nothing) and
+            // the fault plan. Each re-arms itself as it fires.
+            self.primed = true;
+            if let Some(mobility) = &mut self.mobility {
+                mobility.schedule_handoff(&mut self.cx);
+            }
+            if let Some(topology) = &mut self.topology {
+                topology.schedule_migration(&mut self.cx);
+            }
+            if let Some(faults) = &mut self.faults {
+                faults.schedule_link_down(&mut self.cx);
+            }
         }
-        if let Some(topology) = &mut self.topology {
-            topology.schedule_migration(&mut self.cx);
+        if self.staged_arrival.is_none() {
+            self.stage_next_arrival(workload);
         }
-        if let Some(faults) = &mut self.faults {
-            faults.prime(&mut self.cx);
-        }
-        // Prime the first arrival.
-        self.stage_next_arrival(workload);
-        while self.served < target {
+        // Serve what an earlier call left queued at its target.
+        self.drain_pending();
+        while self.served < self.target {
             // With no arrivals left and nothing in service, the only events
             // remaining are self-perpetuating maintenance (link faults,
             // handoffs) and ghost deliveries: stop instead of chasing them.
@@ -972,27 +1072,25 @@ impl Simulation {
             {
                 break;
             }
-            // Pick the earliest of the two staged events and the queue
-            // head by their packed `(time, rank, seq)` keys (unique —
-            // every event consumed a distinct seq).
-            let mut best = self
-                .cx
-                .queue
-                .peek_packed()
-                .map(|key| (key, NextEvent::Queue));
+            // Pick the earliest of the two staged events and the cached
+            // minimum of the wakeup slots and the queue head, by their
+            // packed `(time, rank, seq)` keys (unique — every event
+            // consumed a distinct seq).
+            let mut best = (self.cx.next.0, NextEvent::Cx);
             if let Some((key, _)) = self.staged_delivery {
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, NextEvent::StagedDelivery));
+                if key < best.0 {
+                    best = (key, NextEvent::StagedDelivery);
                 }
             }
             if let Some((key, _)) = self.staged_arrival {
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, NextEvent::StagedArrival));
+                if key < best.0 {
+                    best = (key, NextEvent::StagedArrival);
                 }
             }
-            let Some((key, source)) = best else {
+            let (key, source) = best;
+            if key == NEVER {
                 break;
-            };
+            }
             let (at, _, _) = calendar::unpack(key);
             debug_assert!(at >= self.cx.now - 1e-9, "time went backwards");
             self.cx.now = at.max(self.cx.now);
@@ -1003,78 +1101,76 @@ impl Simulation {
                         unreachable!("picked a staged arrival that is not there")
                     };
                     self.handle_arrival(arrival, workload);
-                    continue;
                 }
                 NextEvent::StagedDelivery => {
                     let Some((_, ticket)) = self.staged_delivery.take() else {
                         unreachable!("picked a staged delivery that is not there")
                     };
                     self.handle_delivery(ticket);
-                    continue;
                 }
-                NextEvent::Queue => {}
-            }
-            let Some((_, event)) = self.cx.queue.pop() else {
-                unreachable!("picked a queue head from an empty queue")
-            };
-            // A layer's events exist only when the layer does.
-            let cx = &mut self.cx;
-            match event {
-                Event::Arrival(arrival) => self.handle_arrival(arrival, workload),
-                Event::Deliver(ticket) => self.handle_delivery(ticket),
-                Event::GhostDeliver(ticket) => {
-                    self.cx.tally.duplicated_deliveries += 1;
-                    self.handle_delivery(ticket);
-                }
-                Event::Handoff => {
-                    if let Some(mobility) = &mut self.mobility {
-                        mobility.hand_off(cx);
+                NextEvent::Cx => match self.cx.take_next() {
+                    Due::Wakeup(wakeup) => self.wake(wakeup),
+                    Due::Event(Event::Deliver(ticket)) => self.handle_delivery(ticket),
+                    Due::Event(Event::GhostDeliver(ticket)) => {
+                        self.cx.tally.duplicated_deliveries += 1;
+                        self.handle_delivery(ticket);
                     }
-                }
-                Event::LinkDown => {
-                    if let Some(outage) = self.faults.as_mut().map(FaultProcess::draw_outage) {
-                        self.handle_link_down(outage);
+                    Due::Event(Event::HandoffLegArrive { epoch, leg }) => {
+                        if let Some(topology) = &mut self.topology {
+                            topology.discard(epoch, leg, &mut self.cx);
+                        }
                     }
-                }
-                Event::LinkUp { token } => self.handle_link_up(token),
-                Event::ArqTimeout { timer } => self.handle_arq_timeout(timer),
-                Event::Migrate => {
-                    if self.topology.as_mut().is_some_and(|t| t.migrate(cx)) {
-                        self.shed_wire_needing(ShedReason::HandoffStuck);
-                    }
-                    self.follow_mc();
-                    if let Some(topology) = &mut self.topology {
-                        topology.schedule_migration(&mut self.cx);
-                    }
-                }
-                Event::HandoffLegArrive { epoch, leg } => {
-                    let version = self.protocol.sc().version();
-                    if self
-                        .topology
-                        .as_mut()
-                        .is_some_and(|t| t.land(epoch, leg, version, cx))
-                    {
-                        self.drain_pending();
-                    }
-                }
-                Event::HandoffRetry {
-                    epoch,
-                    leg,
-                    attempt,
-                } => {
-                    if let Some(topology) = &mut self.topology {
-                        topology.retry(epoch, leg, attempt, cx);
-                    }
-                }
-                Event::HandoffDeadline { epoch } => {
-                    if self.topology.as_mut().is_some_and(|t| t.expire(epoch, cx)) {
-                        self.shed_wire_needing(ShedReason::HandoffStuck);
-                        self.follow_mc();
-                    }
-                }
+                },
             }
         }
         self.report()
+    }
+
+    /// Runs the handler of a wakeup that fired. A layer's wakeups are
+    /// armed only when the layer exists.
+    fn wake(&mut self, wakeup: Wakeup) {
+        let cx = &mut self.cx;
+        match wakeup {
+            Wakeup::LinkDown => {
+                if let Some(outage) = self.faults.as_mut().map(FaultProcess::draw_outage) {
+                    self.handle_link_down(outage);
+                }
+            }
+            Wakeup::LinkUp => self.handle_link_up(),
+            Wakeup::ArqTimeout => self.handle_arq_timeout(),
+            Wakeup::Handoff => {
+                if let Some(mobility) = &mut self.mobility {
+                    mobility.hand_off(cx);
+                }
+            }
+            Wakeup::Migrate => {
+                if self.topology.as_mut().is_some_and(|t| t.migrate(cx)) {
+                    self.shed_wire_needing(ShedReason::HandoffStuck);
+                }
+                self.follow_mc();
+                if let Some(topology) = &mut self.topology {
+                    topology.schedule_migration(&mut self.cx);
+                }
+            }
+            Wakeup::HandoffLeg => {
+                let version = self.protocol.sc().version();
+                if self.topology.as_mut().is_some_and(|t| t.land(version, cx)) {
+                    self.drain_pending();
+                }
+            }
+            Wakeup::HandoffRetry => {
+                if let Some(topology) = &mut self.topology {
+                    topology.retry(cx);
+                }
+            }
+            Wakeup::HandoffDeadline => {
+                if let Some(topology) = &mut self.topology {
+                    topology.expire(cx);
+                    self.shed_wire_needing(ShedReason::HandoffStuck);
+                    self.follow_mc();
+                }
+            }
+        }
     }
 
     /// Ownership follows the MC: away from the owner cell, a fresh flight
@@ -1227,7 +1323,7 @@ impl Simulation {
         if let Some(arq) = &mut self.arq {
             // The envelope got through: its retransmission timer is
             // settled, and any partition in progress has healed.
-            arq.acknowledge(ticket);
+            arq.acknowledge(ticket, &mut self.cx);
             if let Some(since) = self.partitioned_since.take() {
                 self.cx.tally.recovery_time_sum += self.cx.now - since;
                 self.cx.tally.recoveries += 1;
@@ -1271,7 +1367,7 @@ impl Simulation {
     /// state (or none are left): local reads and silent writes complete
     /// inline and must not stall the queue. Stops at the first unservable
     /// head — e.g. when an ARQ escalation interrupted the reconciliation
-    /// handshake, so the protocol is still recovering; the pending LinkUp
+    /// handshake, so the protocol is still recovering; the armed link-up
     /// probe re-drains once the handshake settles. Respects the request
     /// target exactly.
     fn drain_pending(&mut self) {
@@ -1299,7 +1395,7 @@ impl Simulation {
         // progress; the partition start time is kept for MTTR purposes.
         self.declared_down = false;
         if let Some(arq) = &mut self.arq {
-            arq.outstanding = None; // in-air timers are now stale
+            arq.abandon(&mut self.cx);
             if self.partitioned_since.is_none() {
                 self.partitioned_since = Some(self.cx.now);
             }
@@ -1341,18 +1437,12 @@ impl Simulation {
 
     /// The link comes back: bump the epoch (stale deliveries self-discard
     /// from here on), then either run the owed reconciliation handshake or
-    /// resume service directly. Stale link-up events (an ARQ probe
-    /// superseded by an injected outage, or vice versa) are ignored by
-    /// token.
-    fn handle_link_up(&mut self, token: u64) {
-        if token != self.link_token {
-            return;
-        }
+    /// resume service directly.
+    fn handle_link_up(&mut self) {
         debug_assert!(!self.link_up, "link-up while already up");
         // Healing a *declared* (ARQ-escalated) partition must not draw a
-        // fresh disconnection: the up-period's injected LinkDown is still
-        // in the queue and rescheduling would stack a duplicate that later
-        // fires while the link is already down.
+        // fresh disconnection: the up-period's injected link-down is still
+        // armed, and arming it again would replace it with a fresh draw.
         let heals_injected = !self.declared_down;
         self.link_up = true;
         self.declared_down = false;
@@ -1690,6 +1780,64 @@ mod tests {
         let mut m = base();
         m.seed = 4;
         assert_ne!(base(), m);
+    }
+
+    /// `run` serves `requests` *more* requests: splitting one run into
+    /// two calls serves the same requests at the same times, so the
+    /// reports are equal as a whole. A second call must not arm the walks
+    /// again (two chains would run), must serve what the first left
+    /// queued at its target, and must keep the arrival it staged.
+    #[test]
+    fn a_run_split_in_two_calls_equals_one_run() {
+        fn arq() -> ArqConfig {
+            ArqConfig::new(0.3, 0.05, 5)
+                .and_then(|a| a.with_retry_budget(2))
+                .and_then(|a| a.with_degrade_deadline(0.5))
+                .unwrap()
+        }
+        fn faults() -> FaultPlan {
+            FaultPlan::new(0.05, 2.0, 3)
+                .and_then(|p| p.with_crashes(0.4, 0.6))
+                .and_then(|p| p.with_sc_outages(0.2))
+                .and_then(|p| p.with_duplication(0.05, 0.05))
+                .unwrap()
+        }
+        fn topology() -> TopologyConfig {
+            TopologyConfig::new(3, 0.8, 0.5, 7)
+                .and_then(|t| t.with_loss(0.3))
+                .and_then(|t| t.with_commit_ghosts(0.2, 0.2))
+                .unwrap()
+        }
+        let builders: [fn(SimBuilder) -> Result<SimBuilder, crate::ConfigError>; 6] = [
+            |b| b.latency(0.3),
+            |b| b.faults(faults()),
+            |b| b.arq(arq()),
+            |b| b.mobility(vec![0.0, 0.05, 0.2], 0.5, 9),
+            |b| b.topology(topology()),
+            |b| {
+                b.faults(faults())
+                    .and_then(|b| b.arq(arq()))
+                    .and_then(|b| b.topology(topology()))
+            },
+        ];
+        for (i, build) in builders.iter().enumerate() {
+            for seed in 0..8u64 {
+                let config = SimBuilder::new(PolicySpec::St1)
+                    .and_then(|b| b.latency(0.05))
+                    .and_then(build)
+                    .unwrap()
+                    .build();
+                let workload = || crate::workload::PoissonWorkload::from_theta(2.0, 0.4, seed);
+                let first = 20 + (37 * seed as usize) % 300;
+                let whole = Simulation::new(config.clone()).run(&mut workload(), 600);
+                let mut sim = Simulation::new(config);
+                let mut w = workload();
+                sim.run(&mut w, first);
+                let split = sim.run(&mut w, 600 - first);
+                assert_eq!(split, whole, "config {i}, seed {seed}, cut at {first}");
+                assert_eq!(whole.counts.total(), 600, "config {i}, seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -2354,6 +2502,27 @@ mod mutation_regressions {
         assert_eq!((r.disconnects, r.mc_crashes, r.sc_outages), (174, 72, 20));
     }
 
+    /// Regression (mutation): a reconnection handshake's first send is an
+    /// original attempt, not a retransmission. On a lossless ARQ link
+    /// whose timeout outlasts every round trip nothing is retransmitted,
+    /// so a crash-heavy run counts none.
+    #[test]
+    fn a_handshake_starts_at_its_first_attempt() {
+        let plan = FaultPlan::new(0.05, 2.0, 1)
+            .and_then(|p| p.with_crashes(0.4, 0.6))
+            .and_then(|p| p.with_sc_outages(0.2))
+            .unwrap();
+        let mut sim = SimBuilder::new(PolicySpec::SlidingWindow { k: 3 })
+            .and_then(|b| b.faults(plan))
+            .and_then(|b| b.arq(ArqConfig::new(0.0, 1.0, 3)?))
+            .unwrap()
+            .simulation();
+        let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4711);
+        let r = sim.run(&mut w, 4_000);
+        assert!(r.reconciliations > 0);
+        assert_eq!((r.retransmissions, r.retry_escalations), (0, 0));
+    }
+
     /// Regression (mutation): only reads enter the read-latency mean. With
     /// long exchanges and volatile crashes, a write caught mid-exchange
     /// resumes as a silent local completion once the crash has retracted
@@ -2798,7 +2967,7 @@ mod topology_tests {
     }
 
     /// Regression (mutation): MC-side timers rank after protocol events at
-    /// the same instant ([`Event::actor_rank`]). At latency 0.25 and a
+    /// the same instant ([`Wakeup::rank`]). At latency 0.25 and a
     /// 0.75 deadline the third leg of every lossless flight lands exactly
     /// on its deadline, so the commit must be handled first. Ranking the
     /// deadline with the protocol events would let the earlier-armed
@@ -2819,7 +2988,11 @@ mod topology_tests {
     /// A `HandoffStuck` shed needs a handoff aborted at least once, not
     /// one stuck past its deadline: a migration that fences a flight still
     /// in the air aborts it too. A lossless three-leg flight takes 0.06
-    /// here, far under the 1.0 deadline, so every abort is a fence.
+    /// here, far under the 1.0 deadline, so every abort is a fence, and
+    /// each fence catches exactly one leg in the air. That leg still lands
+    /// and the epoch fence discards it, so with no commit ghosts the
+    /// discards equal the aborts (regression: an abort that dropped the
+    /// leg instead of queueing it would lose every one).
     #[test]
     fn a_fenced_handoff_sheds_like_a_stuck_one() {
         let t = TopologyConfig::new(3, 0.5, 1.0, 0xE15).unwrap();
@@ -2831,11 +3004,105 @@ mod topology_tests {
         let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 0xE15);
         let r = sim.run(&mut w, 8_000);
         assert_eq!(r.handoffs_aborted, 123, "regression pin");
+        assert_eq!(r.handoff_discards, r.handoffs_aborted);
         let stuck = r
             .shed
             .iter()
             .filter(|s| s.reason == ShedReason::HandoffStuck)
             .count();
         assert_eq!((r.shed.len(), stuck), (1, 1), "regression pin");
+    }
+}
+
+#[cfg(test)]
+mod wakeup_props {
+    //! The run loop compares one key for all wakeup slots and the queue:
+    //! [`Cx`]'s cached minimum. Random walks over every way the slots and
+    //! the queue change check that it always names the entry a reference
+    //! heap of the live entries would pop next.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A live entry of the reference model: its key, and its slot or
+    /// `None` for a queued one.
+    type Live = (u128, Option<Wakeup>);
+
+    /// Queued entries carry their key's `seq` as the epoch, so a popped
+    /// one can be told apart from every other.
+    fn tagged(seq: u64) -> Event {
+        Event::HandoffLegArrive {
+            epoch: seq,
+            leg: HandoffLeg::Request,
+        }
+    }
+
+    fn reference_next(live: &[Live]) -> Option<Live> {
+        live.iter().copied().min_by_key(|&(key, _)| key)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cached_minimum_names_the_reference_heaps_next(
+            steps in prop::collection::vec((0u8..6, 0usize..WAKEUPS, 0u8..3), 1..160),
+        ) {
+            let mut cx = Cx::new();
+            let mut live: Vec<Live> = Vec::new();
+            let mut seq = 0u64;
+            for &(op, slot, tick) in &steps {
+                let wakeup = Wakeup::ALL[slot];
+                // Three instants only, so time ties are the rule and rank
+                // and seq decide most picks.
+                let at = f64::from(tick) * 0.5;
+                let armed = live.iter().position(|&(_, s)| s == Some(wakeup));
+                match op {
+                    // Arm, or overwrite when already armed.
+                    0 | 1 => {
+                        seq += 1;
+                        cx.arm(wakeup, at);
+                        live.retain(|&(_, s)| s != Some(wakeup));
+                        live.push((calendar::pack((at, wakeup.rank(), seq)), Some(wakeup)));
+                    }
+                    2 => {
+                        cx.disarm(wakeup);
+                        live.retain(|&(_, s)| s != Some(wakeup));
+                    }
+                    3 => {
+                        if let Some(i) = armed {
+                            let key = live[i].0;
+                            cx.demote(wakeup, tagged(calendar::unpack(key).2));
+                            live[i].1 = None;
+                        }
+                    }
+                    4 => {
+                        seq += 1;
+                        cx.push_event(at, tagged(seq));
+                        live.push((calendar::pack((at, PROTOCOL_RANK, seq)), None));
+                    }
+                    _ => {
+                        let Some(next) = reference_next(&live) else {
+                            prop_assert_eq!(cx.next, (NEVER, None));
+                            continue;
+                        };
+                        live.retain(|&entry| entry != next);
+                        match (cx.take_next(), next.1) {
+                            (Due::Wakeup(got), Some(want)) => prop_assert_eq!(got, want),
+                            (Due::Event(Event::HandoffLegArrive { epoch, .. }), None) => {
+                                prop_assert_eq!(epoch, calendar::unpack(next.0).2);
+                            }
+                            _ => prop_assert!(false, "took the wrong kind of entry"),
+                        }
+                    }
+                }
+                prop_assert_eq!(cx.seq, seq);
+                let want = reference_next(&live).unwrap_or((NEVER, None));
+                prop_assert_eq!(cx.next, want);
+                for w in Wakeup::ALL {
+                    prop_assert_eq!(cx.is_armed(w), live.iter().any(|&(_, s)| s == Some(w)));
+                }
+            }
+        }
     }
 }

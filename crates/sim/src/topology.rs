@@ -47,7 +47,7 @@
 
 use crate::faults::{probability, ArqConfig, ConfigError, Ghosts};
 use crate::perf::BatchedF64;
-use crate::sim::{Cx, Event, InvariantMonitor, SimConfig, SimReport};
+use crate::sim::{Cx, Event, InvariantMonitor, SimConfig, SimReport, Wakeup};
 
 /// The three legs of the handoff protocol, in wire order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -342,10 +342,10 @@ impl Mobility {
         }
     }
 
-    /// Draws the next dwell time and schedules the handoff.
+    /// Draws the next dwell time and arms the handoff.
     pub(crate) fn schedule_handoff(&mut self, cx: &mut Cx) {
         let dwell = dwell(&mut self.rng, self.config.handoff_rate);
-        cx.push_event(cx.now + dwell, Event::Handoff);
+        cx.arm(Wakeup::Handoff, cx.now + dwell);
     }
 
     /// Moves the MC to a uniformly chosen *different* cell, then schedules
@@ -363,7 +363,9 @@ impl Mobility {
 /// streams, where the MC and the window's owner sit, and the handoff
 /// flight in the air. Backbone legs ride SC-to-SC wiring at the base link
 /// `latency`; with the ARQ transport installed, its timeout law and retry
-/// budget govern their retransmissions too.
+/// budget govern their retransmissions too. The flight's leg, leg retry
+/// and deadline are armed in their [`Wakeup`] slots only while it is in
+/// the air.
 pub(crate) struct Topology {
     config: TopologyConfig,
     latency: f64,
@@ -450,10 +452,10 @@ impl Topology {
         self.mc_cell != self.owner_cell
     }
 
-    /// Draws the next exponential dwell time and schedules the migration.
+    /// Draws the next exponential dwell time and arms the migration.
     pub(crate) fn schedule_migration(&mut self, cx: &mut Cx) {
         let dwell = dwell(&mut self.rng, self.config.migration_rate);
-        cx.push_event(cx.now + dwell, Event::Migrate);
+        cx.arm(Wakeup::Migrate, cx.now + dwell);
     }
 
     /// Moves the MC to a uniformly chosen *different* cell. A migration
@@ -475,41 +477,51 @@ impl Topology {
         debug_assert!(self.handoff.is_none(), "at most one flight in the air");
         debug_assert_ne!(self.owner_cell, self.mc_cell);
         self.epoch += 1;
-        let epoch = self.epoch;
-        let deadline = cx.now + self.config.handoff_deadline;
-        cx.push_event(deadline, Event::HandoffDeadline { epoch });
-        let flight = HandoffFlight {
+        cx.arm(
+            Wakeup::HandoffDeadline,
+            cx.now + self.config.handoff_deadline,
+        );
+        self.handoff = Some(HandoffFlight {
             origin: self.owner_cell,
             target: self.mc_cell,
-            epoch,
+            epoch: self.epoch,
             awaiting: HandoffLeg::Request,
             attempts: 0,
             messages: 0,
             transfer_landed: false,
             snapshot,
-        };
-        self.send(flight, cx);
+        });
+        self.send(cx);
     }
 
-    /// Puts `flight` in the air with one more backbone attempt of its
-    /// awaiting leg: bill it, draw its fate, schedule the arrival (and any
-    /// commit ghosts) if it survives, and — with the ARQ transport
-    /// installed — arm a retransmission timer. Without ARQ a leg is sent
-    /// once and the deadline abort is the only recovery.
-    fn send(&mut self, mut flight: HandoffFlight, cx: &mut Cx) {
+    /// Sends one more backbone attempt of the flight's awaiting leg: bill
+    /// it, draw its fate, arm its landing (and queue any commit ghosts) if
+    /// it survives, and — with the ARQ transport installed — arm its
+    /// retransmission timer. Without ARQ a leg is sent once and the
+    /// deadline abort is the only recovery.
+    fn send(&mut self, cx: &mut Cx) {
         // Two draws per attempt — loss fate, then retry jitter — mirroring
         // the ARQ transport so the stream position is a function of the
         // attempt count alone.
         let lost = self.rng.draw() < self.config.loss_probability;
         let jitter_u = self.rng.draw();
+        let Some(flight) = &mut self.handoff else {
+            unreachable!("legs are sent only by a flight in the air")
+        };
         flight.attempts += 1;
         flight.messages += 1;
         let (epoch, leg, attempt) = (flight.epoch, flight.awaiting, flight.attempts);
-        self.handoff = Some(flight);
         cx.tally.handoff_messages += 1;
         if !lost {
             let arrives = cx.now + self.latency;
-            cx.push_event(arrives, Event::HandoffLegArrive { epoch, leg });
+            if cx.is_armed(Wakeup::HandoffLeg) {
+                // A retransmission on a backbone slower than its timeout:
+                // the earlier copy in the slot lands first and moves the
+                // flight on, so this one lands stale.
+                cx.push_event(arrives, Event::HandoffLegArrive { epoch, leg });
+            } else {
+                cx.arm(Wakeup::HandoffLeg, arrives);
+            }
             if leg == HandoffLeg::Commit {
                 // Ghost copies land strictly after the original, so the
                 // epoch fence discards every one of them — the idempotence
@@ -526,29 +538,19 @@ impl Topology {
         // recover (graceful degradation, not escalation — the wireless
         // link is fine).
         if let Some(arq) = self.arq.filter(|arq| attempt <= arq.retry_budget) {
-            cx.push_event(
-                cx.now + arq.jittered_timeout(attempt, jitter_u),
-                Event::HandoffRetry {
-                    epoch,
-                    leg,
-                    attempt,
-                },
-            );
+            let at = cx.now + arq.jittered_timeout(attempt, jitter_u);
+            cx.arm(Wakeup::HandoffRetry, at);
         }
     }
 
-    /// A handoff leg landed. Stale copies — wrong epoch (fenced flight),
-    /// wrong leg (duplicated or reordered copy of an already-processed
-    /// one) — self-discard against the fence; a current leg advances the
-    /// flight's state machine. Returns whether the flight committed, so
-    /// the simulator drains its queue.
-    pub(crate) fn land(&mut self, epoch: u64, leg: HandoffLeg, version: u64, cx: &mut Cx) -> bool {
-        let current = |f: &mut HandoffFlight| f.epoch == epoch && f.awaiting == leg;
-        let Some(mut flight) = self.handoff.take_if(current) else {
-            cx.tally.handoff_discards += 1;
-            return false;
+    /// The awaiting leg landed: it advances the flight's state machine.
+    /// Returns whether the flight committed, so the simulator drains its
+    /// queue.
+    pub(crate) fn land(&mut self, version: u64, cx: &mut Cx) -> bool {
+        let Some(flight) = &mut self.handoff else {
+            unreachable!("the leg is armed only while its flight is in the air")
         };
-        flight.awaiting = match leg {
+        flight.awaiting = match flight.awaiting {
             HandoffLeg::Request => HandoffLeg::Transfer,
             HandoffLeg::Transfer => {
                 debug_assert!(
@@ -559,45 +561,63 @@ impl Topology {
                 HandoffLeg::Commit
             }
             HandoffLeg::Commit => {
-                self.commit(flight, cx);
+                if let Some(flight) = self.handoff.take() {
+                    self.commit(flight, cx);
+                }
                 return true;
             }
         };
         flight.attempts = 0;
-        self.send(flight, cx);
+        self.send(cx);
         false
     }
 
-    /// A leg retransmission timer fired. If the flight, leg, and attempt
-    /// count still match — the leg neither landed nor was fenced in the
-    /// meantime — retransmit it.
-    pub(crate) fn retry(&mut self, epoch: u64, leg: HandoffLeg, attempt: u32, cx: &mut Cx) {
-        let current =
-            |f: &mut HandoffFlight| f.epoch == epoch && f.awaiting == leg && f.attempts == attempt;
-        if let Some(flight) = self.handoff.take_if(current) {
-            self.send(flight, cx);
-        }
+    /// A leg the queue carried landed after its flight moved on — a commit
+    /// ghost, a retransmission that queued behind the copy in the leg
+    /// slot, or a fenced flight's leg — and self-discards against the
+    /// epoch fence.
+    pub(crate) fn discard(&mut self, epoch: u64, leg: HandoffLeg, cx: &mut Cx) {
+        debug_assert!(
+            self.handoff
+                .as_ref()
+                .is_none_or(|f| (f.epoch, f.awaiting) != (epoch, leg)),
+            "a queued leg is never the one in the air"
+        );
+        cx.tally.handoff_discards += 1;
     }
 
-    /// The deadline for the flight with `epoch` expired. If that flight is
-    /// still in the air it aborts; returns whether it did, so the
-    /// simulator degrades its queue and ownership chases the MC under a
-    /// fresh epoch.
-    pub(crate) fn expire(&mut self, epoch: u64, cx: &mut Cx) -> bool {
-        let flight = self.handoff.take_if(|f| f.epoch == epoch);
-        self.abort(flight, cx)
+    /// The awaiting leg's retransmission timer fired before it landed:
+    /// retransmit it.
+    pub(crate) fn retry(&mut self, cx: &mut Cx) {
+        self.send(cx);
+    }
+
+    /// The flight's deadline expired with it still in the air: it aborts,
+    /// and the simulator degrades its queue while ownership chases the MC
+    /// under a fresh epoch.
+    pub(crate) fn expire(&mut self, cx: &mut Cx) {
+        let flight = self.handoff.take();
+        debug_assert!(flight.is_some(), "a deadline outlived its flight");
+        self.abort(flight, cx);
     }
 
     /// Aborts `flight`, if any: ownership rolls back to (stays at) the
     /// origin cell, the flight's billed legs move to the aborted tally, an
     /// orphaned transfer leaves a stale replica at the target, and the
     /// layer enters the stuck-handoff degradation — reads are served stale
-    /// from the origin and wire-needing requests shed. Returns whether
-    /// there was a flight to abort.
+    /// from the origin and wire-needing requests shed. Its timers go with
+    /// it; its leg in the air moves to the queue, where it still lands and
+    /// is discarded. Returns whether there was a flight to abort.
     fn abort(&mut self, flight: Option<HandoffFlight>, cx: &mut Cx) -> bool {
         let Some(flight) = flight else {
             return false;
         };
+        if cx.is_armed(Wakeup::HandoffLeg) {
+            let (epoch, leg) = (flight.epoch, flight.awaiting);
+            cx.demote(Wakeup::HandoffLeg, Event::HandoffLegArrive { epoch, leg });
+        }
+        cx.disarm(Wakeup::HandoffRetry);
+        cx.disarm(Wakeup::HandoffDeadline);
         cx.tally.handoffs_aborted += 1;
         cx.tally.aborted_handoff_messages += flight.messages;
         if flight.transfer_landed {
@@ -616,6 +636,8 @@ impl Topology {
             flight.target, self.mc_cell,
             "a migration mid-flight re-fences the handoff"
         );
+        cx.disarm(Wakeup::HandoffRetry);
+        cx.disarm(Wakeup::HandoffDeadline);
         cx.tally.settled_handoff_messages += flight.messages;
         cx.tally.handoffs_committed += 1;
         self.stale_replica[flight.origin] = true;
