@@ -457,16 +457,17 @@ fn bench(args: &Args) -> Result<String, CliError> {
         threads: args.number("threads", 0)?,
         chunk: args.number("chunk", 0)?,
     };
-    let (report, stats) = grid.run_timed(options);
-    let snapshot = BenchSnapshot::new(
-        preset_name,
-        cfg.fast,
-        grid.requests_per_run(),
-        grid.runs(),
-        stats,
-        report.ledger_digest(),
-    );
-    render_bench(args, &snapshot)
+    render_bench(args, || {
+        let (report, stats) = grid.run_timed(options);
+        Ok(BenchSnapshot::new(
+            preset_name,
+            cfg.fast,
+            grid.requests_per_run(),
+            grid.runs(),
+            stats,
+            report.ledger_digest(),
+        ))
+    })
 }
 
 /// `mdr bench --preset serve [--tenants N] [--requests R] [--seed S]`
@@ -489,20 +490,40 @@ fn bench_serve(args: &Args) -> Result<String, CliError> {
     }
     // Workload synthesis is untimed: the clock covers only the serve path.
     let lines = serve_bench_lines(tenants, per_tenant, seed);
-    let watch = Stopwatch::start();
-    let report = run_serve_bench(&lines, ServeConfig::default())?;
-    let stats = watch.stats(report.decisions);
-    let snapshot = BenchSnapshot::new("serve", fast, per_tenant, tenants, stats, report.digest);
-    render_bench(args, &snapshot)
+    render_bench(args, || {
+        let watch = Stopwatch::start();
+        let report = run_serve_bench(&lines, ServeConfig::default())?;
+        let stats = watch.stats(report.decisions);
+        let snapshot = BenchSnapshot::new("serve", fast, per_tenant, tenants, stats, report.digest);
+        Ok(snapshot)
+    })
 }
 
-/// Renders a measured [`BenchSnapshot`] and applies the baseline
-/// write/gate protocol shared by the sweep and serve benchmarks: with
-/// `--write-baseline on` the snapshot is written to the baseline path
-/// (default `BENCH_<preset>.json`); otherwise an existing baseline gates
-/// the measurement — throughput drops beyond `--gate-pct`, or *any*
-/// digest drift, are errors.
-fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliError> {
+/// How many passes `--write-baseline on` measures: one pass on a busy
+/// host can read twice as fast or slow as the next.
+const BASELINE_PASSES: usize = 7;
+
+/// The pass of median throughput among `passes` (at least one), or an
+/// error when they disagree on the ledger digest or the event count.
+fn median_pass(mut passes: Vec<BenchSnapshot>) -> Result<BenchSnapshot, CliError> {
+    let key = |p: &BenchSnapshot| (p.events, p.ledger_digest.clone());
+    if passes.windows(2).any(|w| key(&w[0]) != key(&w[1])) {
+        return err("baseline passes disagree on the ledger digest or the event count");
+    }
+    passes.sort_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec));
+    Ok(passes.swap_remove(passes.len() / 2))
+}
+
+/// Measures a [`BenchSnapshot`] with `pass`, renders it and applies the
+/// baseline write/gate protocol shared by the sweep and serve benchmarks:
+/// with `--write-baseline on` the median of [`BASELINE_PASSES`] passes is
+/// written to the baseline path (default `BENCH_<preset>.json`);
+/// otherwise an existing baseline gates one pass — throughput drops
+/// beyond `--gate-pct`, or *any* digest drift, are errors.
+fn render_bench(
+    args: &Args,
+    mut pass: impl FnMut() -> Result<BenchSnapshot, CliError>,
+) -> Result<String, CliError> {
     let gate_pct: f64 = match args.flags.get("gate-pct") {
         Some(p) => p
             .parse()
@@ -514,6 +535,9 @@ fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliErro
             "gate percentage must lie in [0, 100), got {gate_pct}"
         ));
     }
+    let write_baseline = args.get_or("write-baseline", "off") == "on";
+    let passes = if write_baseline { BASELINE_PASSES } else { 1 };
+    let snapshot = median_pass((0..passes).map(|_| pass()).collect::<Result<_, _>>()?)?;
     let baseline_path = match args.get_or("baseline", "") {
         "" => format!("BENCH_{}.json", snapshot.preset),
         path => path.to_owned(),
@@ -544,7 +568,7 @@ fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliErro
         }
     }
 
-    if args.get_or("write-baseline", "off") == "on" {
+    if write_baseline {
         std::fs::write(&baseline_path, snapshot.to_json())
             .map_err(|e| CliError(format!("cannot write baseline {baseline_path:?}: {e}")))?;
         let _ = writeln!(out, "baseline written: {baseline_path}");
@@ -1086,7 +1110,8 @@ const COMMANDS: &[Command] = &[
              [--write-baseline on] [--full on] [--requests N] [--replications R]
              [--threads T] [--chunk C] [--format table|json]
              (typed perf measurement: events, wall time, requests/sec, ledger digest;
-              gates against a committed BENCH_*.json — digest drift always fails.
+              gates against a committed BENCH_*.json — digest drift always fails;
+              --write-baseline on records the median of 7 passes.
               --preset serve times the decision daemon: decisions/sec through the
               full JSON wire path, with [--tenants N] [--requests R] [--seed S])
 ",
@@ -1202,6 +1227,24 @@ mod tests {
     fn run(argv: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = argv.iter().map(ToString::to_string).collect();
         dispatch(&Args::parse(&v).unwrap())
+    }
+
+    #[test]
+    fn median_pass_takes_the_middle_and_rejects_disagreement() {
+        let pass = |events: u64, ms: u64, digest: u64| {
+            let stats = mdr_sim::perf::PerfStats {
+                events,
+                wall_nanos: ms * 1_000_000,
+            };
+            BenchSnapshot::new("e18", true, 2_000, 15, stats, digest)
+        };
+        let passes: Vec<_> = [5, 1, 4, 2, 3].map(|ms| pass(100, ms, 0xabc)).into();
+        assert_eq!(median_pass(passes.clone()).unwrap(), passes[4]);
+        for odd in [pass(99, 1, 0xabc), pass(100, 1, 0xdef)] {
+            let mut passes = passes.clone();
+            passes.push(odd);
+            assert!(median_pass(passes).is_err());
+        }
     }
 
     #[test]

@@ -342,6 +342,33 @@ fn serve_budget_sheds_via_process() {
     assert!(stdout.contains("\"shed\":\"budget-exhausted\""), "{stdout}");
 }
 
+/// `--write-baseline on` records the median of its passes, which agree,
+/// and a later run of the same workload gates against it.
+#[test]
+fn bench_baseline_is_the_median_of_its_passes() {
+    let path = std::env::temp_dir().join(format!("mdr-bench-median-{}.json", std::process::id()));
+    let baseline = path.to_str().expect("temp path is UTF-8");
+    let bench = [
+        "bench",
+        "--preset",
+        "e6",
+        "--requests",
+        "50",
+        "--baseline",
+        baseline,
+    ];
+    let (stdout, stderr, ok) = mdr(&[&bench[..], &["--write-baseline", "on"]].concat());
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("baseline written:"), "{stdout}");
+    let (stdout, stderr, ok) = mdr(&[&bench[..], &["--gate-pct", "99"]].concat());
+    let _ = std::fs::remove_file(&path);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(
+        stdout.contains("gate vs") && stdout.contains("PASS"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn bench_serve_reports_decisions_per_second() {
     let (stdout, _, ok) = mdr(&[

@@ -315,7 +315,7 @@ impl ShedReason {
 /// producing a quietly wrong report.
 #[derive(Debug, Default, Clone)]
 pub struct InvariantMonitor {
-    checks: u64,
+    pub(crate) checks: u64,
 }
 
 impl InvariantMonitor {
@@ -386,38 +386,6 @@ impl InvariantMonitor {
             "billing identity broken: {billed} billed vs {ledger} ledger + \
              {settled_retransmissions} settled retransmissions + {aborted} aborted + \
              {reconciliation} reconciliation + {acks} acks"
-        );
-    }
-
-    /// Handoff-ledger consistency check (mobility extension): every billed
-    /// backbone leg attempt is accounted for exactly once — settled with a
-    /// committed flight, aborted with a fenced one, or still in the air —
-    /// and the invalidation bill matches its class's pricing rule (one
-    /// broadcast per round, or one unicast per dropped replica).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either identity does not hold.
-    pub fn check_handoff_billing(
-        &mut self,
-        billed: u64,
-        settled: u64,
-        aborted: u64,
-        in_flight: u64,
-        invalidation_billed: u64,
-        invalidation_expected: u64,
-    ) {
-        self.checks += 1;
-        assert_eq!(
-            billed,
-            settled + aborted + in_flight,
-            "handoff billing identity broken: {billed} billed vs {settled} settled + \
-             {aborted} aborted + {in_flight} in flight"
-        );
-        assert_eq!(
-            invalidation_billed, invalidation_expected,
-            "invalidation billing identity broken: {invalidation_billed} billed vs \
-             {invalidation_expected} owed by the invalidation class's pricing rule"
         );
     }
 }
@@ -815,7 +783,7 @@ impl Simulation {
         // stays intact.
         let reason = if self.degraded_since().is_some() {
             Some(ShedReason::DegradedPartition)
-        } else if self.topology.as_ref().is_some_and(|t| t.stuck) {
+        } else if self.topology.as_ref().is_some_and(|t| t.state.stuck()) {
             Some(ShedReason::HandoffStuck)
         } else {
             None
@@ -1116,8 +1084,13 @@ impl Simulation {
                         self.handle_delivery(ticket);
                     }
                     Due::Event(Event::HandoffLegArrive { epoch, leg }) => {
-                        if let Some(topology) = &mut self.topology {
-                            topology.discard(epoch, leg, &mut self.cx);
+                        let cx = &mut self.cx;
+                        if self
+                            .topology
+                            .as_mut()
+                            .is_some_and(|t| t.arrive(epoch, leg, cx))
+                        {
+                            self.drain_pending();
                         }
                     }
                 },
@@ -1153,14 +1126,13 @@ impl Simulation {
                 }
             }
             Wakeup::HandoffLeg => {
-                let version = self.protocol.sc().version();
-                if self.topology.as_mut().is_some_and(|t| t.land(version, cx)) {
+                if self.topology.as_mut().is_some_and(|t| t.land(cx)) {
                     self.drain_pending();
                 }
             }
             Wakeup::HandoffRetry => {
                 if let Some(topology) = &mut self.topology {
-                    topology.retry(cx);
+                    topology.send(cx);
                 }
             }
             Wakeup::HandoffDeadline => {
@@ -1179,13 +1151,12 @@ impl Simulation {
     /// degradation ends and the queue drains.
     fn follow_mc(&mut self) {
         let snapshot = self.protocol.handoff_snapshot();
-        let Some(topology) = &mut self.topology else {
-            return;
-        };
-        if topology.serves_stale() {
-            topology.initiate_handoff(snapshot, &mut self.cx);
-        } else {
-            topology.stuck = false;
+        let cx = &mut self.cx;
+        if self
+            .topology
+            .as_mut()
+            .is_some_and(|t| !t.follow(snapshot, cx))
+        {
             self.drain_pending();
         }
     }
@@ -1235,7 +1206,7 @@ impl Simulation {
         // mid-migration between cells, so neither SC may run the
         // exchange. Local reads still go through (served stale from the
         // origin cell) and silent writes complete on the MC alone.
-        if self.topology.as_ref().is_some_and(|t| t.stuck) && self.needs_wire(request) {
+        if self.topology.as_ref().is_some_and(|t| t.state.stuck()) && self.needs_wire(request) {
             return false;
         }
         if self.link_up {
@@ -1268,7 +1239,11 @@ impl Simulation {
                         self.cx.tally.degraded_reads += 1;
                         self.cx.tally.staleness_sum += self.cx.now - since;
                     }
-                    if self.topology.as_ref().is_some_and(Topology::serves_stale) {
+                    if self
+                        .topology
+                        .as_ref()
+                        .is_some_and(|t| t.state.serves_stale())
+                    {
                         self.cx.tally.stale_reads += 1;
                     }
                 }
@@ -1506,7 +1481,9 @@ impl Simulation {
         // has no layer and must reproduce the single-cell run exactly —
         // including the check counter.
         if let Some(topology) = &self.topology {
-            topology.check_billing(&mut self.monitor, &self.cx.tally);
+            topology
+                .state
+                .check_billing(&mut self.monitor, &self.cx.tally);
         }
         // Oracle equivalence: the distributed protocol must take exactly
         // the action the decision core decides for the same request.
@@ -1845,11 +1822,17 @@ mod tests {
         // The monitor's check tally feeds `SimReport::invariant_checks`;
         // a handoff-billing check that forgets to count itself would
         // under-report the run's online coverage.
+        let topology = TopologyConfig::new(2, 1.0, 1.0, 0).unwrap();
+        let state = crate::HandoffState::new(&topology, None);
         let mut monitor = InvariantMonitor::new();
+        let mut tally = SimReport::default();
         assert_eq!(monitor.checks(), 0);
-        monitor.check_handoff_billing(3, 3, 0, 0, 5, 5);
+        state.check_billing(&mut monitor, &tally);
         assert_eq!(monitor.checks(), 1);
-        monitor.check_handoff_billing(7, 3, 3, 1, 0, 0);
+        tally.handoff_messages = 7;
+        tally.settled_handoff_messages = 4;
+        tally.aborted_handoff_messages = 3;
+        state.check_billing(&mut monitor, &tally);
         assert_eq!(monitor.checks(), 2);
     }
 }
@@ -2521,6 +2504,34 @@ mod mutation_regressions {
         let r = sim.run(&mut w, 4_000);
         assert!(r.reconciliations > 0);
         assert_eq!((r.retransmissions, r.retry_escalations), (0, 0));
+    }
+
+    /// Regression (mutation): a reconnection handshake's retransmissions
+    /// count from its first attempt too. Crashes owe handshakes, and a
+    /// lossy ARQ link retransmits some of them; a handshake sent as
+    /// attempt 0 would count one retransmission fewer per lost first send
+    /// and back its timer off one step late.
+    #[test]
+    fn handshake_retransmissions_count_from_the_first_attempt() {
+        let plan = FaultPlan::new(0.05, 2.0, 1)
+            .and_then(|p| p.with_crashes(0.4, 0.6))
+            .unwrap();
+        let mut sim = SimBuilder::new(PolicySpec::SlidingWindow { k: 3 })
+            .and_then(|b| b.faults(plan))
+            .and_then(|b| b.arq(ArqConfig::new(0.3, 1.0, 3)?))
+            .unwrap()
+            .simulation();
+        let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4711);
+        let r = sim.run(&mut w, 4_000);
+        assert_eq!(
+            (
+                r.reconciliations,
+                r.reconciliation_messages,
+                r.retransmissions
+            ),
+            (70, 194, 1_249)
+        );
+        assert_eq!(r.events_processed, 8_893);
     }
 
     /// Regression (mutation): only reads enter the read-latency mean. With

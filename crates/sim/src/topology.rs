@@ -43,7 +43,8 @@
 //!
 //! The module also holds §1's latency-only cellular walk
 //! ([`MobilityConfig`]). At run time each walk is a crate-private layer,
-//! `Mobility` or `Topology`, that owns its config, RNG streams and state.
+//! `Mobility` or `Topology`, that owns its config and RNG streams; the
+//! handoff protocol itself is the sans-io [`HandoffState`].
 
 use crate::faults::{probability, ArqConfig, ConfigError, Ghosts};
 use crate::perf::BatchedF64;
@@ -60,17 +61,6 @@ pub enum HandoffLeg {
     /// Target → origin: acknowledge the snapshot; ownership moves when
     /// this lands at the origin.
     Commit,
-}
-
-impl HandoffLeg {
-    /// Short display name for logs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            HandoffLeg::Request => "handoff-request",
-            HandoffLeg::Transfer => "state-transfer",
-            HandoffLeg::Commit => "handoff-commit",
-        }
-    }
 }
 
 /// The replica state a `StateTransfer` leg ships from the origin cell to
@@ -236,11 +226,6 @@ impl TopologyConfig {
         // Validation pins the rate to [0, ∞), so ≤ 0 means exactly zero.
         self.migration_rate <= 0.0
     }
-
-    /// Whether commit ghosts (duplication or reordering) are enabled.
-    pub fn has_ghosts(&self) -> bool {
-        self.commit_duplication > 0.0 || self.commit_reorder > 0.0
-    }
 }
 
 /// IEEE-754 total-order comparison on the float fields, exact equality on
@@ -360,12 +345,11 @@ impl Mobility {
 }
 
 /// A live [`TopologyConfig`] at run time: the config, its two RNG
-/// streams, where the MC and the window's owner sit, and the handoff
-/// flight in the air. Backbone legs ride SC-to-SC wiring at the base link
-/// `latency`; with the ARQ transport installed, its timeout law and retry
-/// budget govern their retransmissions too. The flight's leg, leg retry
-/// and deadline are armed in their [`Wakeup`] slots only while it is in
-/// the air.
+/// streams and the [`HandoffState`] it drives. Backbone legs ride
+/// SC-to-SC wiring at the base link `latency`; with the ARQ transport
+/// installed, its timeout law governs their retransmissions too. The
+/// flight's leg, leg retry and deadline are armed in their [`Wakeup`]
+/// slots only while it is in the air.
 pub(crate) struct Topology {
     config: TopologyConfig,
     latency: f64,
@@ -376,50 +360,9 @@ pub(crate) struct Topology {
     /// ghosts on cannot perturb the legs' loss fates — the idempotence
     /// property in `properties.rs` relies on this.
     ghost_rng: BatchedF64,
-    /// The cell the MC currently sits in.
-    mc_cell: usize,
-    /// The cell whose SC currently owns the window and replica state.
-    owner_cell: usize,
-    /// Cells left holding a stale replica copy by an aborted transfer or
-    /// a committed migration; cleared by invalidation on commit.
-    stale_replica: Vec<bool>,
-    /// The handoff flight currently in the air, if any.
-    handoff: Option<HandoffFlight>,
-    /// Monotone epoch source; every flight gets a fresh epoch and legs of
-    /// older epochs self-discard (the fence).
-    epoch: u64,
-    /// Whether the last handoff attempt aborted with the MC still away
-    /// from the owner cell: reads are served stale from the origin and
-    /// wire-needing requests are shed with a typed outcome.
-    pub(crate) stuck: bool,
-}
-
-/// Book-keeping for the three-way handoff flight currently in the air.
-/// At most one flight exists at a time; a migration mid-flight fences the
-/// epoch and starts over.
-#[derive(Debug, Clone)]
-struct HandoffFlight {
-    /// The cell ownership departs from (and rolls back to on abort).
-    origin: usize,
-    /// The cell ownership is migrating toward (always the MC's cell at
-    /// initiation; a migration mid-flight aborts and re-initiates).
-    target: usize,
-    /// The fence: legs stamped with an older epoch self-discard.
-    epoch: u64,
-    /// The leg currently in the air.
-    awaiting: HandoffLeg,
-    /// Transmission attempts of the awaiting leg (1 = the original send);
-    /// reset when the flight advances to the next leg.
-    attempts: u32,
-    /// Billed backbone attempts of this flight — settled on commit, moved
-    /// to the aborted tally if the deadline or a migration fences it.
-    messages: u64,
-    /// Whether the state-transfer leg landed at the target (an abort then
-    /// leaves an orphaned stale replica there to invalidate later).
-    transfer_landed: bool,
-    /// The window/replica state captured at initiation and shipped on the
-    /// state-transfer leg.
-    snapshot: HandoffSnapshot,
+    /// The handoff protocol: where the MC and the window's owner sit, the
+    /// stale replicas, the flight in the air and the stuck flag.
+    pub(crate) state: HandoffState,
 }
 
 impl Topology {
@@ -436,20 +379,8 @@ impl Topology {
             rng: BatchedF64::new(config.seed),
             // Salted so the ghost stream is independent of the leg stream.
             ghost_rng: BatchedF64::new(config.seed ^ 0x9e37_79b9_7f4a_7c15),
-            mc_cell: config.home_cell,
-            owner_cell: config.home_cell,
-            stale_replica: vec![false; config.cells],
-            handoff: None,
-            epoch: 0,
-            stuck: false,
+            state: HandoffState::new(&config, sim.arq.map(|arq| arq.retry_budget)),
         })
-    }
-
-    /// Whether window ownership is away from (or migrating toward) the
-    /// MC's cell: a local read is then served stale from the origin cell's
-    /// state.
-    pub(crate) fn serves_stale(&self) -> bool {
-        self.mc_cell != self.owner_cell
     }
 
     /// Draws the next exponential dwell time and arms the migration.
@@ -458,60 +389,44 @@ impl Topology {
         cx.arm(Wakeup::Migrate, cx.now + dwell);
     }
 
-    /// Moves the MC to a uniformly chosen *different* cell. A migration
-    /// while a flight is already in the air fences that flight's epoch
-    /// (abort + rollback to the origin); returns whether it did, so the
-    /// simulator degrades its queue before ownership follows the MC — a
-    /// live flight always targets the MC's current cell.
+    /// Moves the MC to a uniformly chosen *different* cell. Returns
+    /// whether that fenced a flight in the air, so the simulator degrades
+    /// its queue before ownership follows the MC.
     pub(crate) fn migrate(&mut self, cx: &mut Cx) -> bool {
-        self.mc_cell = other_cell(&mut self.rng, self.mc_cell, self.config.cells);
-        cx.tally.migrations += 1;
-        let flight = self.handoff.take();
-        self.abort(flight, cx)
+        let to = other_cell(&mut self.rng, self.state.mc_cell, self.config.cells);
+        let fenced = self.state.migrate(to, &mut cx.tally);
+        Self::retire(fenced, cx)
     }
 
-    /// Starts a fresh three-way handoff flight from the owner cell toward
-    /// the MC's current cell under a new epoch, arms its deadline, and
-    /// sends the first leg.
-    pub(crate) fn initiate_handoff(&mut self, snapshot: HandoffSnapshot, cx: &mut Cx) {
-        debug_assert!(self.handoff.is_none(), "at most one flight in the air");
-        debug_assert_ne!(self.owner_cell, self.mc_cell);
-        self.epoch += 1;
+    /// Ownership follows the MC ([`HandoffState::follow`]): a flight that
+    /// sets off arms its deadline and sends its first leg. Returns whether
+    /// one did.
+    pub(crate) fn follow(&mut self, snapshot: HandoffSnapshot, cx: &mut Cx) -> bool {
+        if !self.state.follow(snapshot) {
+            return false;
+        }
         cx.arm(
             Wakeup::HandoffDeadline,
             cx.now + self.config.handoff_deadline,
         );
-        self.handoff = Some(HandoffFlight {
-            origin: self.owner_cell,
-            target: self.mc_cell,
-            epoch: self.epoch,
-            awaiting: HandoffLeg::Request,
-            attempts: 0,
-            messages: 0,
-            transfer_landed: false,
-            snapshot,
-        });
         self.send(cx);
+        true
     }
 
-    /// Sends one more backbone attempt of the flight's awaiting leg: bill
-    /// it, draw its fate, arm its landing (and queue any commit ghosts) if
-    /// it survives, and — with the ARQ transport installed — arm its
-    /// retransmission timer. Without ARQ a leg is sent once and the
-    /// deadline abort is the only recovery.
-    fn send(&mut self, cx: &mut Cx) {
+    /// Sends one more backbone attempt of the flight's awaiting leg — its
+    /// first, or a retransmission when the retry timer fired: bill it,
+    /// draw its fate, arm its landing (and queue any commit ghosts) if it
+    /// survives, and arm its retransmission timer if the retry budget
+    /// allows one. Without ARQ a leg is sent once and the deadline abort
+    /// is the only recovery.
+    pub(crate) fn send(&mut self, cx: &mut Cx) {
         // Two draws per attempt — loss fate, then retry jitter — mirroring
         // the ARQ transport so the stream position is a function of the
         // attempt count alone.
         let lost = self.rng.draw() < self.config.loss_probability;
         let jitter_u = self.rng.draw();
-        let Some(flight) = &mut self.handoff else {
-            unreachable!("legs are sent only by a flight in the air")
-        };
-        flight.attempts += 1;
-        flight.messages += 1;
-        let (epoch, leg, attempt) = (flight.epoch, flight.awaiting, flight.attempts);
-        cx.tally.handoff_messages += 1;
+        let sent = self.state.send(&mut cx.tally);
+        let (epoch, leg) = (sent.epoch, sent.leg);
         if !lost {
             let arrives = cx.now + self.latency;
             if cx.is_armed(Wakeup::HandoffLeg) {
@@ -534,82 +449,60 @@ impl Topology {
                 }
             }
         }
-        // Past the budget: stop retransmitting and let the deadline abort
-        // recover (graceful degradation, not escalation — the wireless
-        // link is fine).
-        if let Some(arq) = self.arq.filter(|arq| attempt <= arq.retry_budget) {
-            let at = cx.now + arq.jittered_timeout(attempt, jitter_u);
+        // Past the budget no timer follows and the deadline abort recovers
+        // (graceful degradation, not escalation: the wireless link is fine).
+        if let Some(arq) = self.arq.filter(|_| sent.retry) {
+            let at = cx.now + arq.jittered_timeout(sent.attempt, jitter_u);
             cx.arm(Wakeup::HandoffRetry, at);
         }
     }
 
-    /// The awaiting leg landed: it advances the flight's state machine.
+    /// The leg slot fired: the copy in it is the flight's awaiting leg.
     /// Returns whether the flight committed, so the simulator drains its
     /// queue.
-    pub(crate) fn land(&mut self, version: u64, cx: &mut Cx) -> bool {
-        let Some(flight) = &mut self.handoff else {
+    pub(crate) fn land(&mut self, cx: &mut Cx) -> bool {
+        let Some(&HandoffFlight {
+            epoch, awaiting, ..
+        }) = self.state.flight()
+        else {
             unreachable!("the leg is armed only while its flight is in the air")
         };
-        flight.awaiting = match flight.awaiting {
-            HandoffLeg::Request => HandoffLeg::Transfer,
-            HandoffLeg::Transfer => {
-                debug_assert!(
-                    flight.snapshot.version <= version,
-                    "the shipped snapshot cannot be newer than the SC"
-                );
-                flight.transfer_landed = true;
-                HandoffLeg::Commit
-            }
-            HandoffLeg::Commit => {
-                if let Some(flight) = self.handoff.take() {
-                    self.commit(flight, cx);
-                }
-                return true;
-            }
-        };
-        flight.attempts = 0;
-        self.send(cx);
-        false
+        self.arrive(epoch, awaiting, cx)
     }
 
-    /// A leg the queue carried landed after its flight moved on — a commit
-    /// ghost, a retransmission that queued behind the copy in the leg
-    /// slot, or a fenced flight's leg — and self-discards against the
-    /// epoch fence.
-    pub(crate) fn discard(&mut self, epoch: u64, leg: HandoffLeg, cx: &mut Cx) {
-        debug_assert!(
-            self.handoff
-                .as_ref()
-                .is_none_or(|f| (f.epoch, f.awaiting) != (epoch, leg)),
-            "a queued leg is never the one in the air"
-        );
-        cx.tally.handoff_discards += 1;
-    }
-
-    /// The awaiting leg's retransmission timer fired before it landed:
-    /// retransmit it.
-    pub(crate) fn retry(&mut self, cx: &mut Cx) {
-        self.send(cx);
+    /// A leg reaches its destination SC ([`HandoffState::arrive`]): an
+    /// advanced flight sends its next leg, a committed one retires its
+    /// timers. Returns whether the flight committed.
+    pub(crate) fn arrive(&mut self, epoch: u64, leg: HandoffLeg, cx: &mut Cx) -> bool {
+        match self.state.arrive(epoch, leg, &mut cx.tally) {
+            LegLanding::Discarded => false,
+            LegLanding::Advanced => {
+                self.send(cx);
+                false
+            }
+            LegLanding::Committed => {
+                cx.disarm(Wakeup::HandoffRetry);
+                cx.disarm(Wakeup::HandoffDeadline);
+                true
+            }
+        }
     }
 
     /// The flight's deadline expired with it still in the air: it aborts,
     /// and the simulator degrades its queue while ownership chases the MC
     /// under a fresh epoch.
     pub(crate) fn expire(&mut self, cx: &mut Cx) {
-        let flight = self.handoff.take();
+        let flight = self.state.expire(&mut cx.tally);
         debug_assert!(flight.is_some(), "a deadline outlived its flight");
-        self.abort(flight, cx);
+        Self::retire(flight, cx);
     }
 
-    /// Aborts `flight`, if any: ownership rolls back to (stays at) the
-    /// origin cell, the flight's billed legs move to the aborted tally, an
-    /// orphaned transfer leaves a stale replica at the target, and the
-    /// layer enters the stuck-handoff degradation — reads are served stale
-    /// from the origin and wire-needing requests shed. Its timers go with
-    /// it; its leg in the air moves to the queue, where it still lands and
-    /// is discarded. Returns whether there was a flight to abort.
-    fn abort(&mut self, flight: Option<HandoffFlight>, cx: &mut Cx) -> bool {
-        let Some(flight) = flight else {
+    /// Retires the timers of a flight the state aborted, if any: its leg
+    /// in the air moves to the queue, where it still lands and is
+    /// discarded, and its retry and deadline go. Returns whether there
+    /// was one.
+    fn retire(aborted: Option<HandoffFlight>, cx: &mut Cx) -> bool {
+        let Some(flight) = aborted else {
             return false;
         };
         if cx.is_armed(Wakeup::HandoffLeg) {
@@ -618,62 +511,316 @@ impl Topology {
         }
         cx.disarm(Wakeup::HandoffRetry);
         cx.disarm(Wakeup::HandoffDeadline);
-        cx.tally.handoffs_aborted += 1;
-        cx.tally.aborted_handoff_messages += flight.messages;
+        true
+    }
+}
+
+/// The three-way handoff flight in the air. At most one exists at a time;
+/// a migration mid-flight fences it, and ownership chases the MC under a
+/// fresh epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HandoffFlight {
+    /// The cell ownership departs from (and stays at on abort).
+    pub origin: usize,
+    /// The cell ownership is migrating toward: the MC's cell.
+    pub target: usize,
+    /// The fence: only legs stamped with this epoch land.
+    pub epoch: u64,
+    /// The leg currently in the air.
+    pub awaiting: HandoffLeg,
+    /// Transmission attempts of the awaiting leg (1 = the original send);
+    /// reset when the flight advances to the next leg.
+    pub attempts: u32,
+    /// Billed backbone attempts of this flight — settled on commit, moved
+    /// to the aborted tally if the deadline or a migration fences it.
+    pub messages: u64,
+    /// Whether the state-transfer leg landed at the target (an abort then
+    /// leaves an orphaned stale replica there to invalidate later).
+    pub transfer_landed: bool,
+    /// The window/replica state captured when the flight set off and
+    /// shipped on the state-transfer leg.
+    pub snapshot: HandoffSnapshot,
+}
+
+/// One billed backbone attempt, as [`HandoffState::send`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LegSent {
+    /// The flight's epoch, stamped on the leg.
+    pub epoch: u64,
+    /// Which leg was sent.
+    pub leg: HandoffLeg,
+    /// Transmission attempts of this leg so far (1 = the original send).
+    pub attempt: u32,
+    /// Whether a retransmission timer follows: the ARQ transport is
+    /// installed and `attempt` is within its retry budget.
+    pub retry: bool,
+}
+
+/// What a leg reaching its destination SC did, as
+/// [`HandoffState::arrive`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LegLanding {
+    /// It was not the flight's awaiting leg under the flight's epoch — a
+    /// commit ghost, a retransmission queued behind an earlier copy, or
+    /// the leg of a fenced flight — and the fence discarded it.
+    Discarded,
+    /// The flight moved on to its next leg, which the caller sends.
+    Advanced,
+    /// The commit landed and ownership moved to the MC's cell.
+    Committed,
+}
+
+/// The multi-cell handoff protocol as a sans-io transition relation:
+/// the MC's cell, the owner cell, the stale replicas, the flight in the
+/// air, the epoch and the stuck flag.
+///
+/// It plays the part for the topology layer that
+/// [`ProtocolState`](crate::ProtocolState) plays for the wireless link.
+/// The simulator drives it in timestamp order and adds what it leaves
+/// out: the RNG draws, the backbone latency and the timers. The bounded
+/// model checker in `mdr-verify` drives it over every interleaving of
+/// migrations, landings, losses, retries and deadlines. Every operation
+/// counts into the caller's [`SimReport`], and equality and hashing cover
+/// the whole state, so a checker can deduplicate it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct HandoffState {
+    /// Invalidation pricing: one broadcast per commit round, or one
+    /// message per stale replica.
+    broadcast_invalidation: bool,
+    /// The ARQ transport's retry budget, which bounds each leg's
+    /// retransmissions too; `None` without ARQ, when a leg is sent once.
+    retry_budget: Option<u32>,
+    /// The cell the MC currently sits in.
+    mc_cell: usize,
+    /// The cell whose SC currently owns the window and replica state.
+    owner_cell: usize,
+    /// Cells left holding a stale replica copy by an aborted transfer or
+    /// a committed migration; cleared by invalidation on commit.
+    stale_replica: Vec<bool>,
+    /// The handoff flight currently in the air, if any.
+    flight: Option<HandoffFlight>,
+    /// Monotone epoch source; every flight gets a fresh epoch and legs of
+    /// older epochs self-discard (the fence).
+    epoch: u64,
+    /// Whether the last handoff attempt aborted with the MC still away
+    /// from the owner cell: reads are served stale from the origin and
+    /// wire-needing requests are shed with a typed outcome.
+    stuck: bool,
+}
+
+impl HandoffState {
+    /// The state a run under `topology` starts in: the MC and the
+    /// window's owner in the home cell, no stale replica, no flight.
+    /// `retry_budget` is the ARQ transport's ([`ArqConfig::retry_budget`]),
+    /// if one is installed: it bounds each leg's retransmissions.
+    pub fn new(topology: &TopologyConfig, retry_budget: Option<u32>) -> Self {
+        HandoffState {
+            broadcast_invalidation: topology.broadcast_invalidation,
+            retry_budget,
+            mc_cell: topology.home_cell,
+            owner_cell: topology.home_cell,
+            stale_replica: vec![false; topology.cells],
+            flight: None,
+            epoch: 0,
+            stuck: false,
+        }
+    }
+
+    /// The cell the MC sits in.
+    pub fn mc_cell(&self) -> usize {
+        self.mc_cell
+    }
+
+    /// The cell whose SC owns the window and replica state.
+    pub fn owner_cell(&self) -> usize {
+        self.owner_cell
+    }
+
+    /// Per cell, whether it holds a stale replica awaiting invalidation.
+    pub fn stale_replicas(&self) -> &[bool] {
+        &self.stale_replica
+    }
+
+    /// The flight in the air, if any.
+    pub fn flight(&self) -> Option<&HandoffFlight> {
+        self.flight.as_ref()
+    }
+
+    /// Whether a handoff is stuck: aborted, and not re-committed since.
+    pub fn stuck(&self) -> bool {
+        self.stuck
+    }
+
+    /// Whether ownership is away from the MC's cell: a local read is then
+    /// served stale from the origin cell's state.
+    pub fn serves_stale(&self) -> bool {
+        self.mc_cell != self.owner_cell
+    }
+
+    /// The MC moves to cell `to`. A flight in the air is fenced: it
+    /// aborts as if its deadline expired. Returns the fenced flight, so
+    /// the caller can retire its leg and timers.
+    pub fn migrate(&mut self, to: usize, tally: &mut SimReport) -> Option<HandoffFlight> {
+        self.mc_cell = to;
+        tally.migrations += 1;
+        self.expire(tally)
+    }
+
+    /// Ownership follows the MC. Away from the owner cell, a fresh flight
+    /// sets off from the owner toward the MC's cell under a new epoch,
+    /// shipping `snapshot`; back in the owner cell nothing is left to
+    /// migrate and the stuck degradation ends. Returns whether a flight
+    /// set off; the caller then sends its first leg.
+    pub fn follow(&mut self, snapshot: HandoffSnapshot) -> bool {
+        debug_assert!(self.flight.is_none(), "at most one flight in the air");
+        if !self.serves_stale() {
+            self.stuck = false;
+            return false;
+        }
+        self.epoch += 1;
+        self.flight = Some(HandoffFlight {
+            origin: self.owner_cell,
+            target: self.mc_cell,
+            epoch: self.epoch,
+            awaiting: HandoffLeg::Request,
+            attempts: 0,
+            messages: 0,
+            transfer_landed: false,
+            snapshot,
+        });
+        true
+    }
+
+    /// Bills one more backbone attempt of the flight's awaiting leg.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a flight in the air.
+    pub fn send(&mut self, tally: &mut SimReport) -> LegSent {
+        let Some(flight) = &mut self.flight else {
+            unreachable!("legs are sent only by a flight in the air")
+        };
+        flight.attempts += 1;
+        flight.messages += 1;
+        tally.handoff_messages += 1;
+        LegSent {
+            epoch: flight.epoch,
+            leg: flight.awaiting,
+            attempt: flight.attempts,
+            retry: self
+                .retry_budget
+                .is_some_and(|budget| flight.attempts <= budget),
+        }
+    }
+
+    /// Leg `leg` stamped with `epoch` reaches its destination SC. Only
+    /// the flight's awaiting leg under the flight's epoch lands: a request
+    /// or transfer moves the flight on to its next leg, a commit moves
+    /// ownership. Any other leg is fenced off and counted as a discard.
+    pub fn arrive(&mut self, epoch: u64, leg: HandoffLeg, tally: &mut SimReport) -> LegLanding {
+        let Some(flight) = self
+            .flight
+            .as_mut()
+            .filter(|f| (f.epoch, f.awaiting) == (epoch, leg))
+        else {
+            tally.handoff_discards += 1;
+            return LegLanding::Discarded;
+        };
+        flight.awaiting = match flight.awaiting {
+            HandoffLeg::Request => HandoffLeg::Transfer,
+            HandoffLeg::Transfer => {
+                flight.transfer_landed = true;
+                HandoffLeg::Commit
+            }
+            HandoffLeg::Commit => {
+                let flight = *flight;
+                self.commit(flight, tally);
+                return LegLanding::Committed;
+            }
+        };
+        flight.attempts = 0;
+        LegLanding::Advanced
+    }
+
+    /// The flight's deadline expired with it still in the air: it aborts.
+    /// Ownership stays at the origin cell, the flight's billed legs move
+    /// to the aborted tally, an orphaned transfer leaves a stale replica
+    /// at the target, and the stuck-handoff degradation begins. Returns
+    /// the aborted flight, if there was one.
+    pub fn expire(&mut self, tally: &mut SimReport) -> Option<HandoffFlight> {
+        let flight = self.flight.take()?;
+        tally.handoffs_aborted += 1;
+        tally.aborted_handoff_messages += flight.messages;
         if flight.transfer_landed {
             self.stale_replica[flight.target] = true;
         }
         self.stuck = true;
-        true
+        Some(flight)
     }
 
-    /// The commit leg landed at the target: ownership moves, the origin's
-    /// replica goes stale, and invalidation traffic (the third message
-    /// class) makes every non-owner cell drop its stale copy — one
-    /// broadcast per commit round, or one unicast per stale replica.
-    fn commit(&mut self, flight: HandoffFlight, cx: &mut Cx) {
+    /// The commit leg landed: ownership moves, the origin's replica goes
+    /// stale, and invalidation traffic (the third message class) makes
+    /// every non-owner cell drop its stale copy — one broadcast per
+    /// commit round, or one unicast per stale replica.
+    fn commit(&mut self, flight: HandoffFlight, tally: &mut SimReport) {
         debug_assert_eq!(
             flight.target, self.mc_cell,
             "a migration mid-flight re-fences the handoff"
         );
-        cx.disarm(Wakeup::HandoffRetry);
-        cx.disarm(Wakeup::HandoffDeadline);
-        cx.tally.settled_handoff_messages += flight.messages;
-        cx.tally.handoffs_committed += 1;
+        self.flight = None;
+        tally.settled_handoff_messages += flight.messages;
+        tally.handoffs_committed += 1;
         self.stale_replica[flight.origin] = true;
         self.owner_cell = flight.target;
         self.stale_replica[flight.target] = false;
         self.stuck = false;
         let stale = self.stale_replica.iter().filter(|s| **s).count() as u64;
         if stale > 0 {
-            if self.config.broadcast_invalidation {
-                cx.tally.invalidation_messages += 1;
-                cx.tally.invalidation_rounds += 1;
+            if self.broadcast_invalidation {
+                tally.invalidation_messages += 1;
+                tally.invalidation_rounds += 1;
             } else {
-                cx.tally.invalidation_messages += stale;
+                tally.invalidation_messages += stale;
             }
-            cx.tally.replicas_invalidated += stale;
+            tally.replicas_invalidated += stale;
             self.stale_replica.fill(false);
         }
     }
 
-    /// Handoff-ledger consistency: backbone legs and invalidation traffic
-    /// close their own identities — handoff billing is a separate class,
-    /// never mixed into the §3 wireless bill.
-    pub(crate) fn check_billing(&self, monitor: &mut InvariantMonitor, tally: &SimReport) {
-        let in_flight = self.handoff.as_ref().map_or(0, |f| f.messages);
-        let invalidation_expected = if self.config.broadcast_invalidation {
+    /// Handoff-ledger consistency, one check of `monitor`: every billed
+    /// backbone leg attempt is settled with a committed flight, aborted
+    /// with a fenced one, or still in the air, and the invalidation bill
+    /// matches its pricing rule — one broadcast per round, or one unicast
+    /// per dropped replica. Handoff billing is a class of its own, never
+    /// mixed into the §3 wireless bill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either identity does not hold.
+    pub fn check_billing(&self, monitor: &mut InvariantMonitor, tally: &SimReport) {
+        monitor.checks += 1;
+        let billed = tally.handoff_messages;
+        let (settled, aborted) = (
+            tally.settled_handoff_messages,
+            tally.aborted_handoff_messages,
+        );
+        let in_flight = self.flight.as_ref().map_or(0, |f| f.messages);
+        assert_eq!(
+            billed,
+            settled + aborted + in_flight,
+            "handoff billing identity broken: {billed} billed vs {settled} settled + \
+             {aborted} aborted + {in_flight} in flight"
+        );
+        let owed = if self.broadcast_invalidation {
             tally.invalidation_rounds
         } else {
             tally.replicas_invalidated
         };
-        monitor.check_handoff_billing(
-            tally.handoff_messages,
-            tally.settled_handoff_messages,
-            tally.aborted_handoff_messages,
-            in_flight,
-            tally.invalidation_messages,
-            invalidation_expected,
+        let invalidation = tally.invalidation_messages;
+        assert_eq!(
+            invalidation, owed,
+            "invalidation billing identity broken: {invalidation} billed vs {owed} owed by the \
+             invalidation class's pricing rule"
         );
     }
 }
@@ -694,20 +841,6 @@ mod tests {
         assert_eq!(topology.home_cell, 2);
         assert!(topology.broadcast_invalidation);
         assert!(!topology.is_inert());
-        assert!(topology.has_ghosts());
-    }
-
-    #[test]
-    fn ghost_flags_reflect_each_channel_independently() {
-        // `has_ghosts` gates the ghost RNG stream: it must stay off when
-        // both probabilities are exactly zero and arm for either channel
-        // alone.
-        let base = TopologyConfig::new(3, 0.5, 2.0, 7).unwrap();
-        assert!(!base.has_ghosts());
-        let dup_only = base.with_commit_ghosts(0.3, 0.0).unwrap();
-        assert!(dup_only.has_ghosts());
-        let reorder_only = base.with_commit_ghosts(0.0, 0.3).unwrap();
-        assert!(reorder_only.has_ghosts());
     }
 
     /// Satellite: zero cells is rejected with exactly `NoCells`.
@@ -786,17 +919,117 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    const SNAPSHOT: HandoffSnapshot = HandoffSnapshot {
+        version: 0,
+        mc_has_copy: false,
+        sc_in_charge: true,
+        mc_in_charge: false,
+    };
+
+    /// A state over `cells` cells whose MC just moved to cell 1 and whose
+    /// first flight set off toward it.
+    fn in_flight(cells: usize, retry_budget: Option<u32>, tally: &mut SimReport) -> HandoffState {
+        let topology = TopologyConfig::new(cells, 1.0, 1.0, 0).unwrap();
+        let mut state = HandoffState::new(&topology, retry_budget);
+        assert!(state.migrate(1, tally).is_none());
+        assert!(state.follow(SNAPSHOT));
+        state
+    }
+
+    /// Only the awaiting leg under the flight's epoch lands; a wrong leg
+    /// or a stale epoch is counted as a discard and changes nothing.
     #[test]
-    fn leg_names_are_distinct() {
-        use std::collections::HashSet;
-        let names: HashSet<&str> = [
+    fn arrive_lands_only_the_awaiting_leg_of_the_live_epoch() {
+        let mut tally = SimReport::default();
+        let mut state = in_flight(3, None, &mut tally);
+        let sent = state.send(&mut tally);
+        assert_eq!(
+            (sent.epoch, sent.leg, sent.attempt),
+            (1, HandoffLeg::Request, 1)
+        );
+        let before = state.clone();
+        for (epoch, leg) in [(0, HandoffLeg::Request), (1, HandoffLeg::Transfer)] {
+            assert_eq!(state.arrive(epoch, leg, &mut tally), LegLanding::Discarded);
+        }
+        assert_eq!((state.clone(), tally.handoff_discards), (before, 2));
+        let landing = state.arrive(1, HandoffLeg::Request, &mut tally);
+        assert_eq!(landing, LegLanding::Advanced);
+        assert_eq!(
+            state.flight().map(|f| f.awaiting),
+            Some(HandoffLeg::Transfer)
+        );
+    }
+
+    /// With ARQ, each leg arms a retry timer for its first `budget`
+    /// attempts; the count restarts with the next leg. Without ARQ no
+    /// leg arms one.
+    #[test]
+    fn the_retry_budget_bounds_each_legs_timers() {
+        let mut tally = SimReport::default();
+        let mut state = in_flight(2, Some(2), &mut tally);
+        let retries: Vec<(u32, bool)> = (0..3)
+            .map(|_| state.send(&mut tally))
+            .map(|s| (s.attempt, s.retry))
+            .collect();
+        assert_eq!(retries, [(1, true), (2, true), (3, false)]);
+        state.arrive(1, HandoffLeg::Request, &mut tally);
+        let sent = state.send(&mut tally);
+        assert_eq!(
+            (sent.leg, sent.attempt, sent.retry),
+            (HandoffLeg::Transfer, 1, true)
+        );
+        let mut tally = SimReport::default();
+        let mut state = in_flight(2, None, &mut tally);
+        assert!(!state.send(&mut tally).retry);
+    }
+
+    /// An abort keeps ownership at the origin, writes the flight's legs
+    /// off, orphans a landed transfer and leaves the handoff stuck; the
+    /// next commit invalidates every stale replica and settles its legs.
+    #[test]
+    fn an_abort_keeps_ownership_and_the_next_commit_invalidates() {
+        let mut tally = SimReport::default();
+        let mut state = in_flight(3, None, &mut tally);
+        for leg in [HandoffLeg::Request, HandoffLeg::Transfer] {
+            state.send(&mut tally);
+            assert_eq!(state.arrive(1, leg, &mut tally), LegLanding::Advanced);
+        }
+        let aborted = state.expire(&mut tally).unwrap();
+        assert_eq!((aborted.messages, aborted.transfer_landed), (2, true));
+        assert_eq!((state.owner_cell(), state.stuck()), (0, true));
+        assert_eq!(state.stale_replicas(), [false, true, false]);
+        assert_eq!(
+            (tally.handoffs_aborted, tally.aborted_handoff_messages),
+            (1, 2)
+        );
+        // The MC moves on to cell 2; ownership chases it from cell 0.
+        assert!(state.migrate(2, &mut tally).is_none());
+        assert!(state.follow(SNAPSHOT));
+        for leg in [
             HandoffLeg::Request,
             HandoffLeg::Transfer,
             HandoffLeg::Commit,
-        ]
-        .into_iter()
-        .map(HandoffLeg::name)
-        .collect();
-        assert_eq!(names.len(), 3);
+        ] {
+            let sent = state.send(&mut tally);
+            assert_eq!((sent.epoch, sent.leg), (2, leg));
+            state.arrive(2, leg, &mut tally);
+        }
+        assert_eq!((state.owner_cell(), state.stuck()), (2, false));
+        assert!(state.flight().is_none());
+        assert_eq!(state.stale_replicas(), [false; 3]);
+        assert_eq!(
+            (tally.handoffs_committed, tally.settled_handoff_messages),
+            (1, 3)
+        );
+        // Cells 0 (the origin) and 1 (the orphan) were invalidated.
+        assert_eq!(
+            (tally.invalidation_messages, tally.replicas_invalidated),
+            (2, 2)
+        );
+        let mut monitor = InvariantMonitor::new();
+        state.check_billing(&mut monitor, &tally);
+        assert_eq!(monitor.checks(), 1);
+        // With the MC at home, nothing is left to migrate.
+        assert!(!state.follow(SNAPSHOT));
     }
 }

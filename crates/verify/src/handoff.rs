@@ -1,87 +1,60 @@
-//! Bounded model checking of the multi-cell handoff protocol.
+//! Bounded model checking of the multi-cell handoff protocol
+//! (`docs/topology.md`): this module drives the simulator's own
+//! [`HandoffState`] — the shipped transitions, not a model of them — over
+//! every interleaving of:
 //!
-//! The mobility layer (see `docs/topology.md`) migrates SWk window
-//! ownership between stationary cells with a three-leg flight —
-//! HandoffRequest → StateTransfer → HandoffCommit — fenced by a
-//! monotonically increasing epoch and rolled back to the origin cell on
-//! timeout or crash. This module explores every interleaving of cell
-//! migrations, leg deliveries, backbone losses with retransmission,
-//! duplicated/reordered commit legs, deadline aborts and MC
-//! crash/reconnect cycles, deduplicating by full state hash, and judges
-//! each reached state against three invariants:
+//! * a migration of the MC to each other cell;
+//! * the leg in the air landing, or being lost when it is sent;
+//! * the ARQ retry firing, within the retry budget;
+//! * the deadline firing;
+//! * a queued copy landing: a commit ghost, a retransmission queued
+//!   behind the leg slot, or the demoted leg of a fenced flight.
 //!
-//! * **single owner across cells** — exactly one cell considers itself
-//!   in charge of the window at every reachable state; an aborted
-//!   handoff rolls ownership back to the origin, a committed one moves
-//!   it to the target, and a stale (epoch-fenced) commit ghost moves
-//!   nothing;
-//! * **no lost window** — whenever no handoff is in flight, the cell
-//!   that owns the window also *holds* it: the state snapshot shipped by
-//!   the transfer leg is never orphaned by a commit that outran it or an
-//!   abort that forgot the rollback;
-//! * **billing identity** — every billed handoff leg is settled by a
-//!   commit, written off by an abort, or still in flight
-//!   (`billed == settled + aborted + in_flight`), and the invalidation
-//!   traffic billed on commits equals what the stale-replica bookkeeping
-//!   demands (`invalidation_billed == invalidation_expected`).
-//!
-//! The checker is deliberately *not* built on the simulator's event
-//! queue: it is a small, self-contained transition relation over the
-//! ownership/billing facts the simulator's
-//! [`TopologyConfig`](mdr_sim::TopologyConfig) runs maintain, so the two
-//! implementations can disagree and the disagreement be caught by the
-//! shared invariant statements. Seeded [`HandoffFault`] mutants prove
-//! the suite has teeth.
+//! What the simulator's topology layer keeps around the state — the
+//! copies on the backbone, the leg slot, the retry timer — the checker
+//! keeps beside it, and imposes only the order shipped timing guarantees:
+//! every leg crosses the backbone with the same latency, so copies land
+//! in the order they were sent, and a commit ghost lands after its
+//! original. Each reached state is deduplicated and judged by the
+//! [`HandoffInvariant`]s, which are statements about the real state.
 
-use mdr_sim::HandoffLeg;
+use mdr_sim::{
+    HandoffLeg, HandoffSnapshot, HandoffState, InvariantMonitor, LegLanding, LegSent, SimReport,
+    TopologyConfig,
+};
 use std::collections::HashSet;
 use std::fmt;
 
-/// Deliberate handoff-protocol mutations for the checker's self-test:
-/// each must be caught by a [`HandoffInvariant`], demonstrating the
-/// suite would catch the corresponding implementation bug.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoffFault {
-    /// Apply a duplicated/reordered HandoffCommit without checking its
-    /// epoch against the current flight: a stale ghost re-commits a
-    /// finished handoff and moves ownership to a cell that no longer
-    /// holds the window.
-    SkipEpochFence,
-    /// On a deadline abort, "forget" the rollback to the origin cell:
-    /// the origin already relinquished, the target never committed, and
-    /// the window has no owner.
-    SkipRollback,
-    /// Send the HandoffCommit straight after the HandoffRequest, before
-    /// the StateTransfer has landed: the target becomes the owner of a
-    /// window it never received.
-    CommitWithoutTransfer,
-    /// Skip the invalidation fan-out on commit: non-owner cells keep
-    /// serving stale replicas and the invalidation bill falls short of
-    /// what the stale-replica bookkeeping demands.
-    SkipInvalidation,
-    /// Put a handoff leg on the backbone without billing it: the
-    /// settled/aborted accounting outruns the bill.
-    FreeHandoffLeg,
-}
-
-/// The invariant classes the handoff checker enforces.
+/// The invariants the handoff checker enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HandoffInvariant {
-    /// Exactly one cell owns the window at every reachable state.
-    SingleOwnerAcrossCells,
-    /// At quiescence the owning cell holds the transferred window state.
-    NoLostWindow,
     /// Billed legs = settled + aborted + in flight, and the invalidation
-    /// bill matches the stale-replica bookkeeping.
+    /// bill matches its pricing rule ([`HandoffState::check_billing`]).
     BillingIdentity,
+    /// No cell keeps a stale replica once a commit's invalidation ran.
+    NoStaleAfterCommit,
+    /// With no flight the owner is the MC's cell; a flight runs from the
+    /// owner toward the MC's cell, which differs.
+    OwnershipFollowsMc,
+    /// Ownership moves exactly when one commit is counted, and a flight
+    /// commits only after its state transfer has landed.
+    CommitAfterTransfer,
+    /// A stuck handoff has a flight in the air.
+    StuckMeansInFlight,
+    /// The leg in the slot lands and moves its flight on; a queued copy
+    /// that lands is discarded and leaves the state unchanged.
+    OnlyTheLegInTheAirLands,
 }
 
 impl fmt::Display for HandoffInvariant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            HandoffInvariant::SingleOwnerAcrossCells => "single-owner-across-cells",
-            HandoffInvariant::NoLostWindow => "no-lost-window",
             HandoffInvariant::BillingIdentity => "billing-identity",
+            HandoffInvariant::NoStaleAfterCommit => "no-stale-after-commit",
+            HandoffInvariant::OwnershipFollowsMc => "ownership-follows-mc",
+            HandoffInvariant::CommitAfterTransfer => "commit-after-transfer",
+            HandoffInvariant::StuckMeansInFlight => "stuck-means-in-flight",
+            HandoffInvariant::OnlyTheLegInTheAirLands => "only-the-leg-in-the-air-lands",
         };
         write!(f, "{name}")
     }
@@ -111,68 +84,45 @@ impl fmt::Display for HandoffViolation {
     }
 }
 
-/// One bounded handoff exploration: cell count, depth, per-path fault
-/// budgets, and an optional seeded mutation.
+/// One bounded handoff exploration: the topology, the transport and the
+/// depth. Every exploration may lose legs and duplicate commits, within
+/// fixed per-path budgets.
 #[derive(Debug, Clone)]
 pub struct HandoffConfig {
     /// Number of stationary cells (≥ 2 for any migration to exist).
-    pub cells: u8,
+    pub cells: usize,
     /// Exploration depth: number of transitions along any path.
     pub depth: usize,
-    /// Maximum cell migrations explored along one path.
-    pub max_migrations: u8,
-    /// Maximum backbone leg losses (each retransmitted and re-billed)
-    /// along one path.
-    pub max_losses: u8,
-    /// Maximum deadline aborts plus MC crash/reconnect cycles along one
-    /// path (both abort the in-flight handoff and re-initiate).
-    pub max_faults: u8,
-    /// Maximum duplicated (ghost) commit legs along one path.
-    pub max_dups: u8,
-    /// Optional seeded mutation (checker self-test).
-    pub fault: Option<HandoffFault>,
+    /// Broadcast invalidation instead of one message per stale replica.
+    pub broadcast: bool,
+    /// The ARQ transport's retry budget, which bounds each leg's
+    /// retransmissions; `None` sends every leg once.
+    pub retry_budget: Option<u32>,
 }
 
 impl HandoffConfig {
-    /// A lossless, fault-free exploration of migrations over `cells`
-    /// cells to `depth`.
-    pub fn new(cells: u8, depth: usize) -> Self {
+    /// An exploration over `cells` cells to `depth` with per-cell
+    /// invalidation and no ARQ.
+    pub fn new(cells: usize, depth: usize) -> Self {
         HandoffConfig {
             cells: cells.max(2),
             depth,
-            max_migrations: 3,
-            max_losses: 0,
-            max_faults: 0,
-            max_dups: 0,
-            fault: None,
+            broadcast: false,
+            retry_budget: None,
         }
     }
 
-    /// Enables backbone loss + retransmission transitions.
+    /// Prices invalidation as one broadcast per commit round.
     #[must_use]
-    pub fn lossy(mut self) -> Self {
-        self.max_losses = 2;
+    pub fn broadcast(mut self) -> Self {
+        self.broadcast = true;
         self
     }
 
-    /// Enables deadline-abort and MC crash/reconnect transitions.
+    /// Installs the ARQ transport: each leg's retry timer may fire twice.
     #[must_use]
-    pub fn faulty(mut self) -> Self {
-        self.max_faults = 2;
-        self
-    }
-
-    /// Enables duplicated/reordered commit-ghost transitions.
-    #[must_use]
-    pub fn ghosts(mut self) -> Self {
-        self.max_dups = 1;
-        self
-    }
-
-    /// Seeds a deliberate handoff mutation.
-    #[must_use]
-    pub fn with_fault(mut self, fault: HandoffFault) -> Self {
-        self.fault = Some(fault);
+    pub fn arq(mut self) -> Self {
+        self.retry_budget = Some(2);
         self
     }
 }
@@ -180,20 +130,14 @@ impl HandoffConfig {
 /// What one bounded handoff exploration found.
 #[derive(Debug, Clone)]
 pub struct HandoffReport {
-    /// The cell count explored.
-    pub cells: u8,
-    /// The depth bound used.
-    pub depth: usize,
-    /// Whether backbone-loss transitions were explored.
-    pub lossy: bool,
-    /// Whether abort/crash transitions were explored.
-    pub faulty: bool,
-    /// Whether commit-ghost transitions were explored.
-    pub ghosts: bool,
+    /// The exploration's configuration.
+    pub config: HandoffConfig,
     /// Deduplicated states reached (including the initial state).
     pub states: usize,
     /// Transitions applied (including ones into already-seen states).
     pub transitions: usize,
+    /// Commits reached along the explored transitions.
+    pub commits: usize,
     /// Counterexamples found; empty means the run verified.
     pub violations: Vec<HandoffViolation>,
 }
@@ -205,374 +149,285 @@ impl HandoffReport {
     }
 }
 
-/// The handoff flight in progress: which leg is on the backbone, under
-/// which epoch, and how many billed legs are at risk.
+/// Per-path budgets of the environment events that could otherwise
+/// repeat without bound.
+const MIGRATIONS: u8 = 3;
+const DEADLINES: u8 = 2;
+const LOSSES: u8 = 2;
+const GHOSTS: u8 = 1; // `World::ghost` holds one released ghost
+
+/// The replica state a flight ships. The handoff protocol carries it but
+/// never reads it, so one value stands for all.
+const SNAPSHOT: HandoffSnapshot = HandoffSnapshot {
+    version: 0,
+    mc_has_copy: false,
+    sc_in_charge: true,
+    mc_in_charge: false,
+};
+
+/// A leg copy on the backbone that was not lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Flight {
-    origin: u8,
-    target: u8,
-    epoch: u8,
+struct InAir {
+    epoch: u64,
     leg: HandoffLeg,
-    /// Billed legs of this flight, settled on commit or written off on
-    /// abort.
-    messages: u64,
-    /// Whether the StateTransfer leg has landed at the target.
-    transfer_landed: bool,
+    /// Whether it sits in the leg slot — it is the flight's awaiting leg —
+    /// rather than in the queue.
+    slot: bool,
+    /// Whether the backbone duplicated it: a ghost lands after it.
+    ghost: bool,
 }
 
-/// A duplicated HandoffCommit still wandering the backbone: the epoch it
-/// was fenced with and the target it would re-commit to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Ghost {
-    epoch: u8,
-    target: u8,
-}
-
-/// The full checker state: ownership facts × flight × ghost × billing ×
-/// remaining budgets. Equality/hashing over all of it drives
-/// deduplication.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    /// The cell the MC currently resides in.
-    mc_cell: u8,
-    /// Bitmask of cells that consider themselves in charge of the window.
-    owner_mask: u8,
-    /// The cell physically holding the current window state.
-    window_at: u8,
-    /// Bitmask of cells retaining a stale replica awaiting invalidation.
-    stale_mask: u8,
-    /// Current handoff epoch (bumped at every initiation).
-    epoch: u8,
-    flight: Option<Flight>,
-    ghost: Option<Ghost>,
-    billed: u64,
-    settled: u64,
-    aborted: u64,
-    invalidation_billed: u64,
-    invalidation_expected: u64,
-    migrations_left: u8,
-    losses_left: u8,
-    faults_left: u8,
-    dups_left: u8,
-}
-
-impl State {
-    fn initial(config: &HandoffConfig) -> Self {
-        State {
-            mc_cell: 0,
-            owner_mask: 1,
-            window_at: 0,
-            stale_mask: 0,
-            epoch: 0,
-            flight: None,
-            ghost: None,
-            billed: 0,
-            settled: 0,
-            aborted: 0,
-            invalidation_billed: 0,
-            invalidation_expected: 0,
-            migrations_left: config.max_migrations,
-            losses_left: config.max_losses,
-            faults_left: config.max_faults,
-            dups_left: config.max_dups,
-        }
-    }
-
-    /// Bills one backbone leg onto the current flight. The
-    /// [`HandoffFault::FreeHandoffLeg`] mutant puts the leg on the wire
-    /// without billing it.
-    fn bill_leg(&mut self, config: &HandoffConfig) {
-        if config.fault != Some(HandoffFault::FreeHandoffLeg) {
-            self.billed += 1;
-        }
-        if let Some(flight) = &mut self.flight {
-            flight.messages += 1;
-        }
-    }
-
-    /// Starts a new handoff flight from the owner cell toward the MC's
-    /// current cell, under a fresh epoch, billing the request leg.
-    fn initiate(&mut self, config: &HandoffConfig) {
-        debug_assert!(self.flight.is_none(), "one flight at a time");
-        let origin = self.owner_mask.trailing_zeros() as u8;
-        self.epoch = self.epoch.wrapping_add(1);
-        self.flight = Some(Flight {
-            origin,
-            target: self.mc_cell,
-            epoch: self.epoch,
-            leg: HandoffLeg::Request,
-            messages: 0,
-            transfer_landed: false,
-        });
-        self.bill_leg(config);
-    }
-
-    /// Applies the commit effects for `target`: ownership moves, the
-    /// origin's replica goes stale, and the invalidation fan-out is
-    /// billed (or, under [`HandoffFault::SkipInvalidation`], silently
-    /// skipped while the bookkeeping still demands it).
-    fn commit(&mut self, config: &HandoffConfig, origin: u8, target: u8, transfer_landed: bool) {
-        self.owner_mask = 1 << target;
-        if transfer_landed {
-            self.window_at = target;
-        }
-        if origin != target {
-            self.stale_mask |= 1 << origin;
-        }
-        self.stale_mask &= !(1 << target);
-        let stale = u64::from(self.stale_mask.count_ones());
-        self.invalidation_expected += stale;
-        if config.fault != Some(HandoffFault::SkipInvalidation) {
-            self.invalidation_billed += stale;
-            self.stale_mask = 0;
-        }
-    }
-
-    /// Aborts the in-flight handoff: its billed legs are written off and
-    /// ownership rolls back to the origin cell — unless the
-    /// [`HandoffFault::SkipRollback`] mutant forgets that step.
-    fn abort(&mut self, config: &HandoffConfig) {
-        let Some(flight) = self.flight.take() else {
-            return;
-        };
-        self.aborted += flight.messages;
-        if flight.transfer_landed {
-            // The target holds a snapshot that never became
-            // authoritative: a stale replica awaiting invalidation.
-            self.stale_mask |= 1 << flight.target;
-            self.stale_mask &= !self.owner_mask;
-        }
-        if config.fault == Some(HandoffFault::SkipRollback) {
-            // Mutant: the origin already relinquished the window, but the
-            // commit never happened — nobody owns it.
-            self.owner_mask &= !(1 << flight.origin);
-        }
-    }
-}
-
+/// The fate of the leg a transition sends, if it sends one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transition {
-    /// The MC moves to another cell; an in-flight handoff aborts and a
-    /// new one starts toward the new cell.
-    Migrate(u8),
-    /// The leg on the backbone lands at the target.
-    DeliverLeg,
-    /// The leg on the backbone is lost and retransmitted (re-billed).
-    LoseLeg,
-    /// The handoff deadline fires: abort, roll back, re-initiate.
-    DeadlineAbort,
-    /// The MC crashes and reconnects: the in-flight handoff aborts and
-    /// reconnection re-initiates it if the MC is away from the owner.
-    CrashReconnect,
-    /// The backbone duplicates the in-flight commit leg.
-    DuplicateCommit,
-    /// A duplicated (possibly long-delayed, reordered past later
-    /// handoffs) commit ghost lands.
-    DeliverGhost,
+enum Fate {
+    Delivered,
+    Lost,
+    /// Delivered, and duplicated by the backbone (commit legs only).
+    Ghosted,
 }
 
-impl Transition {
-    fn name(self) -> String {
-        match self {
-            Transition::Migrate(cell) => format!("migrate({cell})"),
-            Transition::DeliverLeg => "deliver".to_owned(),
-            Transition::LoseLeg => "lose".to_owned(),
-            Transition::DeadlineAbort => "deadline".to_owned(),
-            Transition::CrashReconnect => "crash".to_owned(),
-            Transition::DuplicateCommit => "dup".to_owned(),
-            Transition::DeliverGhost => "ghost".to_owned(),
-        }
-    }
+/// What the checker explores: the shipped handoff state, what the
+/// topology layer keeps around it, and the budgets left. Equality and
+/// hashing drive deduplication. The run counters stay outside: the
+/// billing identities compare them linearly, so two paths into one world
+/// that both pass them stay equal under every continuation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct World {
+    state: HandoffState,
+    /// Copies on the backbone in send order, which is landing order.
+    air: Vec<InAir>,
+    /// The epoch of the commit ghost whose original landed: it may land
+    /// at any time. The ghost budget allows one per path.
+    ghost: Option<u64>,
+    /// Whether the retry timer is armed.
+    retry: bool,
+    migrations_left: u8,
+    deadlines_left: u8,
+    losses_left: u8,
+    ghosts_left: u8,
 }
 
-fn enabled(config: &HandoffConfig, state: &State) -> Vec<Transition> {
-    let mut transitions = Vec::with_capacity(8);
-    if state.flight.is_some() {
-        transitions.push(Transition::DeliverLeg);
-        if state.losses_left > 0 {
-            transitions.push(Transition::LoseLeg);
-        }
-        if state.faults_left > 0 {
-            transitions.push(Transition::DeadlineAbort);
-        }
-    }
-    if state.migrations_left > 0 {
-        for cell in 0..config.cells {
-            if cell != state.mc_cell {
-                transitions.push(Transition::Migrate(cell));
-            }
-        }
-    }
-    if state.faults_left > 0 {
-        transitions.push(Transition::CrashReconnect);
-    }
-    if state.dups_left > 0
-        && state.ghost.is_none()
-        && state.flight.is_some_and(|f| f.leg == HandoffLeg::Commit)
-    {
-        transitions.push(Transition::DuplicateCommit);
-    }
-    if state.ghost.is_some() {
-        transitions.push(Transition::DeliverGhost);
-    }
-    transitions
+/// The environment events a world can take next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The MC moves to this cell.
+    Migrate(usize),
+    /// The earliest copy on the backbone lands: the leg in the slot, or a
+    /// queued copy sent before it.
+    Land(InAir),
+    /// The released commit ghost of this epoch lands.
+    Ghost(u64),
+    /// The retry timer fires.
+    Retry,
+    /// The deadline fires.
+    Deadline,
 }
 
-fn apply(config: &HandoffConfig, state: &mut State, transition: Transition) {
-    match transition {
-        Transition::Migrate(cell) => {
-            debug_assert!(state.migrations_left > 0);
-            state.migrations_left -= 1;
-            state.mc_cell = cell;
-            state.abort(config);
-            if state.owner_mask != 1 << state.mc_cell && state.owner_mask != 0 {
-                state.initiate(config);
-            }
+impl World {
+    fn initial(config: &HandoffConfig) -> Self {
+        let Ok(topology) = TopologyConfig::new(config.cells, 1.0, 1.0, 0) else {
+            unreachable!("the checker's topology is valid by construction")
+        };
+        let topology = if config.broadcast {
+            topology.with_broadcast_invalidation()
+        } else {
+            topology
+        };
+        World {
+            state: HandoffState::new(&topology, config.retry_budget),
+            air: Vec::new(),
+            ghost: None,
+            retry: false,
+            migrations_left: MIGRATIONS,
+            deadlines_left: DEADLINES,
+            losses_left: LOSSES,
+            ghosts_left: GHOSTS,
         }
-        Transition::DeliverLeg => {
-            let Some(flight) = state.flight else {
-                unreachable!("deliver is enabled only with a flight")
-            };
-            match flight.leg {
-                HandoffLeg::Request => {
-                    // The request landed; the origin ships the next leg —
-                    // the state transfer, or (mutant) the commit straight
-                    // away.
-                    let next = if config.fault == Some(HandoffFault::CommitWithoutTransfer) {
-                        HandoffLeg::Commit
-                    } else {
-                        HandoffLeg::Transfer
-                    };
-                    if let Some(f) = &mut state.flight {
-                        f.leg = next;
-                    }
-                    state.bill_leg(config);
-                }
-                HandoffLeg::Transfer => {
-                    if let Some(f) = &mut state.flight {
-                        f.transfer_landed = true;
-                        f.leg = HandoffLeg::Commit;
-                    }
-                    state.bill_leg(config);
-                }
-                HandoffLeg::Commit => {
-                    let Some(f) = state.flight.take() else {
-                        unreachable!("commit leg implies a flight")
-                    };
-                    state.settled += f.messages;
-                    state.commit(config, f.origin, f.target, f.transfer_landed);
-                }
-            }
+    }
+
+    fn enabled(&self, config: &HandoffConfig) -> Vec<Step> {
+        let mut steps = Vec::with_capacity(config.cells + 4);
+        if self.migrations_left > 0 {
+            let mc = self.state.mc_cell();
+            steps.extend((0..config.cells).filter(|&c| c != mc).map(Step::Migrate));
         }
-        Transition::LoseLeg => {
-            debug_assert!(state.losses_left > 0);
-            state.losses_left -= 1;
-            // The backbone ARQ retransmits the lost leg; the repeat
-            // attempt is billed like the original.
-            state.bill_leg(config);
+        if let Some(&first) = self.air.first() {
+            steps.push(Step::Land(first));
         }
-        Transition::DeadlineAbort => {
-            debug_assert!(state.faults_left > 0);
-            state.faults_left -= 1;
-            state.abort(config);
-            if state.owner_mask != 1 << state.mc_cell && state.owner_mask != 0 {
-                state.initiate(config);
-            }
+        steps.extend(self.ghost.map(Step::Ghost));
+        if self.retry {
+            steps.push(Step::Retry);
         }
-        Transition::CrashReconnect => {
-            debug_assert!(state.faults_left > 0);
-            state.faults_left -= 1;
-            state.abort(config);
-            // Reconnection re-initiates the migration-in-progress if the
-            // MC came back up away from the owner cell.
-            if state.owner_mask != 1 << state.mc_cell && state.owner_mask != 0 {
-                state.initiate(config);
-            }
+        if self.deadlines_left > 0 && self.state.flight().is_some() {
+            steps.push(Step::Deadline);
         }
-        Transition::DuplicateCommit => {
-            debug_assert!(state.dups_left > 0);
-            state.dups_left -= 1;
-            let Some(flight) = state.flight else {
-                unreachable!("dup is enabled only with a commit in flight")
-            };
-            // Ghost copies are duplicates of an already-billed attempt:
-            // they ride free and must be fenced at delivery.
-            state.ghost = Some(Ghost {
-                epoch: flight.epoch,
-                target: flight.target,
+        steps
+    }
+
+    /// Sends the flight's awaiting leg with `fate`, placing a surviving
+    /// copy as the topology layer does: in the slot if it is free, else in
+    /// the queue behind it.
+    fn send(&mut self, fate: Fate, tally: &mut SimReport) -> LegSent {
+        let sent = self.state.send(tally);
+        if fate == Fate::Lost {
+            self.losses_left -= 1;
+        } else {
+            let ghost = fate == Fate::Ghosted;
+            self.ghosts_left -= u8::from(ghost);
+            let slot = !self.air.iter().any(|c| c.slot);
+            self.air.push(InAir {
+                epoch: sent.epoch,
+                leg: sent.leg,
+                slot,
+                ghost,
             });
         }
-        Transition::DeliverGhost => {
-            let Some(ghost) = state.ghost.take() else {
-                unreachable!("ghost delivery is enabled only with a ghost")
-            };
-            let fresh = state
-                .flight
-                .is_some_and(|f| f.epoch == ghost.epoch && f.leg == HandoffLeg::Commit);
-            if fresh {
-                // The ghost overtook the original: it commits the live
-                // flight (exactly-once is per epoch, not per copy).
-                let Some(f) = state.flight.take() else {
-                    unreachable!("fresh ghost implies a flight")
-                };
-                state.settled += f.messages;
-                state.commit(config, f.origin, f.target, f.transfer_landed);
-            } else if config.fault == Some(HandoffFault::SkipEpochFence) {
-                // Mutant: the stale ghost is applied as if current,
-                // re-committing a finished handoff.
-                let origin = state.owner_mask.trailing_zeros().min(7) as u8;
-                state.commit(config, origin, ghost.target, false);
+        self.retry = sent.retry;
+        sent
+    }
+
+    /// Ownership follows the MC; a flight that sets off sends its first
+    /// leg.
+    fn follow(&mut self, fate: Fate, tally: &mut SimReport) -> Option<LegSent> {
+        self.state.follow(SNAPSHOT).then(|| self.send(fate, tally))
+    }
+
+    /// Retires an aborted flight's timers: the leg in the slot moves to
+    /// the queue, and the retry timer goes.
+    fn retire(&mut self) {
+        for copy in &mut self.air {
+            copy.slot = false;
+        }
+        self.retry = false;
+    }
+
+    /// A copy reaches its destination SC: an advanced flight sends its
+    /// next leg, a committed one retires its retry timer.
+    fn arrive(
+        &mut self,
+        epoch: u64,
+        leg: HandoffLeg,
+        fate: Fate,
+        tally: &mut SimReport,
+    ) -> Option<LegSent> {
+        match self.state.arrive(epoch, leg, tally) {
+            LegLanding::Discarded => None,
+            LegLanding::Advanced => Some(self.send(fate, tally)),
+            LegLanding::Committed => {
+                self.retry = false;
+                None
             }
-            // Correct behavior: the epoch fence discards the stale ghost;
-            // nothing changes.
+        }
+    }
+
+    /// Applies `step`; a leg it sends gets `fate`. Returns the leg sent.
+    fn apply(&mut self, step: Step, fate: Fate, tally: &mut SimReport) -> Option<LegSent> {
+        match step {
+            Step::Migrate(cell) => {
+                self.migrations_left -= 1;
+                if self.state.migrate(cell, tally).is_some() {
+                    self.retire();
+                }
+                self.follow(fate, tally)
+            }
+            Step::Land(copy) => {
+                self.air.remove(0);
+                if copy.ghost {
+                    self.ghost = Some(copy.epoch);
+                }
+                self.arrive(copy.epoch, copy.leg, fate, tally)
+            }
+            Step::Ghost(epoch) => {
+                self.ghost = None;
+                self.arrive(epoch, HandoffLeg::Commit, fate, tally)
+            }
+            Step::Retry => {
+                self.retry = false;
+                Some(self.send(fate, tally))
+            }
+            Step::Deadline => {
+                self.deadlines_left -= 1;
+                if self.state.expire(tally).is_some() {
+                    self.retire();
+                }
+                self.follow(fate, tally)
+            }
         }
     }
 }
 
-/// Judges one reached state against the three handoff invariants.
-fn verify_state(state: &State, trace: &[Transition]) -> Result<(), HandoffViolation> {
-    let violation = |invariant: HandoffInvariant, detail: String| HandoffViolation {
-        invariant,
-        detail,
-        trace: trace.iter().map(|t| t.name()).collect(),
+/// A world reached by a path, with the run counters the path produced.
+#[derive(Clone)]
+struct Node {
+    world: World,
+    tally: SimReport,
+}
+
+/// Judges the transition `parent` → `child` by `step`.
+fn verify_step(parent: &Node, child: &Node, step: Step) -> Result<(), (HandoffInvariant, String)> {
+    macro_rules! ensure {
+        ($holds:expr, $invariant:ident, $($detail:tt)+) => {
+            if !$holds {
+                return Err((HandoffInvariant::$invariant, format!($($detail)+)));
+            }
+        };
+    }
+    let (before, state) = (&parent.world.state, &child.world.state);
+    let billing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        state.check_billing(&mut InvariantMonitor::new(), &child.tally);
+    }));
+    if let Err(panic) = billing {
+        let detail = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        return Err((HandoffInvariant::BillingIdentity, detail));
+    }
+    let commits = child.tally.handoffs_committed - parent.tally.handoffs_committed;
+    let stale = state.stale_replicas();
+    ensure!(
+        commits == 0 || !stale.contains(&true),
+        NoStaleAfterCommit,
+        "stale replicas {stale:?} after a commit"
+    );
+    let (mc, owner) = (state.mc_cell(), state.owner_cell());
+    let follows = match state.flight() {
+        None => owner == mc,
+        Some(f) => (f.origin, f.target) == (owner, mc) && owner != mc,
     };
-    let owners = state.owner_mask.count_ones();
-    if owners != 1 {
-        return Err(violation(
-            HandoffInvariant::SingleOwnerAcrossCells,
-            format!(
-                "{owners} cells own the window (mask {:#04b})",
-                state.owner_mask
-            ),
-        ));
-    }
-    if state.flight.is_none() && state.owner_mask != 1 << state.window_at {
-        return Err(violation(
-            HandoffInvariant::NoLostWindow,
-            format!(
-                "owner mask {:#04b} but the window state sits at cell {}",
-                state.owner_mask, state.window_at
-            ),
-        ));
-    }
-    let in_flight = state.flight.map_or(0, |f| f.messages);
-    if state.billed != state.settled + state.aborted + in_flight {
-        return Err(violation(
-            HandoffInvariant::BillingIdentity,
-            format!(
-                "billed {} != settled {} + aborted {} + in-flight {}",
-                state.billed, state.settled, state.aborted, in_flight
-            ),
-        ));
-    }
-    if state.invalidation_billed != state.invalidation_expected {
-        return Err(violation(
-            HandoffInvariant::BillingIdentity,
-            format!(
-                "invalidation billed {} != expected {}",
-                state.invalidation_billed, state.invalidation_expected
-            ),
-        ));
+    ensure!(
+        follows,
+        OwnershipFollowsMc,
+        "{:?} while cell {owner} owns the window and the MC is in {mc}",
+        state.flight()
+    );
+    let moved = owner != before.owner_cell();
+    ensure!(
+        moved == (commits == 1) && commits <= 1,
+        CommitAfterTransfer,
+        "ownership moved {} → {owner} with {commits} commit(s) counted",
+        before.owner_cell()
+    );
+    ensure!(
+        commits == 0 || before.flight().is_some_and(|f| f.transfer_landed),
+        CommitAfterTransfer,
+        "a flight committed before its state transfer landed"
+    );
+    ensure!(
+        !state.stuck() || state.flight().is_some(),
+        StuckMeansInFlight,
+        "stuck with no flight in the air"
+    );
+    let discards = child.tally.handoff_discards - parent.tally.handoff_discards;
+    match step {
+        Step::Land(copy) if copy.slot => ensure!(
+            discards == 0 && state != before,
+            OnlyTheLegInTheAirLands,
+            "the leg in the slot did not land"
+        ),
+        Step::Land(_) | Step::Ghost(_) => ensure!(
+            discards == 1 && state == before,
+            OnlyTheLegInTheAirLands,
+            "a queued copy landed with {discards} discard(s) and moved the state"
+        ),
+        _ => {}
     }
     Ok(())
 }
@@ -580,72 +435,95 @@ fn verify_state(state: &State, trace: &[Transition]) -> Result<(), HandoffViolat
 /// Runs one bounded handoff exploration.
 pub fn check_handoff(config: &HandoffConfig) -> HandoffReport {
     let mut report = HandoffReport {
-        cells: config.cells,
-        depth: config.depth,
-        lossy: config.max_losses > 0,
-        faulty: config.max_faults > 0,
-        ghosts: config.max_dups > 0,
+        config: config.clone(),
         states: 1,
         transitions: 0,
+        commits: 0,
         violations: Vec::new(),
     };
-    let initial = State::initial(config);
-    let mut trace = Vec::new();
-    if let Err(v) = verify_state(&initial, &trace) {
-        report.violations.push(v);
-        return report;
-    }
+    let initial = Node {
+        world: World::initial(config),
+        tally: SimReport::default(),
+    };
     let mut seen = HashSet::new();
-    seen.insert(initial.clone());
-    dfs(config, &initial, 0, &mut seen, &mut trace, &mut report);
+    seen.insert(initial.world.clone());
+    dfs(config, &initial, 0, &mut seen, &mut Vec::new(), &mut report);
     report
 }
 
 fn dfs(
     config: &HandoffConfig,
-    state: &State,
+    node: &Node,
     depth: usize,
-    seen: &mut HashSet<State>,
-    trace: &mut Vec<Transition>,
+    seen: &mut HashSet<World>,
+    trace: &mut Vec<(Step, Fate)>,
     report: &mut HandoffReport,
 ) {
-    if depth == config.depth || !report.violations.is_empty() {
+    if depth == config.depth {
         return;
     }
-    for transition in enabled(config, state) {
-        let mut child = state.clone();
-        trace.push(transition);
-        apply(config, &mut child, transition);
-        report.transitions += 1;
-        if let Err(v) = verify_state(&child, trace) {
-            report.violations.push(v);
-        }
-        if report.violations.is_empty() && seen.insert(child.clone()) {
-            report.states += 1;
-            dfs(config, &child, depth + 1, seen, trace, report);
-        }
-        trace.pop();
-        if !report.violations.is_empty() {
-            return;
+    for step in node.world.enabled(config) {
+        for fate in [Fate::Delivered, Fate::Lost, Fate::Ghosted] {
+            let budget = match fate {
+                Fate::Delivered => true,
+                Fate::Lost => node.world.losses_left > 0,
+                Fate::Ghosted => node.world.ghosts_left > 0,
+            };
+            if !budget {
+                continue;
+            }
+            let mut child = node.clone();
+            let sent = child.world.apply(step, fate, &mut child.tally);
+            // Any leg the step sends may be lost; only a commit ghosted.
+            let befalls = match (fate, sent) {
+                (Fate::Delivered, _) => true,
+                (Fate::Lost, sent) => sent.is_some(),
+                (Fate::Ghosted, sent) => sent.is_some_and(|s| s.leg == HandoffLeg::Commit),
+            };
+            if !befalls {
+                continue;
+            }
+            report.transitions += 1;
+            if child.tally.handoffs_committed > node.tally.handoffs_committed {
+                report.commits += 1;
+            }
+            trace.push((step, fate));
+            if let Err((invariant, detail)) = verify_step(node, &child, step) {
+                let trace = trace.iter().map(|(step, fate)| match fate {
+                    Fate::Delivered => format!("{step:?}"),
+                    _ => format!("{step:?}:{fate:?}"),
+                });
+                report.violations.push(HandoffViolation {
+                    invariant,
+                    detail,
+                    trace: trace.collect(),
+                });
+                return;
+            }
+            if seen.insert(child.world.clone()) {
+                report.states += 1;
+                dfs(config, &child, depth + 1, seen, trace, report);
+                if !report.violations.is_empty() {
+                    return;
+                }
+            }
+            trace.pop();
         }
     }
 }
 
-/// Explores the handoff protocol in all four modes — bare migrations,
-/// lossy backbone, abort/crash faults, commit ghosts — and the full
-/// composition, over 2 and 3 cells; returns one report per run.
+/// Explores the handoff protocol over 2 and 3 cells, with per-cell and
+/// broadcast invalidation, without and with the ARQ transport; returns
+/// one report per run.
 pub fn handoff_sweep(depth: usize) -> Vec<HandoffReport> {
     let mut reports = Vec::new();
-    for cells in [2u8, 3] {
-        reports.push(check_handoff(&HandoffConfig::new(cells, depth)));
-        reports.push(check_handoff(&HandoffConfig::new(cells, depth).lossy()));
-        reports.push(check_handoff(&HandoffConfig::new(cells, depth).faulty()));
-        reports.push(check_handoff(
-            &HandoffConfig::new(cells, depth).faulty().ghosts(),
-        ));
-        reports.push(check_handoff(
-            &HandoffConfig::new(cells, depth).lossy().faulty().ghosts(),
-        ));
+    for cells in [2, 3] {
+        for broadcast in [false, true] {
+            let base = HandoffConfig::new(cells, depth);
+            let base = if broadcast { base.broadcast() } else { base };
+            reports.push(check_handoff(&base));
+            reports.push(check_handoff(&base.arq()));
+        }
     }
     reports
 }

@@ -15,11 +15,17 @@
 //! optional `DEPTH` bounds those passes separately (faulty exploration is
 //! denser — epoch bumps defeat cross-fault dedup — so it defaults to
 //! `min(depth, 12)`). With `--handoff`, the multi-cell mobility layer is
-//! model-checked separately: migration interleaved with backbone loss,
-//! duplicated/reordered commits, deadline aborts and crash/reconnect
-//! cycles, judged against single-owner-across-cells, no-lost-window and
-//! the handoff billing identity (see `docs/topology.md`). Exits non-zero
-//! if any run finds a counterexample.
+//! model-checked separately: the simulator's own `HandoffState` driven
+//! through migrations, leg landings and losses, ARQ retries, deadlines
+//! and queued copies (commit ghosts, queued retransmissions, demoted
+//! legs), with per-cell and broadcast invalidation (see
+//! `docs/topology.md`); its optional `DEPTH` defaults to `--depth`, or
+//! 14. Exits non-zero if any run finds a counterexample.
+//!
+//! The whole command line is parsed before anything runs: an unknown
+//! flag, a bad value, or a flag the chosen mode cannot use (`--policy`
+//! or `--faults` with `--handoff`, any other flag with `--kill-suite`)
+//! exits 2 with the usage line.
 //!
 //! `--kill-suite` instead runs the fast mutation-detection battery that
 //! `cargo xtask mutate` uses to judge mutants (see
@@ -32,7 +38,7 @@ use mdr_core::{run_spec, CostModel, PolicySpec, Schedule};
 use mdr_sim::Simulation;
 use mdr_verify::{
     check, check_handoff, default_roster, handoff_sweep, CheckConfig, Fault, HandoffConfig,
-    HandoffFault, HandoffInvariant, Invariant,
+    Invariant,
 };
 use std::process::ExitCode;
 
@@ -201,55 +207,21 @@ fn kill_suite() -> ExitCode {
             }
         }
     }
-    // Handoff layer: must-verify, then the seeded mutants that must be
-    // caught by the expected invariant.
-    entry(
-        "verify handoff 3-cell faulty+ghosts",
-        check_handoff(&HandoffConfig::new(3, 12).lossy().faulty().ghosts()).verified(),
-    );
-    let handoff_catches: &[(&str, HandoffConfig, &[HandoffInvariant])] = &[
-        (
-            "catch handoff skip-epoch-fence",
-            HandoffConfig::new(3, 14)
-                .faulty()
-                .ghosts()
-                .with_fault(HandoffFault::SkipEpochFence),
-            &[
-                HandoffInvariant::NoLostWindow,
-                HandoffInvariant::SingleOwnerAcrossCells,
-            ],
-        ),
-        (
-            "catch handoff skip-rollback",
-            HandoffConfig::new(2, 8)
-                .faulty()
-                .with_fault(HandoffFault::SkipRollback),
-            &[HandoffInvariant::SingleOwnerAcrossCells],
-        ),
-        (
-            "catch handoff commit-without-transfer",
-            HandoffConfig::new(2, 8).with_fault(HandoffFault::CommitWithoutTransfer),
-            &[HandoffInvariant::NoLostWindow],
-        ),
-        (
-            "catch handoff skip-invalidation",
-            HandoffConfig::new(3, 10).with_fault(HandoffFault::SkipInvalidation),
-            &[HandoffInvariant::BillingIdentity],
-        ),
-        (
-            "catch handoff free-leg",
-            HandoffConfig::new(2, 6).with_fault(HandoffFault::FreeHandoffLeg),
-            &[HandoffInvariant::BillingIdentity],
-        ),
-    ];
-    for (name, config, expected) in handoff_catches {
-        let report = check_handoff(config);
-        let caught = !report.verified()
-            && report
-                .violations
-                .first()
-                .is_some_and(|v| expected.contains(&v.invariant));
-        entry(name, caught);
+    // Handoff layer: the shipped `HandoffState` over every interleaving of
+    // migrations, landings, losses, retries, deadlines and queued copies,
+    // under both invalidation pricings; each run must also reach a commit.
+    for config in [
+        HandoffConfig::new(3, 10).arq(),
+        HandoffConfig::new(3, 10).arq().broadcast(),
+    ] {
+        let report = check_handoff(&config);
+        let pricing = if config.broadcast {
+            "broadcast"
+        } else {
+            "per-cell"
+        };
+        let name = format!("verify handoff 3-cell {pricing}");
+        entry(&name, report.verified() && report.commits > 0);
     }
 
     entry("protocol equals reference on schedules", equivalent);
@@ -291,28 +263,30 @@ fn run_one(config: &CheckConfig, mode: &str) -> (usize, bool) {
 /// success iff every run verified.
 fn run_handoff(depth: usize) -> ExitCode {
     println!(
-        "{:<12} {:<24} {:>12} {:>12}  result",
-        "cells", "mode", "states", "transitions"
+        "{:<6} {:<12} {:<4} {:>10} {:>12}  result",
+        "cells", "invalidation", "arq", "states", "transitions"
     );
     let mut total_states = 0usize;
     let mut failed = false;
     for report in handoff_sweep(depth) {
-        let mode = match (report.lossy, report.faulty, report.ghosts) {
-            (false, false, false) => "migrate",
-            (true, false, false) => "lossy",
-            (false, true, false) => "faulty",
-            (false, true, true) => "faulty+ghosts",
-            (true, true, true) => "lossy+faulty+ghosts",
-            _ => "mixed",
-        };
-        let result = if report.verified() {
-            "ok".to_string()
+        let config = &report.config;
+        let pricing = if config.broadcast {
+            "broadcast"
         } else {
-            format!("VIOLATION: {}", report.violations[0])
+            "per-cell"
+        };
+        let arq = if config.retry_budget.is_some() {
+            "on"
+        } else {
+            "off"
+        };
+        let result = match report.violations.first() {
+            None => "ok".to_string(),
+            Some(violation) => format!("VIOLATION: {violation}"),
         };
         println!(
-            "{:<12} {:<24} {:>12} {:>12}  {result}",
-            report.cells, mode, report.states, report.transitions
+            "{:<6} {:<12} {:<4} {:>10} {:>12}  {result}",
+            config.cells, pricing, arq, report.states, report.transitions
         );
         total_states += report.states;
         failed |= !report.verified();
@@ -326,51 +300,44 @@ fn run_handoff(depth: usize) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut depth = 18usize;
-    let mut only_policy = None;
-    let mut faults: Option<usize> = None;
-
+    // The whole line is parsed before anything runs.
+    let (mut depth, mut only_policy, mut faults, mut handoff, mut suite) =
+        (None, None, None, None, false);
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
+        // `--faults` and `--handoff` take an optional depth operand.
+        let mut operand = || {
+            args.next_if(|v| v.parse::<usize>().is_ok())
+                .and_then(|v| v.parse::<usize>().ok())
+        };
         match arg.as_str() {
-            "--kill-suite" => return kill_suite(),
-            "--handoff" => {
-                // Optional depth operand: `--handoff 12` or bare
-                // `--handoff` (denser than the wireless checker — the
-                // flight/ghost product defeats dedup — so it defaults
-                // lower).
-                let handoff_depth = match args.peek().and_then(|v| v.parse().ok()) {
-                    Some(value) => {
-                        args.next();
-                        value
-                    }
-                    None => depth.min(14),
-                };
-                return run_handoff(handoff_depth);
-            }
+            "--kill-suite" => suite = true,
+            "--handoff" => handoff = Some(operand()),
+            "--faults" => faults = Some(operand()),
             "--depth" => {
-                let Some(value) = args.next() else { usage() };
-                let Ok(value) = value.parse() else { usage() };
-                depth = value;
+                let value = args.next().and_then(|v| v.parse().ok());
+                depth = Some(value.unwrap_or_else(|| usage()));
             }
-            "--policy" => {
-                let Some(value) = args.next() else { usage() };
-                only_policy = Some(value);
-            }
-            "--faults" => {
-                // Optional depth operand: `--faults 10` or bare `--faults`.
-                match args.peek().and_then(|v| v.parse().ok()) {
-                    Some(value) => {
-                        args.next();
-                        faults = Some(value);
-                    }
-                    None => faults = Some(depth.min(12)),
-                }
-            }
-            "--help" | "-h" => usage(),
+            "--policy" => only_policy = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
+    let roster_flags = only_policy.is_some() || faults.is_some();
+    if suite {
+        if depth.is_some() || handoff.is_some() || roster_flags {
+            usage();
+        }
+        return kill_suite();
+    }
+    if let Some(operand) = handoff {
+        // The depth comes from the operand or `--depth`, not both.
+        if roster_flags || (operand.is_some() && depth.is_some()) {
+            usage();
+        }
+        return run_handoff(operand.or(depth).unwrap_or(14));
+    }
+    let depth = depth.unwrap_or(18);
+    let faults = faults.map(|f| f.unwrap_or(depth.min(12)));
 
     let roster: Vec<_> = default_roster()
         .into_iter()

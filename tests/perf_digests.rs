@@ -9,11 +9,11 @@
 //! ordering, RNG stream consumption, or billing shows up here as a
 //! one-word diff.
 
-use mdr_bench::sweep::preset;
+use mdr_bench::sweep::{e17_fault_plan, e18_arq, preset};
 use mdr_bench::RunCfg;
 use mdr_core::{CostModel, PolicySpec};
 use mdr_sim::sweep::{SweepGrid, SweepOptions, SweepReport};
-use mdr_sim::ArqConfig;
+use mdr_sim::{ArqConfig, TopologyConfig};
 
 fn fast_report(name: &str) -> SweepReport {
     preset(name, RunCfg { fast: true })
@@ -149,4 +149,46 @@ fn long_timeout_arq_grid_digest_is_pinned() {
     let report = grid.run_serial();
     assert_eq!(report.events_processed, 16_739);
     assert_eq!(report.ledger_digest(), 0x6e77_5a39_8c1a_3b23);
+}
+
+/// Faults, ARQ and a lossy, ghost-ridden topology in one grid — the
+/// composition no preset covers (E17 has faults without ARQ, E18 ARQ
+/// without faults, E19 a topology with neither ARQ nor commit ghosts).
+/// It drives the backbone retries within the ARQ budget, the
+/// retransmissions queued behind the leg slot (the 0.04 timeout is below
+/// the 0.05 latency) and the commit ghosts, under per-cell and broadcast
+/// invalidation. Every pin was captured before the handoff protocol moved
+/// into `HandoffState`.
+#[test]
+fn composed_faults_arq_topology_grid_is_pinned() {
+    let Ok(grid) = SweepGrid::new(0xFA7)
+        .policies(vec![PolicySpec::St2, PolicySpec::SlidingWindow { k: 3 }])
+        .and_then(|g| g.thetas(vec![0.4]))
+        .and_then(|g| g.models(vec![CostModel::message(0.5)]))
+        .and_then(|g| g.fault_plans(vec![Some(e17_fault_plan(0.1))]))
+        .and_then(|g| {
+            g.arq_configs(vec![
+                Some(e18_arq(0.2, 3, 1.5)),
+                Some(ArqConfig::new(0.1, 0.04, 0)?),
+            ])
+        })
+        .and_then(|g| {
+            let topology = TopologyConfig::new(4, 0.8, 1.0, 0)
+                .and_then(|t| t.with_loss(0.2))
+                .and_then(|t| t.with_commit_ghosts(0.1, 0.05))?;
+            g.topology_configs(vec![
+                Some(topology),
+                Some(topology.with_broadcast_invalidation()),
+            ])
+        })
+        .and_then(|g| g.latency(0.05))
+        .and_then(|g| g.requests(3_000))
+    else {
+        panic!("the composed grid is valid by construction")
+    };
+    let report = grid.run_serial();
+    assert!(report.cells.iter().all(|c| c.report.handoff_discards > 0));
+    assert_eq!(report.events_processed, 188_110);
+    assert_eq!(report.ledger_digest(), 0x84dd_5099_6441_9a1c);
+    assert_eq!(shed_digest(&report), 0x9109_b381_9275_a85d);
 }
