@@ -63,11 +63,10 @@ pub use nodes::{MobileNode, StationaryNode};
 pub use protocol::{Envelope, ProtocolState, StepOutcome, Ticket};
 pub use sim::{InvariantMonitor, ShedReason, ShedRequest, SimConfig, SimReport, Simulation};
 pub use topology::{
-    HandoffFlight, HandoffLeg, HandoffSnapshot, HandoffState, LegLanding, LegSent, MobilityConfig,
-    TopologyConfig,
+    HandoffFlight, HandoffLeg, HandoffState, LegLanding, LegSent, MobilityConfig, TopologyConfig,
 };
 pub use wire::{Endpoint, MessageClass, WireMessage};
 pub use workload::{
-    Arrival, ArrivalProcess, DriftingPoisson, Period, PhasedWorkload, PoissonWorkload,
-    TraceWorkload,
+    Arrival, ArrivalProcess, DriftingPoisson, Period, PhasedWorkload, PoissonWorkload, Replay,
+    SharedStream, TraceWorkload,
 };

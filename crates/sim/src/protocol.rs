@@ -19,9 +19,10 @@
 //! nothing else changes protocol state.
 //!
 //! Because the paper serializes relevant requests (§3), at most one exchange
-//! is in progress at a time and the wire holds at most one envelope; the
-//! state nevertheless models the wire as a list so the checker can also
-//! explore fault injections ([`tamper_in_flight`](ProtocolState::tamper_in_flight),
+//! is in progress at a time and at most one envelope is in flight, so the
+//! wire is one slot: a send onto an occupied slot is a protocol violation
+//! and panics. The checker also explores fault injections on the envelope
+//! in the slot ([`tamper_in_flight`](ProtocolState::tamper_in_flight),
 //! [`drop_in_flight`](ProtocolState::drop_in_flight)).
 
 use crate::nodes::{MobileNode, StationaryNode};
@@ -76,9 +77,10 @@ pub enum StepOutcome {
     /// The request being served completed; the action is the ledger entry
     /// just recorded in [`ProtocolState::counts`].
     Completed(Action),
-    /// A message was placed on the wire: the envelope stays queued in
-    /// [`ProtocolState::wire`] and the caller gets its [`Ticket`] to hand
-    /// back to [`ProtocolState::receive`]. The exchange continues.
+    /// A message was placed on the wire: the envelope stays in
+    /// [`ProtocolState::wire`]'s one slot and the caller gets its
+    /// [`Ticket`] to hand back to [`ProtocolState::receive`]. The exchange
+    /// continues.
     Sent(Ticket),
     /// The reconnection handshake completed: replica and window ownership
     /// were re-validated on both sides. No ledger entry is recorded — the
@@ -94,8 +96,8 @@ struct Checkpoint {
     mc: MobileNode,
 }
 
-/// The complete protocol configuration: both endpoints, the wire, the
-/// request in service, and the action ledger.
+/// The complete protocol configuration: both endpoints, the one-slot
+/// wire, the request in service, and the action ledger.
 ///
 /// Equality and hashing cover the full configuration, which is what lets
 /// the model checker deduplicate states across interleavings.
@@ -104,7 +106,9 @@ pub struct ProtocolState {
     policy: PolicySpec,
     sc: StationaryNode,
     mc: MobileNode,
-    wire: Vec<Envelope>,
+    /// The envelope in flight: §3 serializes requests, so there is at
+    /// most one.
+    wire: Option<Envelope>,
     serving: Option<Request>,
     counts: ActionCounts,
     /// Current link epoch; bumped by [`reconnect`](Self::reconnect).
@@ -128,7 +132,7 @@ impl ProtocolState {
             policy,
             sc: StationaryNode::new(policy),
             mc: MobileNode::new(policy),
-            wire: Vec::new(),
+            wire: None,
             serving: None,
             counts: ActionCounts::default(),
             epoch: 0,
@@ -155,9 +159,10 @@ impl ProtocolState {
         self.serving
     }
 
-    /// The messages currently on the wire, in send order.
+    /// The messages currently on the wire: the envelope in flight, if
+    /// any.
     pub fn wire(&self) -> &[Envelope] {
-        &self.wire
+        self.wire.as_slice()
     }
 
     /// The stationary node's state.
@@ -186,20 +191,6 @@ impl ProtocolState {
         self.recovering
     }
 
-    /// The replica state a handoff's `StateTransfer` leg ships to the
-    /// target cell (mobility extension; `docs/topology.md`): the primary's
-    /// version, the SC's replication commitment (ST2 replica state) and
-    /// which side holds the §4 window (T1/T2 streaks live on whichever
-    /// side is in charge).
-    pub fn handoff_snapshot(&self) -> crate::topology::HandoffSnapshot {
-        crate::topology::HandoffSnapshot {
-            version: self.sc.version(),
-            mc_has_copy: self.sc.mc_has_copy(),
-            sc_in_charge: self.sc.in_charge(),
-            mc_in_charge: self.mc.in_charge(),
-        }
-    }
-
     fn complete(&mut self, action: Action) -> StepOutcome {
         self.counts.record(action);
         self.serving = None;
@@ -207,7 +198,14 @@ impl ProtocolState {
         StepOutcome::Completed(action)
     }
 
+    /// Puts `message` in the wire's slot, which must be empty: a second
+    /// message in flight would break §3's serialization.
     fn send(&mut self, to: Endpoint, message: WireMessage) -> StepOutcome {
+        assert!(
+            self.wire.is_none(),
+            "{} sent while another message is in flight (requests are serialized)",
+            message.kind()
+        );
         let ticket = Ticket {
             to,
             class: message.class(),
@@ -215,7 +213,7 @@ impl ProtocolState {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.wire.push(Envelope {
+        self.wire = Some(Envelope {
             to,
             message,
             epoch: ticket.epoch,
@@ -289,14 +287,15 @@ impl ProtocolState {
         }
     }
 
-    /// Delivers the in-flight envelope at `index`, advancing the exchange:
-    /// either a response goes back on the wire or the request completes.
+    /// Delivers the in-flight envelope, advancing the exchange: either a
+    /// response goes back on the wire or the request completes. `index`
+    /// names the envelope in [`wire`](Self::wire) and must be 0.
     ///
     /// # Panics
     ///
-    /// Panics if no exchange is in flight, if `index` is out of range, or if
-    /// the delivered message is impossible at its destination (protocol
-    /// corruption).
+    /// Panics if no exchange is in flight, if the slot is empty or `index`
+    /// is not 0, or if the delivered message is impossible at its
+    /// destination (protocol corruption).
     pub fn deliver(&mut self, index: usize) -> StepOutcome {
         assert!(
             self.serving.is_some() || self.recovering,
@@ -304,7 +303,7 @@ impl ProtocolState {
         );
         let Envelope {
             to, message, seq, ..
-        } = self.wire.remove(index);
+        } = self.take_in_flight(index);
         match to {
             Endpoint::Mobile => self.delivered_mc = self.delivered_mc.max(seq),
             Endpoint::Stationary => self.delivered_sc = self.delivered_sc.max(seq),
@@ -369,9 +368,9 @@ impl ProtocolState {
     /// discrete-event simulator uses, since faults can leave ghost
     /// deliveries in its event queue.
     ///
-    /// Past the guards the envelope is found by sequence number alone:
+    /// Past the guards the envelope is matched by sequence number alone:
     /// sequence numbers are unique per state and an envelope's epoch is
-    /// stamped at the same send as its ticket's, so the on-wire envelope
+    /// stamped at the same send as its ticket's, so an envelope in the slot
     /// with the ticket's sequence number is the one the ticket names.
     pub fn receive(&mut self, ticket: Ticket) -> Option<StepOutcome> {
         if ticket.epoch != self.epoch {
@@ -384,8 +383,10 @@ impl ProtocolState {
         if ticket.seq <= watermark {
             return None; // duplicate, or reordered behind a newer delivery
         }
-        let index = self.wire.iter().position(|e| e.seq == ticket.seq)?;
-        Some(self.deliver(index))
+        if self.wire.as_ref()?.seq != ticket.seq {
+            return None;
+        }
+        Some(self.deliver(0))
     }
 
     /// Aborts the exchange in progress — the timeout path for an envelope
@@ -402,7 +403,7 @@ impl ProtocolState {
             self.sc = sc;
             self.mc = mc;
         }
-        self.wire.clear();
+        self.wire = None;
         Some(request)
     }
 
@@ -413,7 +414,7 @@ impl ProtocolState {
     /// must be restarted after the next [`reconnect`](Self::reconnect).
     pub fn disconnect(&mut self) -> Option<Request> {
         let aborted = self.abort_exchange();
-        self.wire.clear();
+        self.wire = None;
         aborted
     }
 
@@ -447,16 +448,20 @@ impl ProtocolState {
         self.send(Endpoint::Stationary, WireMessage::reconnect(epoch, cached))
     }
 
-    /// Mutates the in-flight envelope at `index` — **verification support**:
-    /// the model checker in `mdr-verify` uses this to seed deliberate
-    /// protocol mutations (e.g. stripping the §4 window hand-off from an
-    /// allocating response) and prove that the invariant suite catches them.
+    /// Mutates the in-flight envelope — **verification support**: the
+    /// model checker in `mdr-verify` uses this to seed deliberate protocol
+    /// mutations (e.g. stripping the §4 window hand-off from an allocating
+    /// response) and prove that the invariant suite catches them. `index`
+    /// must be 0.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if the slot is empty or `index` is not 0.
     pub fn tamper_in_flight(&mut self, index: usize, tamper: impl FnOnce(&mut Envelope)) {
-        tamper(&mut self.wire[index]);
+        match (index, &mut self.wire) {
+            (0, Some(envelope)) => tamper(envelope),
+            _ => panic!("no envelope in flight at index {index}"),
+        }
     }
 
     /// Discards the in-flight envelope at `index` without delivering it —
@@ -464,12 +469,21 @@ impl ProtocolState {
     /// (the simulator's ARQ transport normally repairs loss by timed
     /// retransmission, see `docs/faults.md`). The exchange is left
     /// dangling, which the checker's deadlock invariant must detect.
+    /// `index` must be 0.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if the slot is empty or `index` is not 0.
     pub fn drop_in_flight(&mut self, index: usize) -> Envelope {
-        self.wire.remove(index)
+        self.take_in_flight(index)
+    }
+
+    /// Empties the wire's slot, which `index` must name.
+    fn take_in_flight(&mut self, index: usize) -> Envelope {
+        match (index, self.wire.take()) {
+            (0, Some(envelope)) => envelope,
+            _ => panic!("no envelope in flight at index {index}"),
+        }
     }
 }
 
@@ -537,6 +551,16 @@ mod tests {
         let mut state = ProtocolState::new(PolicySpec::St1);
         let _ = state.submit(Request::Read);
         let _ = state.submit(Request::Read);
+    }
+
+    #[test]
+    #[should_panic(expected = "another message is in flight")]
+    fn a_send_onto_the_occupied_slot_is_rejected() {
+        // Two handshakes with no delivery between them: the second announce
+        // would be a second message in flight.
+        let mut state = ProtocolState::new(PolicySpec::St1);
+        let _ = state.begin_reconciliation(false);
+        let _ = state.begin_reconciliation(false);
     }
 
     #[test]

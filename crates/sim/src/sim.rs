@@ -1146,17 +1146,11 @@ impl Simulation {
     }
 
     /// Ownership follows the MC: away from the owner cell, a fresh flight
-    /// sets off toward it, shipping the protocol's state as it stands now.
-    /// Back in the owner cell nothing is left to migrate: the stuck
-    /// degradation ends and the queue drains.
+    /// sets off toward it. Back in the owner cell nothing is left to
+    /// migrate: the stuck degradation ends and the queue drains.
     fn follow_mc(&mut self) {
-        let snapshot = self.protocol.handoff_snapshot();
         let cx = &mut self.cx;
-        if self
-            .topology
-            .as_mut()
-            .is_some_and(|t| !t.follow(snapshot, cx))
-        {
+        if self.topology.as_mut().is_some_and(|t| !t.follow(cx)) {
             self.drain_pending();
         }
     }
@@ -1267,14 +1261,19 @@ impl Simulation {
     /// recovery may have changed the
     /// allocation state enough that the retry now completes locally (e.g.
     /// a propagating write turns silent once the replica was retracted).
+    /// A read never does: it became an exchange because the MC held no
+    /// replica, and neither an outage nor a reconciliation installs one,
+    /// so a resumed read always re-sends and its latency is tallied when
+    /// its response lands.
     fn resume_service(&mut self, exchange: Arrival) {
         debug_assert!(self.in_flight.is_none());
         match self.protocol.submit(exchange.request) {
             StepOutcome::Completed(action) => {
-                if exchange.request == Request::Read {
-                    self.read_latency_sum += self.cx.now - exchange.time;
-                    self.reads_completed += 1;
-                }
+                debug_assert_eq!(
+                    exchange.request,
+                    Request::Write,
+                    "a resumed read completed without the wire"
+                );
                 self.complete(exchange, action);
             }
             StepOutcome::Sent(ticket) => {

@@ -63,23 +63,6 @@ pub enum HandoffLeg {
     Commit,
 }
 
-/// The replica state a `StateTransfer` leg ships from the origin cell to
-/// the target cell: everything the §4 protocol keeps at the SC side, so
-/// the target can continue the exchange history seamlessly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HandoffSnapshot {
-    /// The primary's version counter at the origin.
-    pub version: u64,
-    /// Whether the origin SC is committed to propagating writes (ST2
-    /// replica state rides this bit).
-    pub mc_has_copy: bool,
-    /// Whether the origin SC holds the §4 request window.
-    pub sc_in_charge: bool,
-    /// Whether the MC holds the §4 request window (T1/T2 streaks live on
-    /// whichever side is in charge).
-    pub mc_in_charge: bool,
-}
-
 /// A multi-cell topology with a deterministic, seed-driven mobility plan.
 ///
 /// Migrations arrive as a Poisson process at `migration_rate`; each one
@@ -401,8 +384,8 @@ impl Topology {
     /// Ownership follows the MC ([`HandoffState::follow`]): a flight that
     /// sets off arms its deadline and sends its first leg. Returns whether
     /// one did.
-    pub(crate) fn follow(&mut self, snapshot: HandoffSnapshot, cx: &mut Cx) -> bool {
-        if !self.state.follow(snapshot) {
+    pub(crate) fn follow(&mut self, cx: &mut Cx) -> bool {
+        if !self.state.follow() {
             return false;
         }
         cx.arm(
@@ -537,9 +520,6 @@ pub struct HandoffFlight {
     /// Whether the state-transfer leg landed at the target (an abort then
     /// leaves an orphaned stale replica there to invalidate later).
     pub transfer_landed: bool,
-    /// The window/replica state captured when the flight set off and
-    /// shipped on the state-transfer leg.
-    pub snapshot: HandoffSnapshot,
 }
 
 /// One billed backbone attempt, as [`HandoffState::send`] returns it.
@@ -667,11 +647,11 @@ impl HandoffState {
     }
 
     /// Ownership follows the MC. Away from the owner cell, a fresh flight
-    /// sets off from the owner toward the MC's cell under a new epoch,
-    /// shipping `snapshot`; back in the owner cell nothing is left to
-    /// migrate and the stuck degradation ends. Returns whether a flight
-    /// set off; the caller then sends its first leg.
-    pub fn follow(&mut self, snapshot: HandoffSnapshot) -> bool {
+    /// sets off from the owner toward the MC's cell under a new epoch;
+    /// back in the owner cell nothing is left to migrate and the stuck
+    /// degradation ends. Returns whether a flight set off; the caller
+    /// then sends its first leg.
+    pub fn follow(&mut self) -> bool {
         debug_assert!(self.flight.is_none(), "at most one flight in the air");
         if !self.serves_stale() {
             self.stuck = false;
@@ -686,7 +666,6 @@ impl HandoffState {
             attempts: 0,
             messages: 0,
             transfer_landed: false,
-            snapshot,
         });
         true
     }
@@ -919,20 +898,13 @@ mod tests {
         assert_ne!(a, c);
     }
 
-    const SNAPSHOT: HandoffSnapshot = HandoffSnapshot {
-        version: 0,
-        mc_has_copy: false,
-        sc_in_charge: true,
-        mc_in_charge: false,
-    };
-
     /// A state over `cells` cells whose MC just moved to cell 1 and whose
     /// first flight set off toward it.
     fn in_flight(cells: usize, retry_budget: Option<u32>, tally: &mut SimReport) -> HandoffState {
         let topology = TopologyConfig::new(cells, 1.0, 1.0, 0).unwrap();
         let mut state = HandoffState::new(&topology, retry_budget);
         assert!(state.migrate(1, tally).is_none());
-        assert!(state.follow(SNAPSHOT));
+        assert!(state.follow());
         state
     }
 
@@ -1004,7 +976,7 @@ mod tests {
         );
         // The MC moves on to cell 2; ownership chases it from cell 0.
         assert!(state.migrate(2, &mut tally).is_none());
-        assert!(state.follow(SNAPSHOT));
+        assert!(state.follow());
         for leg in [
             HandoffLeg::Request,
             HandoffLeg::Transfer,
@@ -1030,6 +1002,6 @@ mod tests {
         state.check_billing(&mut monitor, &tally);
         assert_eq!(monitor.checks(), 1);
         // With the MC at home, nothing is left to migrate.
-        assert!(!state.follow(SNAPSHOT));
+        assert!(!state.follow());
     }
 }

@@ -8,8 +8,8 @@ use mdr_sim::calendar::{key_lt, pack, unpack, CalendarQueue};
 use mdr_sim::engine::{DecisionCore, ServeConfig, ServeEngine};
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
-    ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, ProtocolState, SimBuilder, Simulation,
-    StepOutcome, Ticket, TopologyConfig, TraceWorkload,
+    ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, ProtocolState, SharedStream, SimBuilder,
+    Simulation, StepOutcome, Ticket, TopologyConfig, TraceWorkload,
 };
 use proptest::prelude::*;
 
@@ -491,6 +491,31 @@ proptest! {
         prop_assert_eq!(&a, &b);
         for pair in a.windows(2) {
             prop_assert!(pair[1].0 > pair[0].0);
+        }
+    }
+
+    /// The stream a sweep slot draws once: for any seed, θ, prefix length
+    /// n and draw count m — below, at and above n — a replay yields
+    /// exactly the first m arrivals of a fresh generator, bit for bit.
+    /// Replays of one stream are independent, so each m reads a new one
+    /// after the last read past the prefix.
+    #[test]
+    fn replays_yield_the_fresh_stream(
+        seed in any::<u64>(),
+        theta in 0.0f64..=1.0,
+        n in 0usize..48,
+        extra in 1usize..48,
+    ) {
+        let bits = |w: &mut dyn ArrivalProcess, m: usize| -> Vec<(u64, Request)> {
+            (0..m)
+                .map_while(|_| w.next_arrival())
+                .map(|a| (a.time.to_bits(), a.request))
+                .collect()
+        };
+        let fresh = bits(&mut PoissonWorkload::from_theta(1.0, theta, seed), n + extra);
+        let stream = SharedStream::draw(PoissonWorkload::from_theta(1.0, theta, seed), n);
+        for m in [n / 2, n, n + extra] {
+            prop_assert_eq!(bits(&mut stream.replay(), m), &fresh[..m]);
         }
     }
 }

@@ -19,8 +19,7 @@
 //! [`HandoffInvariant`]s, which are statements about the real state.
 
 use mdr_sim::{
-    HandoffLeg, HandoffSnapshot, HandoffState, InvariantMonitor, LegLanding, LegSent, SimReport,
-    TopologyConfig,
+    HandoffLeg, HandoffState, InvariantMonitor, LegLanding, LegSent, SimReport, TopologyConfig,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -156,15 +155,6 @@ const DEADLINES: u8 = 2;
 const LOSSES: u8 = 2;
 const GHOSTS: u8 = 1; // `World::ghost` holds one released ghost
 
-/// The replica state a flight ships. The handoff protocol carries it but
-/// never reads it, so one value stands for all.
-const SNAPSHOT: HandoffSnapshot = HandoffSnapshot {
-    version: 0,
-    mc_has_copy: false,
-    sc_in_charge: true,
-    mc_in_charge: false,
-};
-
 /// A leg copy on the backbone that was not lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct InAir {
@@ -289,7 +279,7 @@ impl World {
     /// Ownership follows the MC; a flight that sets off sends its first
     /// leg.
     fn follow(&mut self, fate: Fate, tally: &mut SimReport) -> Option<LegSent> {
-        self.state.follow(SNAPSHOT).then(|| self.send(fate, tally))
+        self.state.follow().then(|| self.send(fate, tally))
     }
 
     /// Retires an aborted flight's timers: the leg in the slot moves to
