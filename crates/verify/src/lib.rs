@@ -341,6 +341,33 @@ mod tests {
         assert_eq!(report.violations[0].invariant, Invariant::NoDeadlock);
     }
 
+    /// Mutation self-test: a second reconnection announce while the first
+    /// is in flight trips the one-slot wire's assertion. The checker
+    /// catches the panic and reports it as one `no-panic` violation, with
+    /// the transition, the assertion's message and the schedule that
+    /// reached it, instead of unwinding out of the exploration.
+    #[test]
+    fn duplicate_announce_is_caught_as_a_panic() {
+        let config = CheckConfig::new(PolicySpec::SlidingWindow { k: 3 }, 8)
+            .faulty()
+            .with_fault(Fault::DuplicateAnnounce);
+        let report = check(&config);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        let violation = &report.violations[0];
+        assert_eq!(violation.invariant, Invariant::NoPanic);
+        assert!(
+            violation.detail.starts_with("Crash {")
+                && violation
+                    .detail
+                    .contains("panicked: reconnect sent while another message is in flight"),
+            "{}",
+            violation.detail
+        );
+        assert!(!violation.schedule.is_empty());
+        let line = violation.to_string();
+        assert!(line.starts_with("no-panic violated after ["), "{line}");
+    }
+
     /// Handoff acceptance: the shipped `HandoffState`, driven through
     /// migrations, landings, losses, ARQ retries, deadlines and queued
     /// copies over 2 and 3 cells with both invalidation pricings, keeps
