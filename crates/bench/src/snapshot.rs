@@ -12,11 +12,8 @@
 //! The schema is serde-typed end to end (the previous ad-hoc
 //! `CRITERION_JSON` env-var plumbing wrote untyped strings nobody could
 //! diff or gate): [`BenchSnapshot::to_json`] / [`BenchSnapshot::parse`]
-//! round-trip the exact struct, [`BenchSnapshot::compare`] renders a
-//! [`RegressionVerdict`], and [`BenchSnapshot::merge`] pools snapshots
-//! into a fleet-wide throughput figure the same way
-//! [`PerfStats::merge`](mdr_sim::perf::PerfStats::merge) pools run
-//! measurements.
+//! round-trip the exact struct, and [`BenchSnapshot::compare`] renders a
+//! [`RegressionVerdict`].
 //!
 //! Throughput is requests per second, not events per second: the
 //! requests are the work, and the events are the simulator's means to
@@ -72,14 +69,6 @@ impl BenchSnapshot {
         }
     }
 
-    /// The measurement as a [`PerfStats`] (events + wall time).
-    pub fn stats(&self) -> PerfStats {
-        PerfStats {
-            events: self.events,
-            wall_nanos: self.wall_nanos,
-        }
-    }
-
     /// Renders the snapshot as pretty-printed JSON (the committed
     /// `BENCH_*.json` format), trailing newline included.
     pub fn to_json(&self) -> String {
@@ -102,29 +91,6 @@ impl BenchSnapshot {
             && self.mode == other.mode
             && self.requests == other.requests
             && self.runs == other.runs
-    }
-
-    /// Pools two snapshots of *different* presets into a combined
-    /// figure: summed requests over summed wall time, digest and identity
-    /// fields joined textually. Useful for a fleet-wide requests/sec
-    /// number across `BENCH_e17.json` + `BENCH_e18.json`.
-    pub fn merge(&self, other: &BenchSnapshot) -> BenchSnapshot {
-        let stats = self.stats().merge(&other.stats());
-        let served = (self.requests * self.runs + other.requests * other.runs) as u64;
-        BenchSnapshot {
-            preset: format!("{}+{}", self.preset, other.preset),
-            mode: if self.mode == other.mode {
-                self.mode.clone()
-            } else {
-                format!("{}+{}", self.mode, other.mode)
-            },
-            requests: self.requests + other.requests,
-            runs: self.runs + other.runs,
-            events: stats.events,
-            wall_nanos: stats.wall_nanos,
-            requests_per_sec: per_sec(served, stats.wall_nanos),
-            ledger_digest: format!("{},{}", self.ledger_digest, other.ledger_digest),
-        }
     }
 
     /// Gates `self` (the candidate measurement) against `baseline`:
@@ -329,32 +295,20 @@ mod tests {
         assert!((few.requests_per_sec - 1.6e6).abs() < 1e-6);
         assert!((many.requests_per_sec - few.requests_per_sec).abs() < 1e-6);
         assert!(
-            BenchSnapshot::new("e17", true, 1, 1, PerfStats::zero(), 0)
-                .requests_per_sec
-                .abs()
+            BenchSnapshot::new(
+                "e17",
+                true,
+                1,
+                1,
+                PerfStats {
+                    events: 0,
+                    wall_nanos: 0
+                },
+                0
+            )
+            .requests_per_sec
+            .abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn merge_pools_requests_over_wall_time() {
-        let a = snap("e17", 1_000, 1_000_000, 0xa);
-        let b = BenchSnapshot::new(
-            "e18",
-            true,
-            2_000,
-            15,
-            PerfStats {
-                events: 3_000,
-                wall_nanos: 1_000_000,
-            },
-            0xb,
-        );
-        let merged = a.merge(&b);
-        assert_eq!(merged.preset, "e17+e18");
-        assert_eq!(merged.events, 4_000);
-        assert_eq!(merged.wall_nanos, 2_000_000);
-        // (4,000 × 40 + 2,000 × 15) requests over 2 ms.
-        assert!((merged.requests_per_sec - 9.5e7).abs() < 1e-3);
     }
 }

@@ -574,10 +574,22 @@ fn render_bench(
         let _ = writeln!(out, "baseline written: {baseline_path}");
         return Ok(out);
     }
+    let explicit = args.flags.contains_key("baseline");
     match std::fs::read_to_string(&baseline_path) {
         Ok(text) => {
             let baseline = BenchSnapshot::parse(&text)
                 .map_err(|e| CliError(format!("baseline {baseline_path:?}: {e}")))?;
+            // The committed baseline is gated only at its own workload: a
+            // pass of another size has nothing to compare against.
+            if !explicit && !snapshot.same_workload(&baseline) {
+                let _ = writeln!(
+                    out,
+                    "gate skipped: {baseline_path} measured {} requests x {} runs, this pass {} \
+                     requests x {} runs (name it with --baseline to gate anyway)",
+                    baseline.requests, baseline.runs, snapshot.requests, snapshot.runs
+                );
+                return Ok(out);
+            }
             let verdict = snapshot.compare(&baseline, gate_pct);
             let _ = writeln!(out, "gate vs {baseline_path}: {}", verdict.render());
             if !verdict.passed() {
@@ -587,7 +599,7 @@ fn render_bench(
                 return err(format!("perf gate failed: {}", verdict.render()));
             }
         }
-        Err(_) if args.flags.contains_key("baseline") => {
+        Err(_) if explicit => {
             return err(format!("cannot read baseline {baseline_path:?}"));
         }
         Err(_) => {

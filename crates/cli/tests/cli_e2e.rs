@@ -369,6 +369,42 @@ fn bench_baseline_is_the_median_of_its_passes() {
     );
 }
 
+/// Without `--baseline`, a committed `BENCH_<preset>.json` that measured
+/// another workload skips the gate and says so; named explicitly, the same
+/// baseline fails the gate as incomparable.
+#[test]
+fn bench_skips_an_implicit_baseline_of_another_workload() {
+    let dir = std::env::temp_dir().join(format!("mdr-bench-implicit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_mdr"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            out.status.code(),
+        )
+    };
+    let bench = ["bench", "--preset", "e6", "--requests"];
+    let (stdout, code) = run(&[&bench[..], &["60", "--write-baseline", "on"]].concat());
+    assert_eq!(code, Some(0), "{stdout}");
+    let (implicit, code) = run(&[&bench[..], &["50"]].concat());
+    assert_eq!(code, Some(0), "{implicit}");
+    assert!(
+        implicit.contains("gate skipped: BENCH_e6.json measured 60 requests"),
+        "{implicit}"
+    );
+    let (explicit, code) = run(&[&bench[..], &["50", "--baseline", "BENCH_e6.json"]].concat());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_ne!(code, Some(0), "{explicit}");
+    assert!(
+        explicit.contains("INCOMPARABLE: workload mismatch"),
+        "{explicit}"
+    );
+}
+
 #[test]
 fn bench_serve_reports_decisions_per_second() {
     let (stdout, _, ok) = mdr(&[

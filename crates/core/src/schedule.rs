@@ -152,11 +152,6 @@ impl Schedule {
         self.0.push(req);
     }
 
-    /// Appends all requests of `other` (§3 concatenation, in place).
-    pub fn extend_from(&mut self, other: &Schedule) {
-        self.0.extend_from_slice(&other.0);
-    }
-
     /// Concatenation of two §3 schedules.
     pub fn concat(&self, other: &Schedule) -> Schedule {
         let mut v = Vec::with_capacity(self.len() + other.len());

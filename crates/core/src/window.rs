@@ -418,6 +418,22 @@ mod tests {
         assert_eq!(canon.canonical(), canon);
     }
 
+    /// A filled window has the storage every other constructor gives a
+    /// window of its size: it equals its canonical form and its snapshot
+    /// round trip on both sides of the inline/heap boundary.
+    #[test]
+    fn filled_windows_match_their_canonical_and_decoded_forms() {
+        use serde::{Deserialize, Serialize};
+        for k in [1, 63, 65, 127, 129, 191, 255] {
+            for fill in [Request::Read, Request::Write] {
+                let w = RequestWindow::filled(k, fill);
+                assert_eq!(w.canonical(), w, "k = {k}");
+                let decoded = RequestWindow::from_value(&w.to_value());
+                assert_eq!(decoded.as_ref(), Ok(&w), "k = {k}");
+            }
+        }
+    }
+
     #[test]
     fn canonical_spill_window_rebases_too() {
         let mut w = RequestWindow::filled(129, Request::Write);

@@ -1825,6 +1825,21 @@ mod tests {
         assert!(e.is_done());
     }
 
+    /// The direct decision printer sizes its buffer from the tenant name,
+    /// which the wire does not bound: a name longer than the fixed part
+    /// still prints whole.
+    #[test]
+    fn long_tenant_names_print_whole() {
+        let mut e = engine();
+        let tenant = "t".repeat(300);
+        open(&mut e, &tenant, "SW1");
+        let out = e.handle_line(&format!(
+            r#"{{"op":"decide","tenant":"{tenant}","request":"r"}}"#
+        ));
+        assert!(out.contains(&format!(r#""tenant":"{tenant}""#)), "{out}");
+        assert!(out.contains(r#""ok":"decision""#), "{out}");
+    }
+
     #[test]
     fn serve_snapshot_restores_over_the_wire() {
         let mut e = engine();

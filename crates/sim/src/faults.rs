@@ -15,7 +15,6 @@
 //! deliveries and therefore a byte-identical cost ledger.
 
 use crate::perf::BatchedF64;
-use crate::protocol::Ticket;
 use crate::sim::{Cx, Wakeup};
 use std::error::Error;
 use std::fmt;
@@ -471,12 +470,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Whether this plan can inject any fault at all (a plan of all-zero
-    /// rates is equivalent to no plan).
-    pub fn is_active(&self) -> bool {
-        self.disconnect_rate > 0.0 || self.duplication > 0.0 || self.reorder > 0.0
-    }
 }
 
 /// Configuration of the deterministic stop-and-wait ARQ transport
@@ -684,27 +677,14 @@ impl Ghosts {
     }
 }
 
-/// An [`ArqConfig`] at run time: the config, its loss/jitter stream, and
-/// the one envelope awaiting acknowledgement (stop-and-wait), whose
-/// retransmission timer is armed exactly while it is outstanding.
+/// An [`ArqConfig`] at run time: the config and its loss/jitter stream.
+/// The envelope the transport is timing is the one in the protocol's slot,
+/// and its attempt count and the retry-budget rule live in
+/// [`LinkState`](crate::LinkState); the retransmission timer is
+/// [`Wakeup::ArqTimeout`], armed exactly while an envelope is out.
 pub(crate) struct Arq {
     pub(crate) config: ArqConfig,
     rng: BatchedF64,
-    /// The envelope currently awaiting acknowledgement, if any.
-    outstanding: Option<ArqOutstanding>,
-}
-
-/// Book-keeping for the envelope the ARQ transport currently has in the
-/// air (stop-and-wait: the one unacknowledged transmission).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArqOutstanding {
-    /// The envelope's ticket, re-sent on retransmission and matched on
-    /// delivery.
-    pub(crate) ticket: Ticket,
-    /// Transmissions so far (1 = the original send).
-    pub(crate) attempts: u32,
-    /// Whether this envelope belongs to the reconnection handshake.
-    pub(crate) reconciliation: bool,
 }
 
 impl Arq {
@@ -712,61 +692,25 @@ impl Arq {
         Arq {
             config,
             rng: BatchedF64::new(config.seed),
-            outstanding: None,
         }
     }
 
-    /// One transmission attempt of `ticket` (`attempts` counts it, 1 = the
-    /// original send): draws its loss fate, then its jitter — two draws, so
-    /// the stream position is a function of the attempt count alone — and
-    /// makes it the outstanding envelope. Returns whether it was lost, and
-    /// when its retransmission timer fires; the caller arms
+    /// Attempt `attempt` (1 = the original send) of an envelope: draws its
+    /// loss fate, then its jitter — two draws, so the stream position is a
+    /// function of the attempt count alone. Returns whether it was lost,
+    /// and when its retransmission timer fires; the caller arms
     /// [`Wakeup::ArqTimeout`] there once the delivery is scheduled.
-    pub(crate) fn attempt(
-        &mut self,
-        now: f64,
-        ticket: Ticket,
-        reconciliation: bool,
-        attempts: u32,
-    ) -> (bool, f64) {
+    pub(crate) fn attempt(&mut self, now: f64, attempt: u32) -> (bool, f64) {
         let lost = self.rng.draw() < self.config.loss_probability;
-        let rto = self.config.jittered_timeout(attempts, self.rng.draw());
-        self.outstanding = Some(ArqOutstanding {
-            ticket,
-            attempts,
-            reconciliation,
-        });
+        let rto = self.config.jittered_timeout(attempt, self.rng.draw());
         (lost, now + rto)
     }
 
-    /// The envelope behind `ticket` got through: its timer is settled (a
-    /// response supersedes it anyway; a completion acks it explicitly).
-    pub(crate) fn acknowledge(&mut self, ticket: Ticket, cx: &mut Cx) {
-        if self.outstanding.is_some_and(|out| out.ticket == ticket) {
-            self.abandon(cx);
-        }
-    }
-
-    /// Nothing is outstanding any more — acknowledged, or destroyed with
-    /// the link — so no timer guards it.
-    pub(crate) fn abandon(&mut self, cx: &mut Cx) {
-        self.outstanding = None;
-        cx.disarm(Wakeup::ArqTimeout);
-    }
-
-    /// The outstanding envelope's timer fired: the envelope, plus, once it
-    /// has used up its retry budget, the delay of the probe that looks for
-    /// the link after escalation (the backoff law continues past the
-    /// budget).
-    pub(crate) fn expire(&mut self) -> (ArqOutstanding, Option<f64>) {
-        let Some(out) = self.outstanding.take() else {
-            unreachable!("the ARQ timer is armed only while an envelope is outstanding")
-        };
-        let probe = (out.attempts > self.config.retry_budget).then(|| {
-            self.config
-                .jittered_timeout(out.attempts + 1, self.rng.draw())
-        });
-        (out, probe)
+    /// The delay of the probe that looks for the link after an envelope's
+    /// `attempts` attempts used up the retry budget: the backoff law
+    /// continues past the budget.
+    pub(crate) fn probe(&mut self, attempts: u32) -> f64 {
+        self.config.jittered_timeout(attempts + 1, self.rng.draw())
     }
 }
 
@@ -831,7 +775,6 @@ mod tests {
             .and_then(|p| p.with_sc_outages(0.2))
             .and_then(|p| p.with_duplication(0.1, 0.05))
             .unwrap();
-        assert!(plan.is_active());
         assert_eq!(plan.seed, 9);
     }
 
@@ -848,14 +791,6 @@ mod tests {
         // Crash + SC-outage probabilities must partition.
         let crashy = base.with_crashes(0.8, 0.5).unwrap();
         assert!(crashy.with_sc_outages(0.3).is_err());
-    }
-
-    #[test]
-    fn inactive_plans_are_detectable() {
-        let plan = FaultPlan::new(0.0, 1.0, 0).unwrap();
-        assert!(!plan.is_active());
-        let dup = plan.with_duplication(0.2, 0.0).unwrap();
-        assert!(dup.is_active());
     }
 
     #[test]

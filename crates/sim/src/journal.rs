@@ -1557,6 +1557,29 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A journal that does not resume at the record after its base (here,
+    /// no checkpoint and a first record numbered 2) quarantines the
+    /// tenant, naming the sequence number it expected.
+    #[test]
+    fn a_journal_that_skips_its_first_record_quarantines() {
+        let dir = temp_dir("resume-gap");
+        let tenant = dir.join(TENANTS_DIR).join("gap");
+        fs::create_dir_all(&tenant).expect("tenant dir");
+        let open = JournalOp::Open {
+            policy: "ST2".to_owned(),
+            model: "connection".to_owned(),
+        };
+        fs::write(tenant.join(JOURNAL_FILE), encode_record(2, &open)).expect("journal");
+        let (_, report) = open_at(&dir);
+        assert_eq!(report.quarantined(), vec!["gap"]);
+        let detail = format!("{:?}", report.tenants[0].1);
+        assert!(
+            detail.contains("expected 1, journal resumes at 2"),
+            "{detail}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stray_directories_are_skipped_not_guessed() {
         let dir = temp_dir("stray");

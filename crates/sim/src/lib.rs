@@ -40,6 +40,7 @@ pub mod engine;
 mod estimate;
 mod faults;
 pub mod journal;
+mod link;
 mod nodes;
 pub mod perf;
 mod protocol;
@@ -59,6 +60,7 @@ pub use faults::{ArqConfig, ConfigError, FaultKind, FaultPlan};
 pub use journal::{
     DurabilityStats, DurableServe, FsyncPolicy, JournalConfig, RecoveryReport, TenantRecovery,
 };
+pub use link::{LinkState, LinkStep, RequestHandle, Restored, Timeout};
 pub use nodes::{MobileNode, StationaryNode};
 pub use protocol::{Envelope, ProtocolState, StepOutcome, Ticket};
 pub use sim::{InvariantMonitor, ShedReason, ShedRequest, SimConfig, SimReport, Simulation};

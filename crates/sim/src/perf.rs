@@ -3,7 +3,7 @@
 //! Three small, composable pieces:
 //!
 //! * [`PerfStats`] — the typed run measurement (events processed, wall
-//!   nanoseconds, events/sec) every perf-reporting entry point returns.
+//!   nanoseconds) every perf-reporting entry point returns.
 //!   Event counts are deterministic simulation facts; wall time is
 //!   measurement metadata and never feeds simulation state, ledgers, or
 //!   digests.
@@ -36,35 +36,6 @@ pub struct PerfStats {
     /// Wall-clock nanoseconds the measured section took (measurement
     /// metadata; varies run to run and machine to machine).
     pub wall_nanos: u64,
-}
-
-impl PerfStats {
-    /// Zero events in zero time — the identity for [`PerfStats::merge`].
-    pub fn zero() -> Self {
-        PerfStats {
-            events: 0,
-            wall_nanos: 0,
-        }
-    }
-
-    /// Throughput in events per second. Zero when no time was observed
-    /// (a degenerate measurement, not a division error).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.events as f64 * 1e9 / self.wall_nanos as f64
-    }
-
-    /// Pools two measurements: summed events over summed wall time (the
-    /// Chan-style mergeability the sweep summaries already use, applied
-    /// to throughput).
-    pub fn merge(&self, other: &PerfStats) -> PerfStats {
-        PerfStats {
-            events: self.events + other.events,
-            wall_nanos: self.wall_nanos + other.wall_nanos,
-        }
-    }
 }
 
 /// The sanctioned wall-clock: started at the measurement boundary,
@@ -154,33 +125,6 @@ mod tests {
                 "draw {i}: batched {got} vs unbatched {expect}"
             );
         }
-    }
-
-    #[test]
-    fn events_per_sec_is_events_over_seconds() {
-        let stats = PerfStats {
-            events: 5_000,
-            wall_nanos: 2_000_000_000,
-        };
-        assert!((stats.events_per_sec() - 2_500.0).abs() < 1e-9);
-        assert!(PerfStats::zero().events_per_sec().abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_pools_events_and_time() {
-        let a = PerfStats {
-            events: 10,
-            wall_nanos: 100,
-        };
-        let b = PerfStats {
-            events: 30,
-            wall_nanos: 300,
-        };
-        let merged = a.merge(&b);
-        assert_eq!(merged.events, 40);
-        assert_eq!(merged.wall_nanos, 400);
-        let zero = PerfStats::zero().merge(&a);
-        assert_eq!(zero.events, a.events);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   protocol invariants (single window owner, replica agreement, ledger
 //!   equality with the reference policy) in each reached state.
 //!
+//! Both reach it through [`LinkState`](crate::LinkState), which adds the
+//! link's exchange lifecycle: the request in service and the one an outage
+//! suspended, the reconnection handshake, ARQ attempts and the bill.
 //! Keeping the transition relation free of clocks and billing is what makes
 //! the two drivers provably execute the same protocol: a transition is
 //! [`submit`](ProtocolState::submit) (a request begins service) or
@@ -48,6 +51,18 @@ pub struct Envelope {
     pub epoch: u64,
     /// Monotone per-state sequence number (dup/reorder detection).
     pub seq: u64,
+}
+
+impl Envelope {
+    /// The ticket that redeems this envelope.
+    pub fn ticket(&self) -> Ticket {
+        Ticket {
+            to: self.to,
+            class: self.message.class(),
+            epoch: self.epoch,
+            seq: self.seq,
+        }
+    }
 }
 
 /// A `Copy` handle on an envelope the protocol keeps on its wire: the
@@ -159,10 +174,9 @@ impl ProtocolState {
         self.serving
     }
 
-    /// The messages currently on the wire: the envelope in flight, if
-    /// any.
-    pub fn wire(&self) -> &[Envelope] {
-        self.wire.as_slice()
+    /// The envelope in flight, if any.
+    pub fn wire(&self) -> Option<&Envelope> {
+        self.wire.as_ref()
     }
 
     /// The stationary node's state.
@@ -200,26 +214,20 @@ impl ProtocolState {
 
     /// Puts `message` in the wire's slot, which must be empty: a second
     /// message in flight would break §3's serialization.
-    fn send(&mut self, to: Endpoint, message: WireMessage) -> StepOutcome {
+    fn send(&mut self, to: Endpoint, message: WireMessage) -> Ticket {
         assert!(
             self.wire.is_none(),
             "{} sent while another message is in flight (requests are serialized)",
             message.kind()
         );
-        let ticket = Ticket {
+        let envelope = Envelope {
             to,
-            class: message.class(),
+            message,
             epoch: self.epoch,
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.wire = Some(Envelope {
-            to,
-            message,
-            epoch: ticket.epoch,
-            seq: ticket.seq,
-        });
-        StepOutcome::Sent(ticket)
+        self.wire.insert(envelope).ticket()
     }
 
     /// Begins serving one relevant request. Local operations (a read hitting
@@ -266,7 +274,7 @@ impl ProtocolState {
                         mc: self.mc.clone(),
                     });
                     self.serving = Some(Request::Read);
-                    self.send(Endpoint::Stationary, WireMessage::read_request())
+                    StepOutcome::Sent(self.send(Endpoint::Stationary, WireMessage::read_request()))
                 }
             }
             Request::Write => {
@@ -280,7 +288,7 @@ impl ProtocolState {
                     None => self.complete(Action::SilentWrite),
                     Some(message) => {
                         self.serving = Some(Request::Write);
-                        self.send(Endpoint::Mobile, message)
+                        StepOutcome::Sent(self.send(Endpoint::Mobile, message))
                     }
                 }
             }
@@ -311,7 +319,7 @@ impl ProtocolState {
         match (to, message) {
             (Endpoint::Stationary, WireMessage::ReadRequest) => {
                 let response = self.sc.handle_read_request();
-                self.send(Endpoint::Mobile, response)
+                StepOutcome::Sent(self.send(Endpoint::Mobile, response))
             }
             (
                 Endpoint::Mobile,
@@ -333,7 +341,7 @@ impl ProtocolState {
             }
             (Endpoint::Mobile, WireMessage::WritePropagation { version }) => {
                 match self.mc.handle_write_propagation(version) {
-                    Some(delete) => self.send(Endpoint::Stationary, delete),
+                    Some(delete) => StepOutcome::Sent(self.send(Endpoint::Stationary, delete)),
                     None => self.complete(Action::PropagatedWrite { deallocates: false }),
                 }
             }
@@ -347,8 +355,8 @@ impl ProtocolState {
             }
             (Endpoint::Stationary, WireMessage::Reconnect { cached_version, .. }) => {
                 let refresh = self.sc.handle_reconnect(cached_version);
-                let epoch = self.epoch;
-                self.send(Endpoint::Mobile, WireMessage::reconnect_ack(epoch, refresh))
+                let ack = WireMessage::reconnect_ack(self.epoch, refresh);
+                StepOutcome::Sent(self.send(Endpoint::Mobile, ack))
             }
             (Endpoint::Mobile, WireMessage::ReconnectAck { refresh, .. }) => {
                 self.mc.handle_reconnect_ack(refresh);
@@ -428,13 +436,14 @@ impl ProtocolState {
     /// Starts the reconnection handshake after an MC crash: the MC (having
     /// lost its volatile state if `volatile`) announces the replica state
     /// that survived, and the SC will re-validate it against its own
-    /// commitment. The returned ticket carries the current epoch.
+    /// commitment. Returns the announce's ticket, which carries the current
+    /// epoch.
     ///
     /// # Panics
     ///
     /// Panics if an exchange is in progress (the driver must abort or
-    /// suspend it first).
-    pub fn begin_reconciliation(&mut self, volatile: bool) -> StepOutcome {
+    /// suspend it first), or if the announce finds the slot occupied.
+    pub fn begin_reconciliation(&mut self, volatile: bool) -> Ticket {
         assert!(
             self.serving.is_none(),
             "reconciliation started mid-exchange"
@@ -451,31 +460,29 @@ impl ProtocolState {
     /// Mutates the in-flight envelope — **verification support**: the
     /// model checker in `mdr-verify` uses this to seed deliberate protocol
     /// mutations (e.g. stripping the §4 window hand-off from an allocating
-    /// response) and prove that the invariant suite catches them. `index`
-    /// must be 0.
+    /// response) and prove that the invariant suite catches them.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is empty or `index` is not 0.
-    pub fn tamper_in_flight(&mut self, index: usize, tamper: impl FnOnce(&mut Envelope)) {
-        match (index, &mut self.wire) {
-            (0, Some(envelope)) => tamper(envelope),
-            _ => panic!("no envelope in flight at index {index}"),
+    /// Panics if the slot is empty.
+    pub fn tamper_in_flight(&mut self, tamper: impl FnOnce(&mut Envelope)) {
+        match &mut self.wire {
+            Some(envelope) => tamper(envelope),
+            None => panic!("no envelope in flight"),
         }
     }
 
-    /// Discards the in-flight envelope at `index` without delivering it —
+    /// Discards the in-flight envelope without delivering it —
     /// verification support for modelling an *unrecovered* message loss
     /// (the simulator's ARQ transport normally repairs loss by timed
     /// retransmission, see `docs/faults.md`). The exchange is left
     /// dangling, which the checker's deadlock invariant must detect.
-    /// `index` must be 0.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is empty or `index` is not 0.
-    pub fn drop_in_flight(&mut self, index: usize) -> Envelope {
-        self.take_in_flight(index)
+    /// Panics if the slot is empty.
+    pub fn drop_in_flight(&mut self) -> Envelope {
+        self.take_in_flight(0)
     }
 
     /// Empties the wire's slot, which `index` must name.
@@ -514,7 +521,7 @@ mod tests {
                 assert_eq!(action, oracle.on_request(req), "{spec}");
                 assert_eq!(state.mc().has_copy(), oracle.has_copy(), "{spec}");
                 assert!(state.idle());
-                assert!(state.wire().is_empty());
+                assert!(state.wire().is_none());
             }
         }
     }
@@ -574,10 +581,10 @@ mod tests {
     fn dropping_an_envelope_leaves_the_exchange_dangling() {
         let mut state = ProtocolState::new(PolicySpec::St1);
         let _ = state.submit(Request::Read);
-        let dropped = state.drop_in_flight(0);
+        let dropped = state.drop_in_flight();
         assert_eq!(dropped.message, WireMessage::read_request());
         assert!(!state.idle());
-        assert!(state.wire().is_empty());
+        assert!(state.wire().is_none());
     }
 
     #[test]
@@ -587,7 +594,7 @@ mod tests {
         let mut state = ProtocolState::new(PolicySpec::St2);
         let _ = state.submit(Request::Write);
         assert_eq!(state.sc().version(), 1);
-        let _ = state.drop_in_flight(0);
+        let _ = state.drop_in_flight();
         assert!(!state.idle(), "exchange dangles after the drop");
         assert_eq!(state.abort_exchange(), Some(Request::Write));
         assert!(state.idle());
@@ -642,7 +649,7 @@ mod tests {
         state.reconnect();
         // The pre-disconnection envelope arrives after the epoch bump.
         assert_eq!(state.receive(request), None);
-        assert!(state.idle() && state.wire().is_empty());
+        assert!(state.idle() && state.wire().is_none());
     }
 
     #[test]
@@ -654,9 +661,7 @@ mod tests {
 
         assert_eq!(state.disconnect(), None);
         state.reconnect();
-        let StepOutcome::Sent(reconnect) = state.begin_reconciliation(true) else {
-            panic!("the handshake starts with a message")
-        };
+        let reconnect = state.begin_reconciliation(true);
         assert!(state.recovering());
         assert!(!state.mc().has_copy(), "volatile state lost");
         let Some(StepOutcome::Sent(ack)) = state.receive(reconnect) else {
@@ -686,19 +691,17 @@ mod tests {
         assert_eq!(state.mc().cached_version(), Some(1));
         state.disconnect();
         state.reconnect();
-        let StepOutcome::Sent(reconnect) = state.begin_reconciliation(true) else {
-            panic!("the handshake starts with a message")
-        };
+        let reconnect = state.begin_reconciliation(true);
         let Some(StepOutcome::Sent(ack)) = state.receive(reconnect) else {
             panic!("the SC must acknowledge")
         };
         assert!(
             matches!(
-                state.wire()[0].message,
-                WireMessage::ReconnectAck {
+                state.wire().map(|e| &e.message),
+                Some(WireMessage::ReconnectAck {
                     refresh: Some(1),
                     ..
-                }
+                })
             ),
             "ST2 recovery re-ships the item: {:?}",
             state.wire()
@@ -716,9 +719,7 @@ mod tests {
         let before_mc = state.mc().clone();
         state.disconnect();
         state.reconnect();
-        let StepOutcome::Sent(reconnect) = state.begin_reconciliation(false) else {
-            panic!("the handshake starts with a message")
-        };
+        let reconnect = state.begin_reconciliation(false);
         let Some(StepOutcome::Sent(ack)) = state.receive(reconnect) else {
             panic!("the SC must acknowledge")
         };

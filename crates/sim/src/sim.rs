@@ -14,8 +14,9 @@
 use crate::calendar::{self, CalendarQueue};
 use crate::engine::DecisionCore;
 use crate::faults::{Arq, ArqConfig, FaultKind, FaultPlan, FaultProcess, Ghosts};
+use crate::link::{LinkState, LinkStep, Restored, Timeout};
 use crate::perf::{PerfStats, Stopwatch};
-use crate::protocol::{ProtocolState, StepOutcome, Ticket};
+use crate::protocol::{ProtocolState, Ticket};
 use crate::topology::{HandoffLeg, Mobility, MobilityConfig, Topology, TopologyConfig};
 use crate::workload::{Arrival, ArrivalProcess};
 use mdr_core::{Action, ActionCounts, CostModel, PolicySpec, Request, Schedule};
@@ -109,7 +110,9 @@ pub struct SimReport {
     pub data_messages: u64,
     /// Control messages sent.
     pub control_messages: u64,
-    /// Cellular connections used.
+    /// Cellular connections used: one per completed exchange (§3), plus
+    /// one per aborted exchange, reconnection handshake and ARQ
+    /// retransmission.
     pub connections: u64,
     /// Simulation time of the last served request's completion.
     pub makespan: f64,
@@ -121,12 +124,13 @@ pub struct SimReport {
     /// Transmission attempts beyond each envelope's first: the ARQ
     /// transport's timed retransmissions (0 on a lossless link).
     pub retransmissions: u64,
-    /// Retransmissions whose exchange eventually settled (completed or
-    /// reconciled) rather than being aborted; together with
-    /// `aborted_messages`, `reconciliation_messages` and `arq_acks` these
-    /// close the billing identity `billed = ledger + settled retransmissions
-    /// + aborted + reconciliation + acks`, which the online
-    /// [`InvariantMonitor`] asserts at every completion.
+    /// Retransmissions whose exchange eventually completed rather than
+    /// being aborted; together with `aborted_messages`,
+    /// `reconciliation_messages` and `arq_acks` these close the billing
+    /// identity `billed = ledger + settled retransmissions + aborted +
+    /// reconciliation + acks + at risk`, which
+    /// [`LinkState::check_billing`] asserts per message class at every
+    /// completion.
     pub settled_retransmissions: u64,
     /// Transport-level ARQ acknowledgements sent (billed as control
     /// messages; 0 without the ARQ transport).
@@ -309,10 +313,14 @@ impl ShedReason {
 /// faulty and degraded ones — rather than only in `mdr-verify`'s offline
 /// state-space search.
 ///
-/// The simulator consults it at every completed request; each method
-/// panics on violation, so a faulty run that mis-bills or splits the
-/// replica state dies loudly at the first bad completion instead of
-/// producing a quietly wrong report.
+/// The simulator consults it at every completed request, together with
+/// the link's and the handoff's billing identities
+/// ([`LinkState::check_billing`], [`HandoffState::check_billing`]), which
+/// count their checks here; each panics on violation, so a faulty run that
+/// mis-bills or splits the replica state dies loudly at the first bad
+/// completion instead of producing a quietly wrong report.
+///
+/// [`HandoffState::check_billing`]: crate::HandoffState::check_billing
 #[derive(Debug, Default, Clone)]
 pub struct InvariantMonitor {
     pub(crate) checks: u64,
@@ -360,33 +368,6 @@ impl InvariantMonitor {
                 "window ownership must live on exactly one side"
             );
         }
-    }
-
-    /// Ledger-consistency check: every billed transmission attempt is
-    /// accounted for exactly once, as ledger-derived protocol traffic, a
-    /// settled retransmission, aborted at-risk traffic, reconciliation
-    /// traffic, or a transport acknowledgement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the identity does not hold.
-    pub fn check_billing(
-        &mut self,
-        billed: u64,
-        ledger: u64,
-        settled_retransmissions: u64,
-        aborted: u64,
-        reconciliation: u64,
-        acks: u64,
-    ) {
-        self.checks += 1;
-        assert_eq!(
-            billed,
-            ledger + settled_retransmissions + aborted + reconciliation + acks,
-            "billing identity broken: {billed} billed vs {ledger} ledger + \
-             {settled_retransmissions} settled retransmissions + {aborted} aborted + \
-             {reconciliation} reconciliation + {acks} acks"
-        );
     }
 }
 
@@ -627,14 +608,16 @@ enum NextEvent {
     Cx,
 }
 
-/// The simulator. Owns the two protocol nodes and the event queue; each
+/// The simulator. Owns the wireless link and the event queue; each
 /// optional layer — the cellular walk, the fault plan, the ARQ transport,
 /// the multi-cell topology — owns its own config, RNG stream and state.
 pub struct Simulation {
     config: SimConfig,
-    /// The protocol transition relation (both nodes + wire + ledger); the
-    /// event loop only adds time, queueing and billing on top.
-    protocol: ProtocolState,
+    /// The wireless link: the protocol transition relation (both nodes,
+    /// wire, ledger), the exchange in service or suspended, the owed
+    /// handshake and the bill. The event loop adds time, queueing, loss and
+    /// partition timing on top.
+    link: LinkState<Arrival>,
     /// The per-request reference in oracle mode: a sans-io
     /// [`DecisionCore`] fed the same serialized request order, so every
     /// run doubles as an equivalence test of the decision engine.
@@ -655,8 +638,6 @@ pub struct Simulation {
     staged_delivery: Option<(u128, Ticket)>,
     /// Arrivals waiting for the in-flight exchange to finish.
     pending: VecDeque<Arrival>,
-    /// The request whose exchange is on the wire.
-    in_flight: Option<Arrival>,
     read_latency_sum: f64,
     reads_completed: u64,
     served: usize,
@@ -676,28 +657,10 @@ pub struct Simulation {
     link_up: bool,
     /// Kind of the outage in progress, while the link is down.
     outage_kind: Option<FaultKind>,
-    /// An exchange a disconnection aborted, waiting to be retried once the
-    /// link (and any owed reconciliation) is back.
-    suspended: Option<Arrival>,
-    /// An MC crash owing a reconnection handshake at the next link-up;
-    /// the flag records whether volatile state was lost.
-    pending_crash: Option<bool>,
-    /// Whether the reconnection handshake is on the wire right now.
-    reconciling: bool,
     /// Whether the workload has no further arrivals to offer (lets the
     /// event loop stop instead of chasing self-perpetuating maintenance
     /// events forever).
     arrivals_done: bool,
-    /// Billed attempts of the exchange currently in flight — moved into
-    /// `aborted_messages` if a disconnection kills the exchange.
-    exchange_messages: u64,
-    /// Retransmitted attempts within `exchange_messages` — settled into
-    /// `settled_retransmissions` when the exchange completes.
-    exchange_retrans: u64,
-    /// Connections beyond the ledger-derived count: one per aborted
-    /// exchange (the wasted setup), one per reconnection handshake, and one
-    /// per ARQ retransmission (connection model: every retransmit re-dials).
-    extra_connections: u64,
     /// Whether the current outage was declared by ARQ escalation rather
     /// than injected by the fault plan.
     declared_down: bool,
@@ -716,7 +679,7 @@ impl Simulation {
         // simulator used — stream identity is pinned by the ledger-digest
         // regression tests.
         Simulation {
-            protocol: ProtocolState::new(config.policy),
+            link: LinkState::new(config.policy, config.arq.map(|arq| arq.retry_budget)),
             oracle: config.oracle_check.then(|| {
                 let Ok(core) = DecisionCore::new(config.policy, CostModel::Connection) else {
                     panic!("the simulation config carries a validated policy spec");
@@ -727,7 +690,6 @@ impl Simulation {
             staged_arrival: None,
             staged_delivery: None,
             pending: VecDeque::new(),
-            in_flight: None,
             read_latency_sum: 0.0,
             reads_completed: 0,
             served: 0,
@@ -739,13 +701,7 @@ impl Simulation {
             arq: config.arq.map(Arq::new),
             link_up: true,
             outage_kind: None,
-            suspended: None,
-            pending_crash: None,
-            reconciling: false,
             arrivals_done: false,
-            exchange_messages: 0,
-            exchange_retrans: 0,
-            extra_connections: 0,
             declared_down: false,
             partitioned_since: None,
             monitor: InvariantMonitor::new(),
@@ -788,60 +744,30 @@ impl Simulation {
         } else {
             None
         };
-        let head = self.pending.is_empty() && self.suspended.is_none();
+        let head = self.pending.is_empty() && self.link.suspended().is_none();
         if let Some(arrival) = self.try_shed(arrival, reason.filter(|_| head)) {
             self.cx.tally.queued_requests += 1;
             self.pending.push_back(arrival);
         }
     }
 
-    /// Bills one transmission attempt of an envelope the protocol just
-    /// put on the wire (`attempts` counts it, 1 = the original send) and
-    /// schedules its delivery. Under the ARQ transport the attempt may be
-    /// lost, and a retransmission timer is armed behind it.
-    /// `reconciliation` routes the attempt tally to the handshake counters
-    /// instead of the at-risk exchange tally.
-    fn transmit(&mut self, ticket: Ticket, reconciliation: bool, attempts: u32) {
+    /// Carries attempt `attempt` (1 = the original send) of an envelope
+    /// the link just sent and billed: schedules its delivery. Under the
+    /// ARQ transport the attempt may be lost, and a retransmission timer
+    /// is armed behind it.
+    fn transmit(&mut self, ticket: Ticket, attempt: u32) {
         debug_assert!(self.link_up, "a transmission while the link is down");
-        self.bill_attempt(ticket, reconciliation);
         let cell_extra = self.mobility.as_ref().map_or(0.0, |m| m.cell_extra);
         let arrives = self.cx.now + self.config.latency + cell_extra;
         let Some(arq) = self.arq.as_mut() else {
             self.schedule_delivery(ticket, arrives);
             return;
         };
-        let (lost, at) = arq.attempt(self.cx.now, ticket, reconciliation, attempts);
-        if attempts > 1 {
-            self.cx.tally.retransmissions += 1;
-            if !reconciliation {
-                self.exchange_retrans += 1;
-            }
-            // Connection model: every retransmission re-dials.
-            self.extra_connections += 1;
-        }
+        let (lost, at) = arq.attempt(self.cx.now, attempt);
         if !lost {
             self.schedule_delivery(ticket, arrives);
         }
         self.cx.arm(Wakeup::ArqTimeout, at);
-    }
-
-    /// Bills one transmission attempt on the wireless link to its message
-    /// class, and to the handshake counters or the at-risk exchange tally.
-    fn bill_attempt(&mut self, ticket: Ticket, reconciliation: bool) {
-        match ticket.class {
-            crate::wire::MessageClass::Data => self.cx.tally.data_messages += 1,
-            crate::wire::MessageClass::Control => self.cx.tally.control_messages += 1,
-            crate::wire::MessageClass::Invalidation => {
-                // Invalidation traffic rides the wired backbone, never the
-                // MC/SC wireless link.
-                unreachable!("invalidation-class traffic on the wireless link")
-            }
-        }
-        if reconciliation {
-            self.cx.tally.reconciliation_messages += 1;
-        } else {
-            self.exchange_messages += 1;
-        }
     }
 
     /// Schedules the delivery of `ticket` plus any ghost copies
@@ -868,24 +794,26 @@ impl Simulation {
         }
     }
 
-    /// The retransmission timer of the unacknowledged envelope fired:
-    /// either retransmit (budget permitting) or escalate to a declared
+    /// The retransmission timer of the envelope in the slot fired: the
+    /// link retransmits it (budget permitting) or escalates to a declared
     /// disconnection.
     fn handle_arq_timeout(&mut self) {
-        let Some(arq) = &mut self.arq else {
-            return;
-        };
-        match arq.expire() {
-            (out, None) => self.transmit(out.ticket, out.reconciliation, out.attempts + 1),
-            (_, Some(probe)) => self.escalate_partition(probe),
+        match self.link.timeout(&mut self.cx.tally) {
+            Timeout::Retransmit { ticket, attempt } => self.transmit(ticket, attempt),
+            Timeout::Escalated { attempts } => {
+                let Some(arq) = &mut self.arq else {
+                    unreachable!("the ARQ timer is armed only under the ARQ transport")
+                };
+                let probe = arq.probe(attempts);
+                self.escalate_partition(probe);
+            }
         }
     }
 
-    /// The retry budget is exhausted: declare the link disconnected, feed
-    /// the exchange to the existing reconnect/suspend machinery, and probe
-    /// for the link after `probe`.
+    /// The retry budget is exhausted and the link severed its exchange:
+    /// declare the link disconnected, degrade if the partition is old
+    /// enough, and probe for the link after `probe`.
     fn escalate_partition(&mut self, probe: f64) {
-        self.cx.tally.retry_escalations += 1;
         self.link_up = false;
         self.declared_down = true;
         // A declared partition behaves like a doze: both sides keep their
@@ -894,30 +822,10 @@ impl Simulation {
         if self.partitioned_since.is_none() {
             self.partitioned_since = Some(self.cx.now);
         }
-        self.abort_on_outage();
         if self.degraded_since().is_some() {
             self.degrade_pending();
         }
         self.schedule_link_up(probe);
-    }
-
-    /// The link is gone, and with it everything on the wire. An exchange
-    /// in flight is aborted: its billed attempts become aborted traffic,
-    /// its connection setup is wasted, and it waits, suspended, for the
-    /// link. An interrupted handshake restarts wholesale at the next
-    /// link-up (`pending_crash` and the protocol's `recovering` flag both
-    /// persist).
-    fn abort_on_outage(&mut self) {
-        let aborted = self.protocol.disconnect();
-        if let Some(exchange) = self.in_flight.take() {
-            debug_assert_eq!(aborted, Some(exchange.request));
-            self.cx.tally.aborted_messages += self.exchange_messages;
-            self.exchange_messages = 0;
-            self.exchange_retrans = 0;
-            self.extra_connections += 1;
-            self.suspended = Some(exchange);
-        }
-        self.reconciling = false;
     }
 
     /// Arms the link's return after `delay`, superseding any link-up
@@ -937,9 +845,10 @@ impl Simulation {
     /// Whether serving `request` requires the wireless link in the current
     /// protocol state (the complement of local reads and silent writes).
     fn needs_wire(&self, request: Request) -> bool {
+        let protocol = self.link.protocol();
         match request {
-            Request::Read => !self.protocol.mc().has_copy(),
-            Request::Write => self.protocol.sc().mc_has_copy(),
+            Request::Read => !protocol.mc().has_copy(),
+            Request::Write => protocol.sc().mc_has_copy(),
         }
     }
 
@@ -980,20 +889,10 @@ impl Simulation {
     /// exchange — it needed the wire by construction — and every queued
     /// request that needs the wire, then serve what can complete locally.
     fn degrade_pending(&mut self) {
-        if let Some(exchange) = self.suspended.take() {
+        if let Some(exchange) = self.link.shed_suspended() {
             self.shed_request(exchange, ShedReason::DegradedPartition);
         }
         self.shed_wire_needing(ShedReason::DegradedPartition);
-    }
-
-    /// Bills the transport-level acknowledgement that closes a completed
-    /// exchange (control class; never retransmitted, never acked).
-    fn bill_ack(&mut self) {
-        if self.arq.is_none() {
-            return;
-        }
-        self.cx.tally.control_messages += 1;
-        self.cx.tally.arq_acks += 1;
     }
 
     /// Runs the protocol over `workload` until `requests` more relevant
@@ -1032,12 +931,7 @@ impl Simulation {
             // With no arrivals left and nothing in service, the only events
             // remaining are self-perpetuating maintenance (link faults,
             // handoffs) and ghost deliveries: stop instead of chasing them.
-            if self.arrivals_done
-                && self.in_flight.is_none()
-                && self.suspended.is_none()
-                && !self.reconciling
-                && self.pending.is_empty()
-            {
+            if self.arrivals_done && self.link.idle() && self.pending.is_empty() {
                 break;
             }
             // Pick the earliest of the two staged events and the cached
@@ -1179,10 +1073,7 @@ impl Simulation {
     /// without the wire may proceed: local reads survive a doze or an SC
     /// outage (not an MC crash), silent writes need a live SC only.
     fn can_begin_service(&self, request: Request) -> bool {
-        if self.in_flight.is_some() || self.suspended.is_some() || !self.pending.is_empty() {
-            return false;
-        }
-        self.request_is_servable(request)
+        self.link.accepts() && self.pending.is_empty() && self.request_is_servable(request)
     }
 
     /// Whether the protocol can accept `request` in its current state:
@@ -1192,7 +1083,8 @@ impl Simulation {
     /// cases `can_begin_service` documents. Shared by the fresh-arrival
     /// gate and the queue drain so neither can overtake a handshake.
     fn request_is_servable(&self, request: Request) -> bool {
-        if self.reconciling || self.protocol.recovering() {
+        let protocol = self.link.protocol();
+        if protocol.recovering() {
             return false;
         }
         // A stuck handoff (aborted at least once, by its deadline or by
@@ -1208,23 +1100,22 @@ impl Simulation {
         }
         match (self.outage_kind, request) {
             (Some(FaultKind::Doze | FaultKind::ScOutage), Request::Read) => {
-                self.protocol.mc().has_copy()
+                protocol.mc().has_copy()
             }
             (
                 Some(FaultKind::Doze | FaultKind::CrashVolatile | FaultKind::CrashStable),
                 Request::Write,
-            ) => !self.protocol.sc().mc_has_copy(),
+            ) => !protocol.sc().mc_has_copy(),
             _ => false,
         }
     }
 
-    /// Starts serving one arrival by submitting it to the protocol. Local
-    /// operations complete inline; remote ones put a message on the wire and
-    /// park in `in_flight`.
+    /// Starts serving one arrival by submitting it to the link. Local
+    /// operations complete inline; remote ones put a message on the wire.
     fn begin_service(&mut self, arrival: Arrival) {
-        debug_assert!(self.in_flight.is_none());
-        match self.protocol.submit(arrival.request) {
-            StepOutcome::Completed(action) => {
+        debug_assert!(self.link.serving().is_none());
+        match self.link.submit(arrival, &mut self.cx.tally) {
+            LinkStep::Completed(arrival, action) => {
                 if action == Action::LocalRead {
                     self.reads_completed += 1; // zero added latency
                     if let Some(since) = self.degraded_since() {
@@ -1243,97 +1134,47 @@ impl Simulation {
                 }
                 self.complete(arrival, action);
             }
-            StepOutcome::Sent(ticket) => {
+            LinkStep::Sent(ticket) => {
                 debug_assert!(
                     self.link_up,
                     "wire traffic submitted while the link is down"
                 );
-                self.in_flight = Some(arrival);
-                self.transmit(ticket, false, 1);
+                self.transmit(ticket, 1);
             }
-            StepOutcome::Reconciled => unreachable!("submit never reconciles"),
+            LinkStep::Reconciled(_) => unreachable!("submit never reconciles"),
         }
     }
 
-    /// Re-submits an exchange a disconnection aborted. Its queueing stats
-    /// were recorded at the original submission and its schedule entry is
-    /// recorded at completion; only the protocol work is redone. The
-    /// recovery may have changed the
-    /// allocation state enough that the retry now completes locally (e.g.
-    /// a propagating write turns silent once the replica was retracted).
-    /// A read never does: it became an exchange because the MC held no
-    /// replica, and neither an outage nor a reconciliation installs one,
-    /// so a resumed read always re-sends and its latency is tallied when
-    /// its response lands.
-    fn resume_service(&mut self, exchange: Arrival) {
-        debug_assert!(self.in_flight.is_none());
-        match self.protocol.submit(exchange.request) {
-            StepOutcome::Completed(action) => {
-                debug_assert_eq!(
-                    exchange.request,
-                    Request::Write,
-                    "a resumed read completed without the wire"
-                );
-                self.complete(exchange, action);
-            }
-            StepOutcome::Sent(ticket) => {
-                self.in_flight = Some(exchange);
-                self.transmit(ticket, false, 1);
-            }
-            StepOutcome::Reconciled => unreachable!("submit never reconciles"),
-        }
-    }
-
-    /// Handles a scheduled delivery by stepping the protocol's transition
-    /// relation — if the ticket's envelope is still current. Ghost
-    /// deliveries (duplicates, stale reorders, envelopes destroyed by a
-    /// disconnection) are discarded by the protocol's epoch/sequence
-    /// guards.
+    /// Handles a scheduled delivery by stepping the link — if the ticket's
+    /// envelope is still current. Ghost deliveries (duplicates, stale
+    /// reorders, envelopes destroyed by a disconnection) are discarded by
+    /// the protocol's epoch/sequence guards.
     fn handle_delivery(&mut self, ticket: Ticket) {
-        let Some(outcome) = self.protocol.receive(ticket) else {
-            self.cx.tally.discarded_deliveries += 1;
+        let Some(step) = self.link.receive(ticket, &mut self.cx.tally) else {
             return;
         };
-        if let Some(arq) = &mut self.arq {
+        if self.arq.is_some() {
             // The envelope got through: its retransmission timer is
             // settled, and any partition in progress has healed.
-            arq.acknowledge(ticket, &mut self.cx);
+            self.cx.disarm(Wakeup::ArqTimeout);
             if let Some(since) = self.partitioned_since.take() {
                 self.cx.tally.recovery_time_sum += self.cx.now - since;
                 self.cx.tally.recoveries += 1;
             }
         }
-        match outcome {
-            StepOutcome::Sent(response) => {
-                // The response acknowledges the delivered envelope
-                // implicitly; its own timer takes over the outstanding slot.
-                let reconciliation = self.reconciling;
-                self.transmit(response, reconciliation, 1);
-            }
-            StepOutcome::Completed(action) => {
-                let Some(exchange) = self.in_flight.take() else {
-                    unreachable!("completion without an exchange in flight")
-                };
+        match step {
+            // The response acknowledges the delivered envelope implicitly;
+            // its own timer takes over.
+            LinkStep::Sent(response) => self.transmit(response, 1),
+            LinkStep::Completed(exchange, action) => {
                 if matches!(action, Action::RemoteRead { .. }) {
                     self.read_latency_sum += self.cx.now - exchange.time;
                     self.reads_completed += 1;
                 }
-                // Nothing speaks next in this exchange: close it with an
-                // explicit transport-level acknowledgement.
-                self.bill_ack();
-                self.exchange_messages = 0;
-                self.cx.tally.settled_retransmissions += self.exchange_retrans;
-                self.exchange_retrans = 0;
                 self.complete(exchange, action);
                 self.drain_pending();
             }
-            StepOutcome::Reconciled => {
-                self.bill_ack();
-                self.reconciling = false;
-                self.pending_crash = None;
-                self.cx.tally.reconciliations += 1;
-                self.resume_after_outage();
-            }
+            LinkStep::Reconciled(suspended) => self.resume_after_outage(suspended),
         }
     }
 
@@ -1345,7 +1186,7 @@ impl Simulation {
     /// probe re-drains once the handshake settles. Respects the request
     /// target exactly.
     fn drain_pending(&mut self) {
-        while self.in_flight.is_none() && self.served < self.target {
+        while self.link.serving().is_none() && self.served < self.target {
             match self.pending.front() {
                 Some(&next) if self.request_is_servable(next.request) => {
                     self.pending.pop_front();
@@ -1368,8 +1209,8 @@ impl Simulation {
         // An injected outage supersedes a declared (ARQ) partition in
         // progress; the partition start time is kept for MTTR purposes.
         self.declared_down = false;
-        if let Some(arq) = &mut self.arq {
-            arq.abandon(&mut self.cx);
+        if self.arq.is_some() {
+            self.cx.disarm(Wakeup::ArqTimeout);
             if self.partitioned_since.is_none() {
                 self.partitioned_since = Some(self.cx.now);
             }
@@ -1390,28 +1231,22 @@ impl Simulation {
         // the same instant as an MC crash therefore always aborts the
         // exchange before the crash is bookkept, regardless of scheduling
         // order.
-        self.abort_on_outage();
-        if matches!(kind, FaultKind::CrashVolatile | FaultKind::CrashStable) {
-            let volatile = matches!(kind, FaultKind::CrashVolatile);
-            // A second crash before the first reconciled keeps the stronger
-            // (volatile) classification.
-            self.pending_crash = Some(self.pending_crash.unwrap_or(false) || volatile);
-            if volatile {
-                // The oracle learns of the loss at crash time; the protocol
-                // applies it when the handshake starts. No request is served
-                // in between, so the two stay equivalent (and the policy
-                // hook is idempotent over the gap).
-                if let Some(oracle) = &mut self.oracle {
-                    oracle.on_replica_lost();
-                }
+        self.link.sever(kind, &mut self.cx.tally);
+        if kind == FaultKind::CrashVolatile {
+            // The oracle learns of the loss at crash time; the protocol
+            // applies it when the handshake starts. No request is served in
+            // between, so the two stay equivalent (and the policy hook is
+            // idempotent over the gap).
+            if let Some(oracle) = &mut self.oracle {
+                oracle.on_replica_lost();
             }
         }
         self.schedule_link_up(duration);
     }
 
-    /// The link comes back: bump the epoch (stale deliveries self-discard
-    /// from here on), then either run the owed reconciliation handshake or
-    /// resume service directly.
+    /// The link comes back: the link bumps the epoch (stale deliveries
+    /// self-discard from here on), then either runs the owed
+    /// reconciliation handshake or service resumes directly.
     fn handle_link_up(&mut self) {
         debug_assert!(!self.link_up, "link-up while already up");
         // Healing a *declared* (ARQ-escalated) partition must not draw a
@@ -1421,30 +1256,32 @@ impl Simulation {
         self.link_up = true;
         self.declared_down = false;
         self.outage_kind = None;
-        self.protocol.reconnect();
+        let restored = self.link.restore(&mut self.cx.tally);
         if let Some(faults) = self.faults.as_mut().filter(|_| heals_injected) {
             faults.schedule_link_down(&mut self.cx);
         }
-        if let Some(volatile) = self.pending_crash {
-            self.reconciling = true;
-            match self.protocol.begin_reconciliation(volatile) {
-                StepOutcome::Sent(ticket) => {
-                    self.extra_connections += 1; // the handshake's connection
-                    self.transmit(ticket, true, 1);
-                }
-                outcome => unreachable!("reconciliation must start with a send: {outcome:?}"),
-            }
-        } else {
-            self.resume_after_outage();
+        match restored {
+            Restored::Handshake(ticket) => self.transmit(ticket, 1),
+            Restored::Resume(suspended) => self.resume_after_outage(suspended),
         }
     }
 
-    /// Retries the suspended exchange (if any) and drains the queue —
-    /// called at link-up for fault kinds that owe no handshake, and after
-    /// `Reconciled` for the ones that do.
-    fn resume_after_outage(&mut self) {
-        if let Some(exchange) = self.suspended.take() {
-            self.resume_service(exchange);
+    /// Retries the exchange an outage suspended (if any) and drains the
+    /// queue — called at link-up for fault kinds that owe no handshake,
+    /// and once the handshake is acknowledged for the ones that do. The
+    /// recovery may have changed the allocation state enough that the
+    /// retry now completes locally (a propagating write turns silent once
+    /// the replica was retracted). A read never does: it became an
+    /// exchange because the MC held no replica, and neither an outage nor
+    /// a reconciliation installs one, so its latency is tallied when its
+    /// response lands.
+    fn resume_after_outage(&mut self, suspended: Option<Arrival>) {
+        if let Some(exchange) = suspended {
+            debug_assert!(
+                exchange.request == Request::Write || self.needs_wire(Request::Read),
+                "a resumed read would complete without the wire"
+            );
+            self.begin_service(exchange);
         }
         self.drain_pending();
     }
@@ -1463,19 +1300,10 @@ impl Simulation {
         // Protocol safety: replica agreement, freshness, single window
         // owner — checked online by the monitor, even mid-fault.
         self.monitor
-            .check_completion(self.config.policy, &self.protocol, action);
-        // Ledger consistency: every billed attempt is accounted for. The
-        // at-risk tallies of the exchange that just completed were settled
-        // before `complete` ran, so the identity is exact here.
-        let counts = self.protocol.counts();
-        self.monitor.check_billing(
-            self.cx.tally.data_messages + self.cx.tally.control_messages,
-            counts.data_messages() + counts.control_messages(),
-            self.cx.tally.settled_retransmissions,
-            self.cx.tally.aborted_messages + self.exchange_messages,
-            self.cx.tally.reconciliation_messages,
-            self.cx.tally.arq_acks,
-        );
+            .check_completion(self.config.policy, self.link.protocol(), action);
+        // Ledger consistency: every billed attempt is accounted for, per
+        // message class.
+        self.link.check_billing(&mut self.monitor, &self.cx.tally);
         // Handoff-ledger consistency (mobility extension). An inert plan
         // has no layer and must reproduce the single-cell run exactly —
         // including the check counter.
@@ -1495,20 +1323,18 @@ impl Simulation {
             );
             assert_eq!(
                 decision.has_copy,
-                self.protocol.mc().has_copy(),
+                self.link.protocol().mc().has_copy(),
                 "replica state diverged"
             );
         }
     }
 
     /// The tally plus the fields derived from other state: the protocol
-    /// ledger's counts, the connections they imply, the clock, the mean
-    /// read latency and the monitor's check count.
+    /// ledger's counts, the clock, the mean read latency and the monitor's
+    /// check count.
     fn report(&self) -> SimReport {
-        let counts = self.protocol.counts();
         SimReport {
-            counts,
-            connections: counts.connections() + self.extra_connections,
+            counts: self.link.protocol().counts(),
             makespan: self.cx.now,
             mean_read_latency: if self.reads_completed == 0 {
                 0.0

@@ -33,7 +33,7 @@
 //! simulation run and *must* report identical ledgers.
 //!
 //! See `docs/sweeps.md` for the seed-derivation spec, the
-//! [`SweepSummary`] merge law, and the migration table from the
+//! [`SweepSummary`] reduction, and the migration table from the
 //! deprecated per-experiment loops.
 
 use crate::builder::{validate_latency, validate_policy};
@@ -642,25 +642,6 @@ impl Moments {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Chan's parallel combination: exact sample count, and mean/M2 equal
-    /// to a sequential fold up to float rounding. (The sweep engine never
-    /// relies on this for its byte-identity guarantee — it always folds
-    /// sequentially; `merge` exists for combining summaries of *disjoint*
-    /// grids, e.g. shards swept on different machines.)
-    pub fn merge(&self, other: &Moments) -> Moments {
-        if self.n == 0 {
-            return *other;
-        }
-        if other.n == 0 {
-            return *self;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * (other.n as f64 / n as f64);
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64 / n as f64);
-        Moments { n, mean, m2 }
-    }
-
     /// Unbiased sample variance (0 with fewer than two samples).
     pub fn variance(&self) -> f64 {
         if self.n < 2 {
@@ -824,54 +805,6 @@ impl SweepEntry {
         self.invalidation_messages += report.invalidation_messages;
         self.stale_reads += report.stale_reads;
     }
-
-    fn same_group(&self, other: &SweepEntry) -> bool {
-        self.policy == other.policy
-            && self.theta.to_bits() == other.theta.to_bits()
-            && self.fault_index == other.fault_index
-            && self.arq_index == other.arq_index
-            && self.topology_index == other.topology_index
-            && match (self.model, other.model) {
-                (CostModel::Connection, CostModel::Connection) => true,
-                (CostModel::Message { omega: a }, CostModel::Message { omega: b }) => {
-                    a.to_bits() == b.to_bits()
-                }
-                _ => false,
-            }
-    }
-
-    fn merge(&self, other: &SweepEntry) -> SweepEntry {
-        SweepEntry {
-            policy: self.policy,
-            theta: self.theta,
-            model: self.model,
-            fault_index: self.fault_index,
-            arq_index: self.arq_index,
-            topology_index: self.topology_index,
-            cost_per_request: self.cost_per_request.merge(&other.cost_per_request),
-            competitive_ratio: self.competitive_ratio.merge(&other.competitive_ratio),
-            requests: self.requests + other.requests,
-            data_messages: self.data_messages + other.data_messages,
-            control_messages: self.control_messages + other.control_messages,
-            connections: self.connections + other.connections,
-            retransmissions: self.retransmissions + other.retransmissions,
-            disconnects: self.disconnects + other.disconnects,
-            reconciliations: self.reconciliations + other.reconciliations,
-            arq_acks: self.arq_acks + other.arq_acks,
-            retry_escalations: self.retry_escalations + other.retry_escalations,
-            shed_requests: self.shed_requests + other.shed_requests,
-            degraded_reads: self.degraded_reads + other.degraded_reads,
-            mttr: self.mttr.merge(&other.mttr),
-            shed_rate: self.shed_rate.merge(&other.shed_rate),
-            staleness: self.staleness.merge(&other.staleness),
-            migrations: self.migrations + other.migrations,
-            handoffs_committed: self.handoffs_committed + other.handoffs_committed,
-            handoffs_aborted: self.handoffs_aborted + other.handoffs_aborted,
-            handoff_messages: self.handoff_messages + other.handoff_messages,
-            invalidation_messages: self.invalidation_messages + other.invalidation_messages,
-            stale_reads: self.stale_reads + other.stale_reads,
-        }
-    }
 }
 
 /// The reduced statistics of a sweep: one [`SweepEntry`] per
@@ -880,27 +813,6 @@ impl SweepEntry {
 pub struct SweepSummary {
     /// Group entries in canonical order.
     pub entries: Vec<SweepEntry>,
-}
-
-impl SweepSummary {
-    /// Combines two summaries of the *same grid shape* swept over disjoint
-    /// replication sets (e.g. shards run on different machines):
-    /// `summary(A ⊎ B) = summary(A).merge(summary(B))` with counts exact
-    /// and moments combined by Chan's law. Returns `None` when the entry
-    /// lists don't describe the same groups in the same order.
-    pub fn merge(&self, other: &SweepSummary) -> Option<SweepSummary> {
-        if self.entries.len() != other.entries.len() {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(self.entries.len());
-        for (a, b) in self.entries.iter().zip(&other.entries) {
-            if !a.same_group(b) {
-                return None;
-            }
-            entries.push(a.merge(b));
-        }
-        Some(SweepSummary { entries })
-    }
 }
 
 /// One run's position on each axis of its grid.
@@ -1417,40 +1329,6 @@ mod tests {
         let out = parallel_map(5, 0, 0, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
         assert!(parallel_map(0, 3, 1, |i| i).is_empty());
-    }
-
-    #[test]
-    fn summary_merge_law_on_disjoint_shards() {
-        // Two disjoint shards (different grid seeds, same shape) merge into
-        // the union's counts; moments follow Chan's law.
-        let shard = |seed| {
-            SweepGrid::new(seed)
-                .policies(vec![PolicySpec::St2])
-                .and_then(|g| g.thetas(vec![0.4]))
-                .and_then(|g| g.replications(3))
-                .and_then(|g| g.requests(400))
-                .unwrap()
-                .run_serial()
-        };
-        let a = shard(1).summary;
-        let b = shard(2).summary;
-        let merged = a.merge(&b).unwrap();
-        assert_eq!(merged.entries.len(), 1);
-        let entry = &merged.entries[0];
-        assert_eq!(entry.cost_per_request.n, 6);
-        assert_eq!(entry.requests, 6 * 400);
-        // Chan's merge equals the pooled mean up to rounding.
-        let pooled = (a.entries[0].cost_per_request.mean * 3.0
-            + b.entries[0].cost_per_request.mean * 3.0)
-            / 6.0;
-        assert!((entry.cost_per_request.mean - pooled).abs() < 1e-12);
-        // Shape mismatch is a None, not a panic.
-        let other_shape = shard(1);
-        let wide = SweepGrid::new(9)
-            .policies(vec![PolicySpec::St1, PolicySpec::St2])
-            .unwrap()
-            .run_serial();
-        assert!(other_shape.summary.merge(&wide.summary).is_none());
     }
 
     #[test]

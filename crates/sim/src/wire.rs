@@ -2,7 +2,10 @@
 //! between the mobile computer and the stationary computer, and their
 //! control/data classification for message-model accounting. Beyond the
 //! paper's four §3 kinds, the fault extension adds the reconnection
-//! handshake and the transport-level ARQ acknowledgement.
+//! handshake. (The ARQ transport's acknowledgements and the handoff's
+//! backbone legs never enter the protocol state: their owners bill them as
+//! counts, see [`LinkState`](crate::LinkState) and
+//! [`HandoffState`](crate::HandoffState).)
 
 use mdr_core::RequestWindow;
 
@@ -15,29 +18,14 @@ pub enum Endpoint {
     Stationary,
 }
 
-impl Endpoint {
-    /// The opposite end of the link.
-    pub fn peer(self) -> Endpoint {
-        match self {
-            Endpoint::Mobile => Endpoint::Stationary,
-            Endpoint::Stationary => Endpoint::Mobile,
-        }
-    }
-}
-
 /// Message-model billing class (§3): data messages carry the item and cost
-/// 1; control messages carry only control information. The mobility layer
-/// (`docs/topology.md`) adds a third class for the broadcast invalidation
-/// that drops stale replicas from non-owner cells on handoff commit —
-/// backbone traffic billed separately from the §3 wireless bill.
+/// 1; control messages carry only control information.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageClass {
     /// Carries the data item.
     Data,
     /// Carries only control information (read-requests, delete-requests).
     Control,
-    /// Invalidates stale replicas at non-owner cells (mobility extension).
-    Invalidation,
 }
 
 /// A message on the wireless link.
@@ -97,46 +85,6 @@ pub enum WireMessage {
         /// Fresh item version re-establishing the replica, if any.
         refresh: Option<u64>,
     },
-    /// A transport-level acknowledgement of the envelope with sequence
-    /// number `of_seq` (ARQ extension; `docs/faults.md`). Sent when a
-    /// delivery completes an exchange — deliveries that provoke a protocol
-    /// response are acknowledged implicitly by that response. Acks are
-    /// never themselves acked or retransmitted.
-    Ack {
-        /// Sequence number of the envelope being acknowledged.
-        of_seq: u64,
-    },
-    /// Origin SC → target SC: the first handoff leg, announcing that the MC
-    /// migrated and opening handoff epoch `epoch` (mobility extension;
-    /// `docs/topology.md`). Backbone traffic: never crosses the wireless
-    /// link or enters the §4 protocol state.
-    HandoffRequest {
-        /// The handoff epoch this attempt runs under (the fence).
-        epoch: u64,
-    },
-    /// Origin SC → target SC: the second handoff leg, shipping the replica
-    /// state (primary version, SWk window, T1/T2 streaks) — the one
-    /// data-class leg of the handoff.
-    StateTransfer {
-        /// The handoff epoch this attempt runs under (the fence).
-        epoch: u64,
-        /// The primary's version at the origin when the snapshot was taken.
-        version: u64,
-    },
-    /// Target SC → origin SC: the third handoff leg. Ownership moves to the
-    /// target exactly when this lands at the origin under the current
-    /// epoch; stale, duplicated or reordered commits are discarded.
-    HandoffCommit {
-        /// The handoff epoch being committed (the fence).
-        epoch: u64,
-    },
-    /// Owner SC → stale cell(s): drop the stale replica after a handoff
-    /// commit. Billed in the third message class, per stale cell or as a
-    /// single broadcast depending on the topology configuration.
-    Invalidate {
-        /// The version at or below which replicas are stale.
-        version: u64,
-    },
 }
 
 impl WireMessage {
@@ -194,55 +142,19 @@ impl WireMessage {
         WireMessage::ReconnectAck { epoch, refresh }
     }
 
-    /// Builds a transport-level ARQ acknowledgement of sequence `of_seq`
-    /// (robustness extension; `docs/faults.md`).
-    pub fn ack(of_seq: u64) -> Self {
-        WireMessage::Ack { of_seq }
-    }
-
-    /// Builds the first handoff leg, opening handoff epoch `epoch`
-    /// (mobility extension; `docs/topology.md`).
-    pub fn handoff_request(epoch: u64) -> Self {
-        WireMessage::HandoffRequest { epoch }
-    }
-
-    /// Builds the second handoff leg, shipping the replica snapshot taken
-    /// at primary version `version` under handoff epoch `epoch`.
-    pub fn state_transfer(epoch: u64, version: u64) -> Self {
-        WireMessage::StateTransfer { epoch, version }
-    }
-
-    /// Builds the third handoff leg, committing handoff epoch `epoch`.
-    pub fn handoff_commit(epoch: u64) -> Self {
-        WireMessage::HandoffCommit { epoch }
-    }
-
-    /// Builds the invalidation that drops replicas stale at or below
-    /// `version` from non-owner cells after a handoff commit.
-    pub fn invalidate(version: u64) -> Self {
-        WireMessage::Invalidate { version }
-    }
-
     /// Billing class of this message (§3). The reconnection handshake is
-    /// control traffic unless the acknowledgement re-ships the item; the
-    /// handoff legs bill control except the state transfer, which carries
-    /// the replica; invalidations bill in their own class.
+    /// control traffic unless the acknowledgement re-ships the item.
     pub fn class(&self) -> MessageClass {
         match self {
             WireMessage::ReadRequest
             | WireMessage::DeleteRequest { .. }
             | WireMessage::Reconnect { .. }
-            | WireMessage::Ack { .. }
-            | WireMessage::HandoffRequest { .. }
-            | WireMessage::HandoffCommit { .. }
             | WireMessage::ReconnectAck { refresh: None, .. } => MessageClass::Control,
             WireMessage::DataResponse { .. }
             | WireMessage::WritePropagation { .. }
-            | WireMessage::StateTransfer { .. }
             | WireMessage::ReconnectAck {
                 refresh: Some(_), ..
             } => MessageClass::Data,
-            WireMessage::Invalidate { .. } => MessageClass::Invalidation,
         }
     }
 
@@ -255,11 +167,6 @@ impl WireMessage {
             WireMessage::DeleteRequest { .. } => "delete-request",
             WireMessage::Reconnect { .. } => "reconnect",
             WireMessage::ReconnectAck { .. } => "reconnect-ack",
-            WireMessage::Ack { .. } => "ack",
-            WireMessage::HandoffRequest { .. } => "handoff-request",
-            WireMessage::StateTransfer { .. } => "state-transfer",
-            WireMessage::HandoffCommit { .. } => "handoff-commit",
-            WireMessage::Invalidate { .. } => "invalidate",
         }
     }
 }
@@ -302,32 +209,6 @@ mod tests {
             WireMessage::reconnect_ack(1, Some(4)).class(),
             MessageClass::Data
         );
-        // Transport-level ARQ acks carry no item: pure control.
-        assert_eq!(WireMessage::ack(3).class(), MessageClass::Control);
-        // Handoff legs: control except the state transfer, which ships the
-        // replica; invalidations bill in the third class.
-        assert_eq!(
-            WireMessage::handoff_request(1).class(),
-            MessageClass::Control
-        );
-        assert_eq!(
-            WireMessage::state_transfer(1, 4).class(),
-            MessageClass::Data
-        );
-        assert_eq!(
-            WireMessage::handoff_commit(1).class(),
-            MessageClass::Control
-        );
-        assert_eq!(
-            WireMessage::invalidate(4).class(),
-            MessageClass::Invalidation
-        );
-    }
-
-    #[test]
-    fn endpoints_are_duals() {
-        assert_eq!(Endpoint::Mobile.peer(), Endpoint::Stationary);
-        assert_eq!(Endpoint::Stationary.peer(), Endpoint::Mobile);
     }
 
     #[test]
@@ -345,14 +226,9 @@ mod tests {
             WireMessage::DeleteRequest { window: None }.kind(),
             WireMessage::reconnect(0, None).kind(),
             WireMessage::reconnect_ack(0, None).kind(),
-            WireMessage::ack(0).kind(),
-            WireMessage::handoff_request(0).kind(),
-            WireMessage::state_transfer(0, 0).kind(),
-            WireMessage::handoff_commit(0).kind(),
-            WireMessage::invalidate(0).kind(),
         ]
         .into_iter()
         .collect();
-        assert_eq!(kinds.len(), 11);
+        assert_eq!(kinds.len(), 6);
     }
 }

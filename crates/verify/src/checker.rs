@@ -3,46 +3,51 @@
 //! in faulty mode — disconnections, MC crashes and reconnection handshakes,
 //! with state-hash deduplication.
 //!
-//! The state space is the product of the [`ProtocolState`] transition
-//! relation (both nodes, the wire, the ledger) with the arrival queue and
-//! the billing counters. Transitions:
+//! The state space is the product of the simulator's own [`LinkState`] —
+//! the §4 protocol, the request in service or suspended, the owed
+//! handshake, the ARQ attempt count and the per-class bill — with the
+//! arrival queue and the exploration budgets. Each transition calls the
+//! link methods the discrete-event simulator calls for the same event:
 //!
 //! * **arrival at the MC** — a read arrives: begins service immediately if
-//!   the protocol is idle, otherwise queues FIFO (§3 serialization);
+//!   the link accepts it, otherwise queues FIFO (§3 serialization);
 //! * **arrival at the SC** — a write arrives, likewise;
-//! * **message delivery** — the in-flight envelope reaches its endpoint;
+//! * **message delivery** — the in-flight envelope reaches its endpoint
+//!   through [`LinkState::receive`], the guarded path the simulator takes;
 //! * **retransmission timeout** (ARQ mode) — the attempt in flight was
-//!   lost and the sender's retry timer fires: while the per-exchange retry
-//!   budget lasts, the attempt is retransmitted and billed again with the
-//!   protocol state unchanged, which is exactly the §3 claim that loss
-//!   inflates the bill without changing the actions; once the budget is
-//!   exhausted the timeout *escalates* to a declared partition — the
-//!   exchange rolls back exactly as under a doze and is retried under the
-//!   new epoch. ARQ mode also bills one control-class acknowledgement per
-//!   completed exchange and per reconciliation, mirroring the simulator's
-//!   transport;
-//! * **doze** (faulty mode) — the link drops and comes back: any exchange
-//!   in flight is rolled back to its checkpoint and retried under the new
-//!   epoch, its billed attempts written off as aborted;
+//!   lost and the sender's retry timer fires ([`LinkState::timeout`]):
+//!   while the retry budget lasts, the attempt is retransmitted and billed
+//!   again with the protocol state unchanged, which is exactly the §3
+//!   claim that loss inflates the bill without changing the actions; once
+//!   the budget is exhausted the timeout *escalates* to a declared
+//!   partition, and the link comes straight back ([`LinkState::restore`]);
+//! * **doze** (faulty mode) — the link drops and comes back
+//!   ([`LinkState::sever`], then `restore`): any exchange in flight is
+//!   rolled back and retried under the new epoch, its billed attempts
+//!   written off as aborted;
 //! * **MC crash, volatile or stable** (faulty mode) — as a doze, but the
-//!   aborted request parks in a retry slot while the reconnection
-//!   handshake (`Reconnect`/`ReconnectAck`) re-validates the replica; a
-//!   volatile crash additionally destroys the MC's replica and
-//!   window/streak bookkeeping, which the ledger invariant replays via
+//!   aborted request stays suspended while the reconnection handshake
+//!   (`Reconnect`/`ReconnectAck`) re-validates the replica; a volatile
+//!   crash additionally destroys the MC's replica and window/streak
+//!   bookkeeping, which the ledger invariant replays via
 //!   [`on_replica_lost`](mdr_core::AllocationPolicy::on_replica_lost).
 //!
 //! Every reached state passes the full [`invariants`](crate::invariants)
-//! suite. Deduplication merges states with identical protocol
-//! configuration, queue, retry slot and bill: the abstract policy's replay
-//! state is a function of the node states for every family in the paper
-//! (window contents for SWk, streak counters for T1m/T2m, nothing for the
-//! statics), so merging is sound for the ledger invariant too.
+//! suite, the link's own billing identity among them. Deduplication merges
+//! states with identical link, queue and budgets: the abstract policy's
+//! replay state is a function of the node states for every family in the
+//! paper (window contents for SWk, streak counters for T1m/T2m, nothing for
+//! the statics), so merging is sound for the ledger invariant too. The run
+//! counters the link counts into stay outside the key: the billing
+//! identity ties the ones it reads to the link's bill, so two paths into
+//! one state that both pass it stay equal under every continuation.
 
-use crate::invariants::{check_state, Invariant, StateView, Violation};
+use crate::invariants::{check_state, guarded, Invariant, StateView, Violation};
 use mdr_core::{Action, CostModel, PolicySpec, Request};
-use mdr_sim::{MessageClass, ProtocolState, StepOutcome, WireMessage};
+use mdr_sim::{
+    Envelope, FaultKind, LinkState, LinkStep, Restored, SimReport, Timeout, WireMessage,
+};
 use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Deliberate protocol mutations for the checker's self-test: each fault is
 /// seeded into in-flight messages and must be caught by an invariant (never
@@ -70,21 +75,10 @@ pub enum Fault {
     /// Silently discard an in-flight reconnection announcement: the
     /// handshake dangles with nothing to advance it.
     DropReconnect,
-    /// Announce the reconnection again while the first announcement is
-    /// still in flight: a second message on the one-slot wire, which the
+    /// Restore the link again while the reconnection announcement is still
+    /// in flight: a second announce on the one-slot wire, which the
     /// shipped protocol refuses with a panic.
     DuplicateAnnounce,
-    /// Deliver the completion acknowledgement without billing it (ARQ
-    /// mode): the transport's ack traffic silently stops appearing in the
-    /// per-class bill.
-    SkipAckBilling,
-    /// Retransmit on timeout without billing the repeated attempt (ARQ
-    /// mode): retransmissions ride the wire for free.
-    FreeRetransmit,
-    /// Escalate an exhausted retry budget to a declared partition but
-    /// "forget" the rollback: the aborted request is never resubmitted and
-    /// an interrupted handshake is never restarted.
-    EscalateWithoutRollback,
 }
 
 /// One bounded-exploration job: a policy, a depth bound, and the modes.
@@ -98,8 +92,8 @@ pub struct CheckConfig {
     /// retransmissions, budget-exhaustion escalation to a declared
     /// partition, and billed completion acknowledgements.
     pub arq: bool,
-    /// Retransmission attempts per exchange before a timeout escalates
-    /// (ARQ mode).
+    /// Retransmissions per envelope before a timeout escalates (ARQ mode):
+    /// the link's [`ArqConfig::retry_budget`](mdr_sim::ArqConfig).
     pub retry_budget: u8,
     /// Cost models under which every quiescent ledger is priced (§5/§6).
     pub models: Vec<CostModel>,
@@ -186,144 +180,36 @@ impl CheckReport {
     }
 }
 
-/// The full checker state: protocol configuration × arrival queue × retry
-/// slot × billing counters. Equality/hashing over all of it drives
+/// The full checker state: the shipped link × the arrival queue × the
+/// exploration budgets. Equality/hashing over all of it drives
 /// deduplication.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
-    protocol: ProtocolState,
+    link: LinkState<Request>,
     pending: VecDeque<Request>,
-    /// A request whose exchange an MC crash aborted, awaiting resubmission
-    /// once the reconnection handshake completes. It keeps its original
-    /// schedule slot — the retry serves the same serialized request.
-    retry: Option<Request>,
-    billed_data: u64,
-    billed_control: u64,
-    retrans_data: u64,
-    retrans_control: u64,
-    /// Billed attempts that belonged to exchanges a fault later aborted.
-    aborted_data: u64,
-    aborted_control: u64,
-    /// Billed reconnection-handshake attempts (serve no request).
-    recon_data: u64,
-    recon_control: u64,
-    /// Billed transport acknowledgements (ARQ mode; always control-class).
-    acks: u64,
-    /// Transmission attempts of the envelope currently in flight (ARQ
-    /// mode): 1 + the timeouts that have fired on it.
-    attempts: u8,
-    /// At-risk tally for the exchange in flight: attempts billed so far
-    /// (and how many of them were ARQ retransmissions), moved to the
-    /// aborted bucket if a fault kills the exchange, discharged at
-    /// completion.
-    exch_data: u64,
-    exch_control: u64,
-    exch_retrans_data: u64,
-    exch_retrans_control: u64,
     losses_left: u8,
     faults_left: u8,
 }
 
-impl State {
+/// A state reached by a path, with the run counters the path produced.
+#[derive(Debug, Clone)]
+struct Node {
+    state: State,
+    tally: SimReport,
+}
+
+impl Node {
     fn initial(config: &CheckConfig) -> Self {
-        State {
-            protocol: ProtocolState::new(config.policy),
-            pending: VecDeque::new(),
-            retry: None,
-            billed_data: 0,
-            billed_control: 0,
-            retrans_data: 0,
-            retrans_control: 0,
-            aborted_data: 0,
-            aborted_control: 0,
-            recon_data: 0,
-            recon_control: 0,
-            acks: 0,
-            attempts: 0,
-            exch_data: 0,
-            exch_control: 0,
-            exch_retrans_data: 0,
-            exch_retrans_control: 0,
-            losses_left: config.max_losses,
-            faults_left: config.max_faults,
+        let retry_budget = config.arq.then_some(u32::from(config.retry_budget));
+        Node {
+            state: State {
+                link: LinkState::new(config.policy, retry_budget),
+                pending: VecDeque::new(),
+                losses_left: config.max_losses,
+                faults_left: config.max_faults,
+            },
+            tally: SimReport::default(),
         }
-    }
-
-    /// Bills one exchange transmission attempt (tracked at-risk until the
-    /// exchange completes or aborts).
-    fn bill_exchange(&mut self, class: MessageClass) {
-        match class {
-            MessageClass::Data => {
-                self.billed_data += 1;
-                self.exch_data += 1;
-            }
-            MessageClass::Control => {
-                self.billed_control += 1;
-                self.exch_control += 1;
-            }
-            // The backbone class never enters the MC/SC wireless protocol
-            // this checker models (it has its own model in `handoff`).
-            MessageClass::Invalidation => {
-                unreachable!("invalidation-class traffic in the wireless checker")
-            }
-        }
-    }
-
-    /// Bills one reconnection-handshake transmission attempt.
-    fn bill_recon(&mut self, class: MessageClass) {
-        match class {
-            MessageClass::Data => {
-                self.billed_data += 1;
-                self.recon_data += 1;
-            }
-            MessageClass::Control => {
-                self.billed_control += 1;
-                self.recon_control += 1;
-            }
-            // See `bill_exchange`: the backbone class never reaches here.
-            MessageClass::Invalidation => {
-                unreachable!("invalidation-class traffic in the wireless checker")
-            }
-        }
-    }
-
-    /// Bills a message in the right bucket for the protocol phase: the
-    /// handshake's replies are handshake traffic, everything else belongs
-    /// to the exchange in flight.
-    fn bill_sent(&mut self, class: MessageClass) {
-        if self.protocol.recovering() {
-            self.bill_recon(class);
-        } else {
-            self.bill_exchange(class);
-        }
-    }
-
-    /// Discharges the at-risk tally: the exchange completed, so its
-    /// attempts are accounted for by the ledger (plus the retransmission
-    /// counters, which already hold the lost ones).
-    fn settle_exchange(&mut self) {
-        self.exch_data = 0;
-        self.exch_control = 0;
-        self.exch_retrans_data = 0;
-        self.exch_retrans_control = 0;
-    }
-
-    /// Writes the at-risk tally off as aborted: the retry will bill its own
-    /// messages, and the lost attempts leave the retransmission counters
-    /// (they are aborted traffic now, not ledger inflation).
-    fn abort_exchange_billing(&mut self) {
-        self.aborted_data += self.exch_data;
-        self.aborted_control += self.exch_control;
-        self.retrans_data -= self.exch_retrans_data;
-        self.retrans_control -= self.exch_retrans_control;
-        self.settle_exchange();
-    }
-
-    /// Whether an arrival can begin service inline: the protocol is idle,
-    /// no handshake is in progress, and no aborted request is waiting for
-    /// its retry (FIFO: the retry is the oldest request).
-    fn can_submit(&self) -> bool {
-        self.protocol.idle() && !self.protocol.recovering() && self.retry.is_none()
     }
 }
 
@@ -344,13 +230,13 @@ enum Transition {
 
 fn enabled(config: &CheckConfig, state: &State) -> Vec<Transition> {
     let mut transitions = Vec::with_capacity(7);
-    if !state.protocol.wire().is_empty() {
+    if state.link.protocol().wire().is_some() {
         transitions.push(Transition::Deliver);
         if config.arq && state.losses_left > 0 {
             transitions.push(Transition::ArqTimeout);
         }
     }
-    if state.can_submit() || state.pending.len() < config.max_pending {
+    if state.link.accepts() || state.pending.len() < config.max_pending {
         transitions.push(Transition::Arrive(Request::Read));
         transitions.push(Transition::Arrive(Request::Write));
     }
@@ -371,216 +257,137 @@ struct Applied {
     resets: usize,
 }
 
-/// Submits `request` to an idle protocol, billing a sent message or
-/// recording an inline completion.
-fn submit(state: &mut State, request: Request, actions: &mut Vec<Action>, applied: &mut Applied) {
-    match state.protocol.submit(request) {
-        StepOutcome::Completed(action) => {
-            actions.push(action);
-            applied.completed += 1;
-            state.attempts = 0;
-        }
-        StepOutcome::Sent(ticket) => {
-            state.attempts = 1;
-            state.bill_exchange(ticket.class);
-        }
-        StepOutcome::Reconciled => unreachable!("submit never reconciles"),
-    }
+/// One transition in progress: the node it changes and the path's trace —
+/// served requests, completed actions and volatile-crash points — with
+/// what it appended to each.
+struct Step<'a> {
+    node: &'a mut Node,
+    schedule: &'a mut Vec<Request>,
+    actions: &'a mut Vec<Action>,
+    resets: &'a mut Vec<usize>,
+    applied: Applied,
 }
 
-/// Drains the FIFO queue while the protocol stays idle, exactly as the
-/// simulator's event loop does: inline completions must not stall it.
-fn drain_queue(
-    state: &mut State,
-    schedule: &mut Vec<Request>,
-    actions: &mut Vec<Action>,
-    applied: &mut Applied,
-) {
-    while state.can_submit() {
-        let Some(next) = state.pending.pop_front() else {
-            break;
-        };
-        schedule.push(next);
-        applied.served += 1;
-        submit(state, next, actions, applied);
-    }
-}
-
-/// Applies `transition`, appending served requests to `schedule`, completed
-/// actions to `actions` and volatile-crash points to `resets`; returns how
-/// many entries each gained so the DFS can backtrack.
-fn apply(
-    config: &CheckConfig,
-    state: &mut State,
-    transition: Transition,
-    schedule: &mut Vec<Request>,
-    actions: &mut Vec<Action>,
-    resets: &mut Vec<usize>,
-) -> Applied {
-    let mut applied = Applied::default();
-    match transition {
-        Transition::Arrive(request) => {
-            if state.can_submit() {
-                debug_assert!(state.pending.is_empty(), "queue drains at completion");
-                schedule.push(request);
-                applied.served += 1;
-                submit(state, request, actions, &mut applied);
-            } else {
-                state.pending.push_back(request);
+impl Step<'_> {
+    /// Carries out what the link asked for, as the simulator does: a
+    /// completion is recorded and the queue drains; a handed-back request
+    /// is submitted again ahead of the queue.
+    fn carry(&mut self, step: LinkStep<Request>) {
+        match step {
+            LinkStep::Sent(_) => {}
+            LinkStep::Completed(_, action) => {
+                self.actions.push(action);
+                self.applied.completed += 1;
             }
+            LinkStep::Reconciled(resumed) => self.resume(resumed),
         }
-        Transition::Deliver => match state.protocol.deliver(0) {
-            StepOutcome::Sent(ticket) => {
-                state.attempts = 1;
-                state.bill_sent(ticket.class);
-            }
-            StepOutcome::Completed(action) => {
-                actions.push(action);
-                applied.completed += 1;
-                state.attempts = 0;
-                bill_ack(config, state);
-                state.settle_exchange();
-                drain_queue(state, schedule, actions, &mut applied);
-            }
-            StepOutcome::Reconciled => {
-                state.attempts = 0;
-                bill_ack(config, state);
-                // The handshake completed: the aborted request (if any)
-                // resumes first — it keeps its original schedule slot — and
-                // then the queue drains.
-                if let Some(request) = state.retry.take() {
-                    submit(state, request, actions, &mut applied);
-                }
-                drain_queue(state, schedule, actions, &mut applied);
-            }
-        },
-        Transition::ArqTimeout => {
-            debug_assert!(state.losses_left > 0);
-            state.losses_left -= 1;
-            if state.attempts <= config.retry_budget {
-                // The timer fired with budget to spare: the lost attempt
-                // is billed again and the protocol state is unchanged; the
-                // attempt count on this envelope grows toward the budget.
-                state.attempts += 1;
-                let class = state.protocol.wire()[0].message.class();
-                if state.protocol.recovering() {
-                    state.bill_recon(class);
+    }
+
+    /// Submits `request`; it enters the serialized schedule now.
+    fn serve(&mut self, request: Request) {
+        self.schedule.push(request);
+        self.applied.served += 1;
+        self.submit(request);
+    }
+
+    fn submit(&mut self, request: Request) {
+        let Node { state, tally } = &mut *self.node;
+        let step = state.link.submit(request, tally);
+        self.carry(step);
+    }
+
+    /// Resubmits a request the link handed back — it keeps its original
+    /// schedule slot — then drains the queue.
+    fn resume(&mut self, resumed: Option<Request>) {
+        if let Some(request) = resumed {
+            self.submit(request);
+        }
+        self.drain();
+    }
+
+    /// Drains the FIFO queue while the link accepts requests, exactly as
+    /// the simulator's event loop does: inline completions must not stall
+    /// it.
+    fn drain(&mut self) {
+        while self.node.state.link.accepts() {
+            let Some(next) = self.node.state.pending.pop_front() else {
+                break;
+            };
+            self.serve(next);
+        }
+    }
+
+    /// The link is back: the owed handshake begins, or the suspended
+    /// request resumes.
+    fn restore(&mut self) {
+        let Node { state, tally } = &mut *self.node;
+        if let Restored::Resume(resumed) = state.link.restore(tally) {
+            self.resume(resumed);
+        }
+    }
+
+    /// The link drops for an outage of `kind` and comes straight back.
+    fn outage(&mut self, kind: FaultKind) {
+        let Node { state, tally } = &mut *self.node;
+        state.faults_left -= 1;
+        state.link.sever(kind, tally);
+        if kind == FaultKind::CrashVolatile {
+            // The replay oracle loses its volatile state at exactly this
+            // many completed actions (see the ledger invariant).
+            self.resets.push(self.actions.len());
+            self.applied.resets += 1;
+        }
+        self.restore();
+    }
+
+    fn apply(&mut self, transition: Transition) {
+        match transition {
+            Transition::Arrive(request) => {
+                if self.node.state.link.accepts() {
+                    debug_assert!(self.node.state.pending.is_empty(), "queue drains");
+                    self.serve(request);
                 } else {
-                    if config.fault != Some(Fault::FreeRetransmit) {
-                        state.bill_exchange(class);
-                    }
-                    match class {
-                        MessageClass::Data => {
-                            state.retrans_data += 1;
-                            state.exch_retrans_data += 1;
-                        }
-                        MessageClass::Control => {
-                            state.retrans_control += 1;
-                            state.exch_retrans_control += 1;
-                        }
-                        MessageClass::Invalidation => {
-                            unreachable!("invalidation-class traffic in the wireless checker")
-                        }
-                    }
+                    self.node.state.pending.push_back(request);
                 }
+            }
+            Transition::Deliver => {
+                let Node { state, tally } = &mut *self.node;
+                let Some(ticket) = state.link.protocol().wire().map(Envelope::ticket) else {
+                    unreachable!("a delivery is enabled only with an envelope in flight")
+                };
+                if let Some(step) = state.link.receive(ticket, tally) {
+                    self.carry(step);
+                    self.drain();
+                }
+            }
+            Transition::ArqTimeout => {
+                let Node { state, tally } = &mut *self.node;
+                state.losses_left -= 1;
+                if let Timeout::Escalated { .. } = state.link.timeout(tally) {
+                    self.restore();
+                }
+            }
+            Transition::Doze => self.outage(FaultKind::Doze),
+            Transition::Crash { volatile } => self.outage(if volatile {
+                FaultKind::CrashVolatile
             } else {
-                // The budget is exhausted: the timeout escalates to a
-                // declared partition — abort, rollback, retry under the new
-                // epoch, exactly as a doze.
-                state.attempts = 0;
-                let aborted = state.protocol.disconnect();
-                state.protocol.reconnect();
-                if aborted.is_some() {
-                    state.abort_exchange_billing();
-                }
-                if config.fault == Some(Fault::EscalateWithoutRollback) {
-                    // Mutant: the partition is declared but the recovery is
-                    // forgotten — nothing resumes the aborted work.
-                } else if state.protocol.recovering() {
-                    restart_handshake(state, false);
-                } else if let Some(request) = aborted {
-                    submit(state, request, actions, &mut applied);
-                    drain_queue(state, schedule, actions, &mut applied);
-                }
-            }
+                FaultKind::CrashStable
+            }),
         }
-        Transition::Doze => {
-            debug_assert!(state.faults_left > 0);
-            state.faults_left -= 1;
-            state.attempts = 0;
-            let aborted = state.protocol.disconnect();
-            state.protocol.reconnect();
-            if aborted.is_some() {
-                state.abort_exchange_billing();
-            }
-            if state.protocol.recovering() {
-                // The doze destroyed an in-flight handshake: restart it
-                // under the new epoch (any volatile loss was already
-                // applied when the handshake began).
-                restart_handshake(state, false);
-            } else if let Some(request) = aborted {
-                // Retry the rolled-back request under the new epoch; it
-                // keeps its original schedule slot.
-                submit(state, request, actions, &mut applied);
-                drain_queue(state, schedule, actions, &mut applied);
-            }
-        }
-        Transition::Crash { volatile } => {
-            debug_assert!(state.faults_left > 0);
-            state.faults_left -= 1;
-            state.attempts = 0;
-            if let Some(request) = state.protocol.disconnect() {
-                state.abort_exchange_billing();
-                debug_assert!(state.retry.is_none(), "at most one exchange in flight");
-                state.retry = Some(request);
-            }
-            state.protocol.reconnect();
-            if volatile {
-                // The replay oracle loses its volatile state at exactly
-                // this many completed actions (see the ledger invariant).
-                resets.push(actions.len());
-                applied.resets += 1;
-            }
-            restart_handshake(state, volatile);
-        }
-    }
-    inject_fault(config, state);
-    applied
-}
-
-/// Starts (or restarts) the reconnection handshake and bills the announce.
-fn restart_handshake(state: &mut State, volatile: bool) {
-    match state.protocol.begin_reconciliation(volatile) {
-        StepOutcome::Sent(ticket) => {
-            state.attempts = 1;
-            state.bill_recon(ticket.class);
-        }
-        _ => unreachable!("the reconnection announce always goes on the wire"),
-    }
-}
-
-/// Bills the transport acknowledgement that (in ARQ mode) confirms a
-/// completed exchange or reconciliation — control-class, never
-/// retransmitted, never acknowledged itself. The [`Fault::SkipAckBilling`]
-/// mutant delivers the ack without billing it.
-fn bill_ack(config: &CheckConfig, state: &mut State) {
-    if !config.arq {
-        return;
-    }
-    state.acks += 1;
-    if config.fault != Some(Fault::SkipAckBilling) {
-        state.billed_control += 1;
     }
 }
 
 /// Seeds the configured fault into the in-flight message, if it matches.
-fn inject_fault(config: &CheckConfig, state: &mut State) {
+fn inject_fault(config: &CheckConfig, node: &mut Node) {
     let Some(fault) = config.fault else { return };
-    if state.protocol.wire().is_empty() {
+    let link = &mut node.state.link;
+    let Some(in_flight) = link.protocol().wire() else {
         return;
-    }
+    };
+    let delete = matches!(in_flight.message, WireMessage::DeleteRequest { .. });
+    let announce = matches!(in_flight.message, WireMessage::Reconnect { .. });
     match fault {
-        Fault::SkipAllocationHandoff => state.protocol.tamper_in_flight(0, |envelope| {
+        Fault::SkipAllocationHandoff => link.tamper_in_flight(|envelope| {
             if let WireMessage::DataResponse {
                 allocate, window, ..
             } = &mut envelope.message
@@ -589,50 +396,31 @@ fn inject_fault(config: &CheckConfig, state: &mut State) {
                 *window = None;
             }
         }),
-        Fault::SkipWindowHandoff => state.protocol.tamper_in_flight(0, |envelope| {
+        Fault::SkipWindowHandoff => link.tamper_in_flight(|envelope| {
             if let WireMessage::DeleteRequest { window } = &mut envelope.message {
                 *window = None;
             }
         }),
-        Fault::DropDeleteRequest => {
-            if matches!(
-                state.protocol.wire()[0].message,
-                WireMessage::DeleteRequest { .. }
-            ) {
-                let _ = state.protocol.drop_in_flight(0);
-                state.attempts = 0;
-            }
+        Fault::DropDeleteRequest if delete => {
+            link.drop_in_flight();
         }
-        Fault::LieAboutReplicaOnReconnect => state.protocol.tamper_in_flight(0, |envelope| {
+        Fault::LieAboutReplicaOnReconnect => link.tamper_in_flight(|envelope| {
             if let WireMessage::Reconnect { cached_version, .. } = &mut envelope.message {
                 *cached_version = None;
             }
         }),
-        Fault::SkipRecoveryRefresh => state.protocol.tamper_in_flight(0, |envelope| {
+        Fault::SkipRecoveryRefresh => link.tamper_in_flight(|envelope| {
             if let WireMessage::ReconnectAck { refresh, .. } = &mut envelope.message {
                 *refresh = None;
             }
         }),
-        Fault::DropReconnect => {
-            if matches!(
-                state.protocol.wire()[0].message,
-                WireMessage::Reconnect { .. }
-            ) {
-                let _ = state.protocol.drop_in_flight(0);
-                state.attempts = 0;
-            }
+        Fault::DropReconnect if announce => {
+            link.drop_in_flight();
         }
-        Fault::DuplicateAnnounce => {
-            if matches!(
-                state.protocol.wire()[0].message,
-                WireMessage::Reconnect { .. }
-            ) {
-                let _ = state.protocol.begin_reconciliation(false);
-            }
+        Fault::DuplicateAnnounce if announce => {
+            let _ = link.restore(&mut node.tally);
         }
-        // The transport mutants act inside the ARQ transitions themselves,
-        // not on in-flight messages.
-        Fault::SkipAckBilling | Fault::FreeRetransmit | Fault::EscalateWithoutRollback => {}
+        Fault::DropDeleteRequest | Fault::DropReconnect | Fault::DuplicateAnnounce => {}
     }
 }
 
@@ -647,13 +435,13 @@ pub fn check(config: &CheckConfig) -> CheckReport {
         transitions: 0,
         violations: Vec::new(),
     };
-    let initial = State::initial(config);
+    let initial = Node::initial(config);
     let mut seen = HashSet::new();
     let mut schedule = Vec::new();
     let mut actions = Vec::new();
     let mut resets = Vec::new();
     verify_state(config, &initial, &schedule, &actions, &resets, &mut report);
-    seen.insert(initial.clone());
+    seen.insert(initial.state.clone());
     dfs(
         config,
         &initial,
@@ -669,26 +457,18 @@ pub fn check(config: &CheckConfig) -> CheckReport {
 
 fn verify_state(
     config: &CheckConfig,
-    state: &State,
+    node: &Node,
     schedule: &[Request],
     actions: &[Action],
     resets: &[usize],
     report: &mut CheckReport,
 ) {
     let view = StateView {
-        protocol: &state.protocol,
+        link: &node.state.link,
+        tally: &node.tally,
         schedule,
         actions,
         resets,
-        billed_data: state.billed_data,
-        billed_control: state.billed_control,
-        retrans_data: state.retrans_data,
-        retrans_control: state.retrans_control,
-        aborted_data: state.aborted_data,
-        aborted_control: state.aborted_control,
-        recon_data: state.recon_data,
-        recon_control: state.recon_control,
-        acks: state.acks,
         models: &config.models,
     };
     if let Err(violation) = check_state(&view) {
@@ -699,7 +479,7 @@ fn verify_state(
 #[allow(clippy::too_many_arguments)]
 fn dfs(
     config: &CheckConfig,
-    state: &State,
+    node: &Node,
     depth: usize,
     seen: &mut HashSet<State>,
     schedule: &mut Vec<Request>,
@@ -710,12 +490,23 @@ fn dfs(
     if depth == config.depth || !report.violations.is_empty() {
         return;
     }
-    for transition in enabled(config, state) {
+    for transition in enabled(config, &node.state) {
         // The child is a clone, so a transition that panics half-way leaves
-        // `state` intact; the panic is reported as a violation, with the
+        // `node` intact; the panic is reported as a violation, with the
         // schedule that reached it, instead of aborting the exploration.
-        let mut child = state.clone();
-        let applied = guarded(|| apply(config, &mut child, transition, schedule, actions, resets));
+        let mut child = node.clone();
+        let mut step = Step {
+            node: &mut child,
+            schedule,
+            actions,
+            resets,
+            applied: Applied::default(),
+        };
+        let applied = guarded(|| {
+            step.apply(transition);
+            inject_fault(config, step.node);
+            step.applied
+        });
         report.transitions += 1;
         let applied = match applied {
             Ok(applied) => applied,
@@ -729,7 +520,7 @@ fn dfs(
             }
         };
         verify_state(config, &child, schedule, actions, resets, report);
-        if report.violations.is_empty() && seen.insert(child.clone()) {
+        if report.violations.is_empty() && seen.insert(child.state.clone()) {
             report.states += 1;
             dfs(
                 config,
@@ -749,17 +540,6 @@ fn dfs(
             return;
         }
     }
-}
-
-/// Runs `f`, returning the message of any panic it raises.
-fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|panic| {
-        panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-            .unwrap_or_default()
-    })
 }
 
 /// The acceptance roster: the policy families the paper analyzes —
@@ -811,14 +591,14 @@ mod tests {
     /// first still in flight would be two messages on the one-slot wire.
     #[test]
     fn a_panicking_transition_is_returned_as_its_message() {
-        let mut protocol = ProtocolState::new(PolicySpec::St1);
+        let mut protocol = mdr_sim::ProtocolState::new(PolicySpec::St1);
         let _ = protocol.begin_reconciliation(false);
         let message = guarded(|| protocol.begin_reconciliation(false)).unwrap_err();
         assert!(
             message.contains("another message is in flight"),
             "{message}"
         );
-        assert_eq!(protocol.wire().len(), 1);
+        assert!(protocol.wire().is_some());
         assert_eq!(guarded(|| 7), Ok(7));
     }
 }

@@ -23,20 +23,25 @@
 //! * **Freshness** (§3's consistency requirement): the replica never runs
 //!   ahead of the primary, and is exactly current when the wire is empty.
 //! * **Ledger = replay** (§3/§5/§6): at every quiescent state the action
-//!   ledger, the per-class message bill and both cost models' totals equal
-//!   a replay of the serialized schedule through the abstract
+//!   ledger and both cost models' totals equal a replay of the serialized
+//!   schedule through the abstract
 //!   [`AllocationPolicy`](mdr_core::AllocationPolicy) — with the oracle's
 //!   [`on_replica_lost`](mdr_core::AllocationPolicy::on_replica_lost) hook
-//!   applied at every recorded volatile-crash point, and the bill allowing
-//!   exactly the aborted and reconnection-handshake traffic the faults
-//!   caused.
-//! * **No deadlock**: an exchange or reconnection handshake in progress
-//!   always has a message in flight to advance it. Loss is repaired by the
-//!   ARQ transport's timeout-driven retransmissions — and when the retry
-//!   budget runs out, the timeout must escalate to a declared partition
-//!   that rolls the exchange back and retries it; an exchange left
-//!   dangling with nothing in flight (an unrecovered loss, a forgotten
-//!   escalation rollback) is a transport bug and must be detected.
+//!   applied at every recorded volatile-crash point.
+//! * **Billing identity** (§3): in every state, per message class, the
+//!   attempts billed equal the ledger's messages plus exactly the
+//!   retransmitted, aborted, handshake, at-risk and acknowledgement
+//!   traffic the link caused — the shipped
+//!   [`LinkState::check_billing`], which the simulator runs at every
+//!   completion.
+//! * **No deadlock**: an exchange, a suspended request or a reconnection
+//!   handshake in progress always has a message in flight to advance it.
+//!   Loss is repaired by the ARQ transport's timeout-driven
+//!   retransmissions — and when the retry budget runs out, the timeout
+//!   must escalate to a declared partition that rolls the exchange back
+//!   and retries it; an exchange left dangling with nothing in flight (an
+//!   unrecovered loss, a forgotten escalation rollback) is a transport bug
+//!   and must be detected.
 //!
 //! The fault extension adds one more transient to each structural
 //! invariant: while a reconnection handshake is re-validating a replica a
@@ -45,8 +50,9 @@
 //! until the handshake retracts or refreshes it.
 
 use mdr_core::{approx_eq, Action, ActionCounts, CostModel, PolicySpec, Request};
-use mdr_sim::{Endpoint, Envelope, ProtocolState, WireMessage};
+use mdr_sim::{Endpoint, Envelope, InvariantMonitor, LinkState, SimReport, WireMessage};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The invariant classes the checker enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,8 +63,10 @@ pub enum Invariant {
     ReplicaAgreement,
     /// The replica never runs ahead of, and quiescently equals, the primary.
     ReplicaFreshness,
-    /// Ledger, bill and costs equal the abstract policy replay (§3).
+    /// Ledger and costs equal the abstract policy replay (§3).
     LedgerEqualsReplay,
+    /// Every billed attempt is accounted for, per message class (§3).
+    BillingIdentity,
     /// An in-progress exchange always has a message in flight.
     NoDeadlock,
     /// No transition trips an assertion of the shipped protocol — among
@@ -74,6 +82,7 @@ impl fmt::Display for Invariant {
             Invariant::ReplicaAgreement => "replica-agreement",
             Invariant::ReplicaFreshness => "replica-freshness",
             Invariant::LedgerEqualsReplay => "ledger-equals-replay",
+            Invariant::BillingIdentity => "billing-identity",
             Invariant::NoDeadlock => "no-deadlock",
             Invariant::NoPanic => "no-panic",
         };
@@ -106,8 +115,11 @@ impl fmt::Display for Violation {
 /// Everything the invariant suite needs to judge one reached state.
 #[derive(Debug, Clone, Copy)]
 pub struct StateView<'a> {
-    /// The protocol configuration reached.
-    pub protocol: &'a ProtocolState,
+    /// The link reached: the protocol configuration, the request in
+    /// service or suspended, and the bill.
+    pub link: &'a LinkState<Request>,
+    /// The run counters the link billed into along the path.
+    pub tally: &'a SimReport,
     /// The serialized request order so far (service order, §3).
     pub schedule: &'a [Request],
     /// The actions the protocol completed, in order.
@@ -118,25 +130,6 @@ pub struct StateView<'a> {
     /// [`on_replica_lost`](mdr_core::AllocationPolicy::on_replica_lost) at
     /// exactly these indices. Ascending.
     pub resets: &'a [usize],
-    /// Data-message transmission attempts billed so far.
-    pub billed_data: u64,
-    /// Control-message transmission attempts billed so far.
-    pub billed_control: u64,
-    /// Billed data-message attempts that were lost and repeated (ARQ).
-    pub retrans_data: u64,
-    /// Billed control-message attempts that were lost and repeated (ARQ).
-    pub retrans_control: u64,
-    /// Billed data-message attempts on exchanges a fault aborted.
-    pub aborted_data: u64,
-    /// Billed control-message attempts on exchanges a fault aborted.
-    pub aborted_control: u64,
-    /// Billed data-message attempts of reconnection handshakes.
-    pub recon_data: u64,
-    /// Billed control-message attempts of reconnection handshakes.
-    pub recon_control: u64,
-    /// Billed transport acknowledgements (ARQ mode; always control-class,
-    /// never retransmitted or acknowledged themselves).
-    pub acks: u64,
     /// The cost models under which the ledger is priced and compared.
     pub models: &'a [CostModel],
 }
@@ -176,7 +169,7 @@ fn revokes_mc(envelope: &Envelope) -> bool {
 /// Returns the first [`Violation`] found, with the serialized schedule
 /// prefix attached as the counterexample trace.
 pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
-    let p = view.protocol;
+    let (link, p) = (view.link, view.link.protocol());
     let violation = |invariant: Invariant, detail: String| Violation {
         invariant,
         detail,
@@ -187,9 +180,16 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
     // send onto an occupied one panics, which the checker reports as a
     // `NoPanic` violation of the transition that tried it.
 
-    // Deadlock-freedom: an exchange or handshake mid-flight must have a
-    // message to advance it (only an unrecovered loss can break this).
-    if (p.serving().is_some() || p.recovering()) && p.wire().is_empty() {
+    // Billing: the link's own identity, which panics when it breaks.
+    if let Err(detail) = guarded(|| link.check_billing(&mut InvariantMonitor::new(), view.tally)) {
+        return Err(violation(Invariant::BillingIdentity, detail));
+    }
+
+    // Deadlock-freedom: an exchange, a suspended request or a handshake
+    // must have a message to advance it (only an unrecovered loss or a
+    // forgotten rollback can break this).
+    if (p.serving().is_some() || link.suspended().is_some() || p.recovering()) && p.wire().is_none()
+    {
         return Err(violation(
             Invariant::NoDeadlock,
             format!(
@@ -197,7 +197,7 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
                 if p.recovering() {
                     "reconnection handshake".to_owned()
                 } else {
-                    format!("exchange for {:?}", p.serving())
+                    format!("exchange for {:?}", p.serving().or(link.suspended()))
                 }
             ),
         ));
@@ -207,7 +207,7 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
     // transfer is in flight — or while a reconnection handshake is
     // retracting (or refreshing) the SC's commitment to a replica a
     // volatile crash destroyed.
-    let transfers = p.wire().iter().filter(|e| transfers_ownership(e)).count();
+    let transfers = usize::from(p.wire().is_some_and(transfers_ownership));
     let retracting = p.recovering() && p.sc().mc_has_copy() && !p.mc().has_copy();
     let agree = p.sc().mc_has_copy() == p.mc().has_copy();
     if agree != (transfers == 0 && !retracting) {
@@ -228,9 +228,9 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
     // for the window charge the crash destroyed: the SC reconstructs the
     // §4 cold-start window the moment the announce arrives.
     if matches!(p.policy(), PolicySpec::SlidingWindow { .. }) {
-        let revoked = p.wire().iter().any(revokes_mc);
+        let revoked = p.wire().is_some_and(revokes_mc);
         let mc_owns = p.mc().in_charge() && !revoked;
-        let in_flight_owners = p.wire().iter().filter(|e| carries_window(e)).count();
+        let in_flight_owners = usize::from(p.wire().is_some_and(carries_window));
         let recovery_owner = p.recovering() && p.sc().mc_has_copy() && !p.mc().in_charge();
         let owners = usize::from(p.sc().in_charge())
             + usize::from(mc_owns)
@@ -261,7 +261,7 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
                 format!("replica version {v} ahead of primary {}", p.sc().version()),
             ));
         }
-        if p.wire().is_empty() && v != p.sc().version() {
+        if p.wire().is_none() && v != p.sc().version() {
             return Err(violation(
                 Invariant::ReplicaFreshness,
                 format!(
@@ -274,8 +274,8 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
 
     // Ledger = replay (quiescent states only: mid-exchange the in-flight
     // request is in the schedule but not yet in the ledger, and
-    // mid-handshake an aborted request may be parked for retry).
-    if p.serving().is_none() && p.wire().is_empty() && !p.recovering() {
+    // mid-handshake an aborted request may be suspended).
+    if p.serving().is_none() && p.wire().is_none() && !p.recovering() {
         check_ledger(view).map_err(|(invariant, detail)| violation(invariant, detail))?;
     }
 
@@ -284,10 +284,10 @@ pub fn check_state(view: &StateView<'_>) -> Result<(), Violation> {
 
 /// The quiescent-state accounting checks: replay the serialized schedule
 /// through the abstract policy — applying the volatile-crash hook at every
-/// recorded reset point — and compare actions, allocation state, the
-/// per-class message bill, and both cost models' totals.
+/// recorded reset point — and compare actions, allocation state and both
+/// cost models' totals.
 fn check_ledger(view: &StateView<'_>) -> Result<(), (Invariant, String)> {
-    let p = view.protocol;
+    let p = view.link.protocol();
     if view.schedule.len() != view.actions.len() {
         return Err((
             Invariant::LedgerEqualsReplay,
@@ -336,38 +336,6 @@ fn check_ledger(view: &StateView<'_>) -> Result<(), (Invariant, String)> {
             format!("ledger {counts:?} differs from replay {replayed:?}"),
         ));
     }
-    // The message bill equals the ledger-derived count plus the ARQ
-    // retransmissions (loss inflates the bill without changing actions),
-    // the attempts faults aborted, the reconnection-handshake traffic, and
-    // the transport's control-class acknowledgements.
-    if view.billed_data
-        != counts.data_messages() + view.retrans_data + view.aborted_data + view.recon_data
-        || view.billed_control
-            != counts.control_messages()
-                + view.retrans_control
-                + view.aborted_control
-                + view.recon_control
-                + view.acks
-    {
-        return Err((
-            Invariant::LedgerEqualsReplay,
-            format!(
-                "bill {}d+{}c differs from ledger {}d+{}c plus retransmissions {}d+{}c, \
-                 aborted {}d+{}c, handshakes {}d+{}c and acks {}c",
-                view.billed_data,
-                view.billed_control,
-                counts.data_messages(),
-                counts.control_messages(),
-                view.retrans_data,
-                view.retrans_control,
-                view.aborted_data,
-                view.aborted_control,
-                view.recon_data,
-                view.recon_control,
-                view.acks
-            ),
-        ));
-    }
     // Both cost models price the ledger exactly as they price the replay.
     for model in view.models {
         let ledger_cost = model.price_counts(&counts);
@@ -380,4 +348,17 @@ fn check_ledger(view: &StateView<'_>) -> Result<(), (Invariant, String)> {
         }
     }
     Ok(())
+}
+
+/// Runs `f`, returning the message of any panic it raises: the shipped
+/// code states its invariants as assertions, and the checker reports a
+/// failed one as a violation instead of aborting the exploration.
+pub(crate) fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|panic| {
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    })
 }

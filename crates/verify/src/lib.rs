@@ -6,9 +6,11 @@
 //! the §4 protocol of **Huang, Sistla, Wolfson, "Data Replication for
 //! Mobile Computers" (SIGMOD 1994)**.
 //!
-//! The checker drives the same [`ProtocolState`](mdr_sim::ProtocolState)
-//! transition relation the discrete-event simulator uses — not a model of
-//! the protocol but the protocol itself — and exhaustively explores every
+//! The checker drives the same [`LinkState`](mdr_sim::LinkState) — the §4
+//! [`ProtocolState`](mdr_sim::ProtocolState) plus the link's exchange
+//! lifecycle and bill — that the discrete-event simulator uses, through
+//! the same methods: not a model of the protocol but the protocol itself.
+//! It exhaustively explores every
 //! interleaving of request arrivals at both nodes, message deliveries,
 //! (in ARQ mode) retransmission-timeout firings — budget-bounded
 //! retransmits, escalations to declared partitions and billed
@@ -258,70 +260,6 @@ mod tests {
             "arq {} vs clean {}",
             arq.states,
             clean.states
-        );
-    }
-
-    /// Mutation self-test: delivering the completion acknowledgement
-    /// without billing it must be caught by the ledger identity — the
-    /// per-class bill no longer covers the transport's ack traffic.
-    #[test]
-    fn skipped_ack_billing_is_caught() {
-        let config = CheckConfig::new(PolicySpec::SlidingWindow { k: 3 }, 10)
-            .arq()
-            .with_fault(Fault::SkipAckBilling);
-        let report = check(&config);
-        assert!(
-            !report.verified(),
-            "mutation survived {} states",
-            report.states
-        );
-        assert_eq!(
-            report.violations[0].invariant,
-            Invariant::LedgerEqualsReplay
-        );
-    }
-
-    /// Mutation self-test: retransmitting on timeout without billing the
-    /// repeated attempt must be caught by the ledger identity — the
-    /// retransmission counters outrun the bill.
-    #[test]
-    fn free_retransmit_is_caught() {
-        let config = CheckConfig::new(PolicySpec::SlidingWindow { k: 3 }, 10)
-            .arq()
-            .with_fault(Fault::FreeRetransmit);
-        let report = check(&config);
-        assert!(
-            !report.verified(),
-            "mutation survived {} states",
-            report.states
-        );
-        assert_eq!(
-            report.violations[0].invariant,
-            Invariant::LedgerEqualsReplay
-        );
-    }
-
-    /// Mutation self-test: escalating an exhausted retry budget without
-    /// rolling the exchange back (or restarting the interrupted handshake)
-    /// strands the aborted work — caught as a dangling protocol state.
-    #[test]
-    fn escalation_without_rollback_is_caught() {
-        let config = CheckConfig::new(PolicySpec::SlidingWindow { k: 3 }, 10)
-            .arq()
-            .with_fault(Fault::EscalateWithoutRollback);
-        let report = check(&config);
-        assert!(
-            !report.verified(),
-            "mutation survived {} states",
-            report.states
-        );
-        assert!(
-            matches!(
-                report.violations[0].invariant,
-                Invariant::LedgerEqualsReplay | Invariant::NoDeadlock
-            ),
-            "unexpected invariant: {}",
-            report.violations[0].invariant
         );
     }
 

@@ -54,8 +54,6 @@ fn usage() -> ! {
 enum SuiteMode {
     /// Arrivals and deliveries only.
     Plain,
-    /// ARQ transport transitions woven in.
-    Arq,
     /// Disconnection/crash/reconnection transitions woven in.
     Faulty,
 }
@@ -141,22 +139,6 @@ fn kill_suite() -> ExitCode {
             Some(Invariant::NoDeadlock),
         ),
         (
-            "catch skip-ack-billing",
-            sw3,
-            Fault::SkipAckBilling,
-            SuiteMode::Arq,
-            10,
-            Some(Invariant::LedgerEqualsReplay),
-        ),
-        (
-            "catch free-retransmit",
-            sw3,
-            Fault::FreeRetransmit,
-            SuiteMode::Arq,
-            10,
-            Some(Invariant::LedgerEqualsReplay),
-        ),
-        (
             "catch duplicate-announce",
             sw3,
             Fault::DuplicateAnnounce,
@@ -177,7 +159,6 @@ fn kill_suite() -> ExitCode {
         let mut config = CheckConfig::new(spec, depth).with_fault(fault);
         config = match mode {
             SuiteMode::Plain => config,
-            SuiteMode::Arq => config.arq(),
             SuiteMode::Faulty => config.faulty(),
         };
         let report = check(&config);

@@ -2,7 +2,7 @@
 //!
 //! The generator derives mutants from the lexed token stream of the
 //! protocol-critical sources (`crates/core`, `crates/sim/src/{engine,
-//! journal,protocol,faults,sim,topology}.rs`,
+//! journal,link,protocol,faults,sim,topology}.rs`,
 //! `crates/verify/src/invariants.rs`):
 //!
 //! * operator swaps: `+`↔`-`, `<`→`<=`, `>`→`>=`, `<=`→`<`, `>=`→`>`,
@@ -18,9 +18,12 @@
 //! Substitution mutants differ from the original in exactly one token;
 //! deletion mutants remove one contiguous token span — both properties
 //! are pinned by self-tests. Test code and attributes are never
-//! mutated. Each mutant id is an FNV-1a hash of `file|span|replacement`
-//! so ids are stable across runs and machines; `--sample N --seed S`
-//! picks a deterministic SplitMix64-ranked subset.
+//! mutated. Each mutant id is an FNV-1a hash of its file, its enclosing
+//! item (the function's name and ordinal among the file's functions of
+//! that name), the mutated token's index within the item's body, and the
+//! replacement — so ids are stable across runs and machines, and an edit
+//! outside a function leaves its mutants' ids alone; `--sample N --seed
+//! S` picks a deterministic SplitMix64-ranked subset.
 //!
 //! The runner splices each sampled mutant into its file (restoring the
 //! original on every exit path), compiles it in the scratch target dir
@@ -144,19 +147,115 @@ fn attr_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     out
 }
 
+/// The item a mutant's id is keyed on: the innermost function whose body
+/// holds the mutated token, or the `const`/`static` item whose
+/// initializer does.
+struct Anchor {
+    /// `fn name#k`: the item's kind and name, and its ordinal among the
+    /// file's items of that kind and name.
+    key: String,
+    /// Token index offsets count from: the body's `{`, or the `const` or
+    /// `static` keyword.
+    from: usize,
+    /// One past the item's last token.
+    to: usize,
+}
+
+/// Index of the first token at or after `from`, outside every bracket
+/// opened after `from`, for which `stop` holds.
+fn first_at_depth0(tokens: &[Token], from: usize, stop: impl Fn(&Token) -> bool) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(from) {
+        if depth == 0 && stop(t) {
+            return Some(j);
+        }
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
+            depth = depth.checked_sub(1)?;
+        }
+    }
+    None
+}
+
+/// Every function body and `const`/`static` initializer in the file.
+fn anchors(tokens: &[Token]) -> Vec<Anchor> {
+    let mut ordinals = std::collections::HashMap::new();
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if t.kind != TokenKind::Ident {
+            continue;
+        }
+        let name_at = match t.text.as_str() {
+            "static" if tokens.get(i + 1).is_some_and(|n| n.text == "mut") => i + 2,
+            "fn" | "const" | "static" => i + 1,
+            _ => continue,
+        };
+        let Some(name) = tokens.get(name_at).filter(|n| n.kind == TokenKind::Ident) else {
+            continue;
+        };
+        let span = if t.text == "fn" {
+            // The body opens at the first `{` outside the signature's
+            // brackets; a `;` first means a bodiless declaration.
+            first_at_depth0(tokens, name_at, |n| n.is_punct("{") || n.is_punct(";"))
+                .filter(|&open| tokens[open].is_punct("{"))
+                .and_then(|open| {
+                    Some((
+                        open,
+                        first_at_depth0(tokens, open + 1, |n| n.is_punct("}"))?,
+                    ))
+                })
+        } else if tokens.get(name_at + 1).is_some_and(|n| n.is_punct(":"))
+            && !tokens
+                .get(i.wrapping_sub(1))
+                .is_some_and(|p| p.is_punct("<") || p.is_punct(","))
+        {
+            first_at_depth0(tokens, name_at, |n| n.is_punct(";")).map(|semi| (i, semi))
+        } else {
+            None
+        };
+        let Some((from, last)) = span else {
+            continue;
+        };
+        let item = format!("{} {}", t.text, name.text);
+        let ordinal = ordinals.entry(item.clone()).or_insert(0usize);
+        *ordinal += 1;
+        out.push(Anchor {
+            key: format!("{item}#{ordinal}"),
+            from,
+            to: last + 1,
+        });
+    }
+    out
+}
+
+/// The id of the mutant replacing the span that starts at token `at` by
+/// `replacement`: keyed on the innermost item holding the token (or the
+/// file, outside every item) and the token's offset within it.
+fn mutant_id(path: &str, anchors: &[Anchor], at: usize, replacement: &str) -> String {
+    let (item, offset) = anchors
+        .iter()
+        .filter(|a| (a.from..a.to).contains(&at))
+        .max_by_key(|a| a.from)
+        .map_or(("file", at), |a| (a.key.as_str(), at - a.from));
+    format!(
+        "{:016x}",
+        fnv1a64(format!("{path}|{item}|{offset}|{replacement}").as_bytes())
+    )
+}
+
 /// Generates every mutant for one file.
 pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
     let tokens = lex(src);
     let tests = test_ranges(&tokens);
     let attrs = attr_ranges(&tokens);
+    let anchors = anchors(&tokens);
     let skip = |idx: usize| in_ranges(&tests, idx) || in_ranges(&attrs, idx);
     let mut out = Vec::new();
 
-    let mut push = |op: &'static str, t: &Token, end: usize, original: String, repl: String| {
-        let id = format!(
-            "{:016x}",
-            fnv1a64(format!("{path}|{}|{end}|{repl}", t.start).as_bytes())
-        );
+    let mut push = |op: &'static str, at: usize, end: usize, original: String, repl: String| {
+        let t = &tokens[at];
+        let id = mutant_id(path, &anchors, at, &repl);
         out.push(Mutant {
             id,
             file: path.to_string(),
@@ -183,25 +282,25 @@ pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
                     let bound = prev.is_some_and(is_typeish) || next.is_some_and(is_typeish);
                     if binary && !bound {
                         let repl = if t.text == "+" { "-" } else { "+" };
-                        push("op-swap", t, t.end, t.text.clone(), repl.to_string());
+                        push("op-swap", i, t.end, t.text.clone(), repl.to_string());
                     }
                 }
                 "<" | ">"
                     if prev.is_some_and(is_cmp_operand) && next.is_some_and(is_cmp_operand) =>
                 {
-                    push("cmp-swap", t, t.end, t.text.clone(), format!("{}=", t.text));
+                    push("cmp-swap", i, t.end, t.text.clone(), format!("{}=", t.text));
                 }
                 "<=" | ">=" => {
                     let repl = t.text.trim_end_matches('=').to_string();
-                    push("cmp-swap", t, t.end, t.text.clone(), repl);
+                    push("cmp-swap", i, t.end, t.text.clone(), repl);
                 }
                 "==" | "!=" => {
                     let repl = if t.text == "==" { "!=" } else { "==" };
-                    push("cmp-swap", t, t.end, t.text.clone(), repl.to_string());
+                    push("cmp-swap", i, t.end, t.text.clone(), repl.to_string());
                 }
                 "&&" | "||" if binary => {
                     let repl = if t.text == "&&" { "||" } else { "&&" };
-                    push("logic-swap", t, t.end, t.text.clone(), repl.to_string());
+                    push("logic-swap", i, t.end, t.text.clone(), repl.to_string());
                 }
                 "!" => {
                     let unary = match prev {
@@ -217,7 +316,7 @@ pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
                             || n.is_punct("(")
                     });
                     if unary && negatable {
-                        push("negation-del", t, t.end, t.text.clone(), String::new());
+                        push("negation-del", i, t.end, t.text.clone(), String::new());
                     }
                 }
                 _ => {}
@@ -232,7 +331,7 @@ pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
                 if let Ok(v) = digits.parse::<u64>() {
                     push(
                         "int-tweak",
-                        t,
+                        i,
                         t.end,
                         t.text.clone(),
                         format!("{}{suffix}", v + 1),
@@ -240,7 +339,7 @@ pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
                     if v > 0 {
                         push(
                             "int-tweak",
-                            t,
+                            i,
                             t.end,
                             t.text.clone(),
                             format!("{}{suffix}", v - 1),
@@ -258,7 +357,7 @@ pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
             {
                 if let Some(last) = arm_end(&tokens, i) {
                     let original: String = slice_text(src, t.start, tokens[last].end);
-                    push("arm-del", t, tokens[last].end, original, String::new());
+                    push("arm-del", i, tokens[last].end, original, String::new());
                 }
             }
             if t.text == "return" {
@@ -275,7 +374,7 @@ pub(crate) fn mutants_for(path: &str, src: &str) -> Vec<Mutant> {
                         // type are caught by the stillborn check and
                         // excluded from the score.
                         let original = slice_text(src, t.start, tokens[semi].end);
-                        push("return-del", t, tokens[semi].end, original, String::new());
+                        push("return-del", i, tokens[semi].end, original, String::new());
                     }
                 }
             }
@@ -414,6 +513,7 @@ pub(crate) fn target_files(root: &Path) -> Vec<String> {
     for fixed in [
         "crates/sim/src/engine.rs",
         "crates/sim/src/journal.rs",
+        "crates/sim/src/link.rs",
         "crates/sim/src/protocol.rs",
         "crates/sim/src/faults.rs",
         "crates/sim/src/sim.rs",
@@ -851,6 +951,29 @@ mod tests {
         }
     }
 
+    /// A function inserted above every other, and a doc comment added
+    /// between two functions, move every char offset of the file but no
+    /// mutant's enclosing function or its place in it: every id survives.
+    #[test]
+    fn ids_survive_edits_outside_their_function() {
+        let (path, src) = fixture();
+        let ids = |src: &str| -> std::collections::BTreeSet<String> {
+            mutants_for(&path, src).into_iter().map(|m| m.id).collect()
+        };
+        let before = ids(&src);
+        let edited = src
+            .replacen(
+                "pub fn arith",
+                "fn inserted(a: u64) -> u64 {\n    a + 7\n}\n\npub fn arith",
+                1,
+            )
+            .replacen("fn done(", "/// Whether `a` is spent.\nfn done(", 1);
+        let after = ids(&edited);
+        assert!(before.is_subset(&after), "{:?}", before.difference(&after));
+        // The new function brings its own three: `+` -> `-`, 7 -> 8, 7 -> 6.
+        assert_eq!(after.len(), before.len() + 3);
+    }
+
     #[test]
     fn every_operator_class_appears() {
         let (_, mutants) = all_mutants();
@@ -941,10 +1064,11 @@ mod tests {
 mod sample_pins {
     use super::*;
 
-    /// Seed-6 sample over the fixture corpus, pinned by id. Ids hash
-    /// `file|span|replacement`, so a drift here means either the fixture
-    /// changed or the generator/sampler changed behaviour — both are
-    /// worth a deliberate re-pin, never an accident.
+    /// Seed-6 sample over the fixture corpus, pinned by id. Ids hash the
+    /// file, the enclosing function, the token's place in it and the
+    /// replacement, so a drift here means either the fixture changed or
+    /// the generator/sampler changed behaviour — both are worth a
+    /// deliberate re-pin, never an accident.
     #[test]
     fn seed_six_sample_is_pinned() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
@@ -958,10 +1082,10 @@ mod sample_pins {
             .map(|m| (m.id, m.op))
             .collect();
         let expected = [
-            ("652af31e32191410", "op-swap"),
-            ("06212ec3f86ba81e", "logic-swap"),
-            ("41c6d47d11610aa0", "int-tweak"),
-            ("7d0b651510c0fc07", "cmp-swap"),
+            ("19f6a397322e2fc0", "logic-swap"),
+            ("dcf56cbfddad46ac", "return-del"),
+            ("ef6481e47ff05ef6", "op-swap"),
+            ("16f2d39f8da8f4d1", "int-tweak"),
         ];
         let got: Vec<(&str, &str)> = picked.iter().map(|(id, op)| (id.as_str(), *op)).collect();
         assert_eq!(got, expected);
